@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import scalar
-from .errors import CollapseError, ConvergenceError, DomainError
+from .errors import BracketError, CollapseError, ConvergenceError, DomainError
 from .functional import (
     CouplingParams,
     PairState,
@@ -453,7 +453,7 @@ def cmd_sync_threshold(cfg: RunConfig, width: float = 1e-6) -> int:
         bracket = scalar.sync_threshold(
             c.mu1, c.mu2, c.alpha, c.beta, cfg.model.N, width=width
         )
-    except Exception as exc:
+    except (BracketError, DomainError) as exc:
         print(f"threshold search failed: {exc}", file=sys.stderr)
         return 6
     writer = _RunWriter(cfg)

@@ -5,12 +5,20 @@ Two families live here.  The synchronized-solution system
     1 = mu1 s^{2*-2} + lam * alpha * s^{alpha-2} t^beta
     1 = mu2 t^{2*-2} + lam * beta  * s^alpha     t^{beta-2}
 
-governs solutions proportional to a common profile; below some negative
-threshold lam* it has no positive solution, and the threshold is located
-empirically by bisecting on the emptiness of a dense multi-start Newton
-search.  For mu1 = mu2 and alpha = beta the diagonal branch s = t has the
-closed form s^{2*-2} = 1/(mu + lam*alpha), which vanishes exactly at
-lam = -mu/alpha.
+governs solutions proportional to a common profile.  For lam < 0 the ratio
+k = t/s reduces it to one equation in one unknown,
+
+    F(k) = mu2 k^{2*-2} - mu1 - lam * (alpha k^beta - beta k^{beta-2}) = 0,
+    s = (mu1 + lam * alpha * k^beta)^{-1/(2*-2)},   t = k s,
+
+where s is finite only below k_max = (-mu1/(lam*alpha))^{1/beta}.  F is
+strictly increasing (alpha, beta <= 2), negative up to
+k_lo = (-lam*beta/mu2)^{1/alpha}, and F(k_max) > 0 exactly when
+k_lo < k_max, the endpoint k_max included.  So the system has one positive
+solution if k_lo < k_max and none otherwise, and the emptiness threshold is
+lam* = -(mu1^alpha mu2^beta / (alpha^alpha beta^beta))^{1/2*}; for
+alpha = beta = 2 that is -sqrt(mu1 mu2)/2.  The diagonal branch s = t of
+mu1 = mu2, alpha = beta has s^{2*-2} = 1/(mu + lam*alpha).
 
 The second family is the two-variable comparison function
 
@@ -29,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError
+
+REFINE_CHUNK = 4096   # witness cells refined per batched evaluation
 
 __all__ = [
     "BoxReport",
@@ -84,85 +94,57 @@ def sync_residuals(inst: SyncInstance, s, t):
     return r1, r2
 
 
-def sync_solve(
-    inst: SyncInstance,
-    grid_points: int = 24,
-    span=(1e-3, 1e3),
-    dedup_rel: float = 1e-8,
-    max_iter: int = 100,
-):
-    """All positive solutions found by multi-start Newton over a log grid.
+def _ratio_window(inst: SyncInstance):
+    """(k_lo, k_max), between which the ratio t/s of a solution lies.
 
-    Newton runs in logarithmic coordinates, which keeps the iterates
-    positive and copes with branches escaping toward 0 or infinity.  An
-    empty list is a valid result.
+    None when k_lo >= k_max, that is when the system has no positive
+    solution.  F < 0 on (0, k_lo] and F(k_max) > 0 otherwise.
     """
+    if inst.lam >= 0.0:
+        raise DomainError("the ratio reduction needs lam < 0")
+    k_lo = (-inst.lam * inst.beta / inst.mu2) ** (1.0 / inst.alpha)
+    k_max = (-inst.mu1 / (inst.lam * inst.alpha)) ** (1.0 / inst.beta)
+    return (k_lo, k_max) if k_lo < k_max else None
+
+
+def sync_solve(inst: SyncInstance):
+    """The positive solution (s, t), as a list of at most one pair.
+
+    Bisects the increasing ratio function F on (k_lo, k_max) down to
+    adjacent floats and maps the root k back to s and t.  An empty list
+    means that no positive solution exists (lam <= lam*).
+    """
+    window = _ratio_window(inst)
+    if window is None:
+        return []
     p = inst.two_star
-    la, lb = math.log(span[0]), math.log(span[1])
-    g = np.linspace(la, lb, grid_points)
-    x, y = np.meshgrid(g, g)
-    x = x.ravel().copy()
-    y = y.ravel().copy()
-    alive = np.ones(x.size, dtype=bool)
 
-    for _ in range(max_iter):
-        s = np.exp(x[alive])
-        t = np.exp(y[alive])
-        r1, r2 = sync_residuals(inst, s, t)
-        # partials with respect to (log s, log t)
-        j11 = inst.mu1 * (p - 2.0) * s ** (p - 2.0) + inst.lam * inst.alpha * (
-            inst.alpha - 2.0
-        ) * s ** (inst.alpha - 2.0) * t**inst.beta
-        j12 = inst.lam * inst.alpha * inst.beta * s ** (inst.alpha - 2.0) * t**inst.beta
-        j21 = inst.lam * inst.alpha * inst.beta * s**inst.alpha * t ** (inst.beta - 2.0)
-        j22 = inst.mu2 * (p - 2.0) * t ** (p - 2.0) + inst.lam * inst.beta * (
-            inst.beta - 2.0
-        ) * s**inst.alpha * t ** (inst.beta - 2.0)
-        det = j11 * j22 - j12 * j21
-        bad = (det == 0.0) | ~np.isfinite(det)
-        det[bad] = 1.0
-        dx = -(r1 * j22 - r2 * j12) / det
-        dy = -(r2 * j11 - r1 * j21) / det
-        dx[bad] = 0.0
-        dy[bad] = 0.0
-        np.clip(dx, -2.0, 2.0, out=dx)
-        np.clip(dy, -2.0, 2.0, out=dy)
-        x[alive] += dx
-        y[alive] += dy
-        still = (np.abs(dx) > 1e-14) | (np.abs(dy) > 1e-14)
-        idx = np.nonzero(alive)[0]
-        alive[idx[~still]] = False
-        drop = (np.abs(x) > 60.0) | (np.abs(y) > 60.0)
-        alive &= ~drop
-        if not alive.any():
-            break
+    def ratio_fn(k):
+        return inst.mu2 * k ** (p - 2.0) - inst.mu1 - inst.lam * (
+            inst.alpha * k**inst.beta - inst.beta * k ** (inst.beta - 2.0)
+        )
 
-    keep = (np.abs(x) <= 60.0) & (np.abs(y) <= 60.0)
-    s = np.exp(x[keep])
-    t = np.exp(y[keep])
-    r1, r2 = sync_residuals(inst, s, t)
-    ok = (np.abs(r1) <= 1e-10) & (np.abs(r2) <= 1e-10)
-    roots = sorted(zip(s[ok], t[ok]))
-    out = []
-    for cand in roots:
-        if not any(
-            abs(cand[0] - r[0]) <= dedup_rel * abs(r[0])
-            and abs(cand[1] - r[1]) <= dedup_rel * abs(r[1])
-            for r in out
-        ):
-            out.append(cand)
-    return [(float(a), float(b)) for a, b in out]
+    lo, hi = window
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if ratio_fn(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    base = inst.mu1 + inst.lam * inst.alpha * lo**inst.beta
+    if not base > 0.0:
+        return []
+    s = base ** (-1.0 / (p - 2.0))
+    return [(float(s), float(lo * s))]
 
 
 def _mixed_sign_cells(sign_arr):
-    mn = np.minimum(
-        np.minimum(sign_arr[:-1, :-1], sign_arr[1:, :-1]),
-        np.minimum(sign_arr[:-1, 1:], sign_arr[1:, 1:]),
-    )
-    mx = np.maximum(
-        np.maximum(sign_arr[:-1, :-1], sign_arr[1:, :-1]),
-        np.maximum(sign_arr[:-1, 1:], sign_arr[1:, 1:]),
-    )
+    """Cells of the last two axes whose four corners take both signs."""
+    a, b = sign_arr[..., :-1, :-1], sign_arr[..., 1:, :-1]
+    c, d = sign_arr[..., :-1, 1:], sign_arr[..., 1:, 1:]
+    mn = np.minimum(np.minimum(a, b), np.minimum(c, d))
+    mx = np.maximum(np.maximum(a, b), np.maximum(c, d))
     return (mn < 0) & (mx > 0)
 
 
@@ -175,41 +157,41 @@ def sync_brute_cells(
 ) -> int:
     """Count grid cells where both residual surfaces change sign.
 
-    A derivative-free existence witness used to cross-check the Newton
-    search: a positive count flags a candidate root region, zero means the
-    two zero-level curves do not meet on the scanned window.  Flagged
+    A derivative-free existence witness, independent of the ratio
+    reduction: a positive count flags a candidate root region, zero means
+    the two zero-level curves do not meet on the scanned window.  Flagged
     cells are refined recursively, because near the emptiness threshold
     the two curves run almost tangent and a single coarse cell can contain
-    both without them crossing.
+    both without them crossing.  Each level refines its cells together, in
+    chunks of REFINE_CHUNK cells so that a level takes less memory than
+    the coarse grid.
     """
     g = np.geomspace(span[0], span[1], grid_points)
-    s, t = np.meshgrid(g, g, indexing="ij")
-    r1, r2 = sync_residuals(inst, s, t)
+    r1, r2 = sync_residuals(inst, g[:, None], g[None, :])
     flags = _mixed_sign_cells(np.sign(r1)) & _mixed_sign_cells(np.sign(r2))
-    cells = [
-        (g[i], g[i + 1], g[j], g[j + 1]) for i, j in np.argwhere(flags)
-    ]
+    i, j = np.nonzero(flags)
+    s0, s1, t0, t1 = g[i], g[i + 1], g[j], g[j + 1]
     for _ in range(depth):
-        if not cells:
+        if s0.size == 0:
             return 0
-        if len(cells) > 200000:
+        if s0.size > 200000:
             break
-        next_cells = []
-        for s0, s1, t0, t1 in cells:
-            gs = np.geomspace(s0, s1, refine + 1)
-            gt = np.geomspace(t0, t1, refine + 1)
-            ss, tt = np.meshgrid(gs, gt, indexing="ij")
-            r1, r2 = sync_residuals(inst, ss, tt)
+        parts = []
+        for start in range(0, s0.size, REFINE_CHUNK):
+            sl = slice(start, start + REFINE_CHUNK)
+            gs = np.geomspace(s0[sl], s1[sl], refine + 1, axis=1)
+            gt = np.geomspace(t0[sl], t1[sl], refine + 1, axis=1)
+            r1, r2 = sync_residuals(inst, gs[:, :, None], gt[:, None, :])
             sub = _mixed_sign_cells(np.sign(r1)) & _mixed_sign_cells(np.sign(r2))
-            for i, j in np.argwhere(sub):
-                next_cells.append((gs[i], gs[i + 1], gt[j], gt[j + 1]))
-        cells = next_cells
-    return len(cells)
+            c, i, j = np.nonzero(sub)
+            parts.append((gs[c, i], gs[c, i + 1], gt[c, j], gt[c, j + 1]))
+        s0, s1, t0, t1 = (np.concatenate(a) for a in zip(*parts))
+    return int(s0.size)
 
 
 @dataclass(frozen=True)
 class ThresholdBracket:
-    """Empirical emptiness threshold, reported as a bracket."""
+    """Emptiness threshold of the synchronized system, as a bracket."""
 
     lam_empty: float      # solutions absent here (more negative side)
     lam_nonempty: float   # solutions present here
@@ -227,19 +209,20 @@ def sync_threshold(
     beta: float,
     N: int,
     width: float = 1e-6,
-    solver_kwargs: dict = None,
 ) -> ThresholdBracket:
     """Bisect on lambda for emptiness of the synchronized system.
 
     Scans geometrically for an empty point, then refines the bracket down
-    to the requested width.  The returned threshold is empirical: absence
-    of solutions is judged at the resolution of the multi-start search.
+    to the requested width.  Emptiness is decided exactly by the ratio
+    reduction: a positive solution exists iff k_lo < k_max, that is iff
+    F > 0 somewhere on (0, k_max] with the endpoint k_max included.  The
+    bracket therefore holds lam* = -(mu1^alpha mu2^beta /
+    (alpha^alpha beta^beta))^{1/2*} up to rounding.
     """
-    kw = solver_kwargs or {}
 
     def empty(lam):
         inst = SyncInstance(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam, N=N)
-        return len(sync_solve(inst, **kw)) == 0
+        return _ratio_window(inst) is None
 
     hi = -1e-6
     if empty(hi):
@@ -415,9 +398,20 @@ def plane_critical_points(
     s, t = np.meshgrid(g, g)
     s = s.ravel().copy()
     t = t.ravel().copy()
-    for _ in range(max_iter):
-        es, et = plane_grad(c, s, t)
-        ess, ett, est = plane_hess(c, s, t)
+    limit = 0.25 * (box.R - box.r)
+    # The step is a function of (s, t) alone.  A start that lands on its
+    # state of one or two steps back alternates between its last two states
+    # from then on, so its state after max_iter steps is known and it is not
+    # stepped again.  A NaN start never compares equal and keeps stepping.
+    active = np.arange(s.size)
+    back_s = np.full(s.size, np.nan)
+    back_t = np.full(s.size, np.nan)
+    for k in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        sa, ta = s[active], t[active]
+        es, et = plane_grad(c, sa, ta)
+        ess, ett, est = plane_hess(c, sa, ta)
         det = ess * ett - est * est
         bad = (det == 0.0) | ~np.isfinite(det)
         det[bad] = 1.0
@@ -425,19 +419,29 @@ def plane_critical_points(
         dt = -(et * ess - es * est) / det
         ds[bad] = 0.0
         dt[bad] = 0.0
-        limit = 0.25 * (box.R - box.r)
         np.clip(ds, -limit, limit, out=ds)
         np.clip(dt, -limit, limit, out=dt)
-        s += ds
-        t += dt
-        s = np.clip(s, 1e-9, 10.0 * box.R)
-        t = np.clip(t, 1e-9, 10.0 * box.R)
+        s_new = np.clip(sa + ds, 1e-9, 10.0 * box.R)
+        t_new = np.clip(ta + dt, 1e-9, 10.0 * box.R)
+        settled = ((s_new == sa) & (t_new == ta)) | (
+            (s_new == back_s[active]) & (t_new == back_t[active])
+        )
+        if (max_iter - k) % 2:
+            s_new[settled] = sa[settled]
+            t_new[settled] = ta[settled]
+        s[active] = s_new
+        t[active] = t_new
+        back_s[active] = sa
+        back_t[active] = ta
+        active = active[~settled]
 
     es, et = plane_grad(c, s, t)
     scale = max(c.a1, c.a2, c.b1, c.b2, c.d)
     ok = (np.abs(es) <= 1e-9 * scale) & (np.abs(et) <= 1e-9 * scale)
     ok &= (s > 0) & (t > 0)
-    pts = sorted(zip(s[ok], t[ok]))
+    # exact duplicates collapse first; complex order is sorted(zip(s, t)) order
+    z = np.unique(s[ok] + 1j * t[ok])
+    pts = zip(z.real.tolist(), z.imag.tolist())
     found = []
     for cand in pts:
         if not any(
@@ -462,7 +466,7 @@ def plane_critical_points(
         points.append(CriticalPoint(s=float(sv), t=float(tv), kind=kind))
 
     gg = np.linspace(box.r, box.R, 400)
-    ss, tt = np.meshgrid(gg, gg)
-    grid_max = float(plane_energy(c, ss, tt).max())
+    # broadcasting evaluates every power on 400 points, not 400^2
+    grid_max = float(plane_energy(c, gg[None, :], gg[:, None]).max())
     e11 = float(plane_energy(c, 1.0, 1.0))
     return points, e11 >= grid_max - 1e-9 * max(1.0, abs(grid_max))

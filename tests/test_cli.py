@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -155,6 +156,15 @@ def test_cmd_sync_threshold(tmp_path):
     assert cmd_sync_threshold(cfg, width=1e-4) == 0
     data = json.loads((tmp_path / "sync" / "sync_threshold.json").read_text())
     assert data["lambda_star"] == pytest.approx(-0.5, abs=1e-3)
+
+
+def test_cmd_sync_threshold_no_bracket(tmp_path, capsys):
+    # lam* = -2e12 lies below the scan floor: exit 6 and no output file
+    cfg = tiny_config(tmp_path / "sync", lam=-1.0)
+    cfg = replace(cfg, coupling=replace(cfg.coupling, mu1=4e12, mu2=4e12))
+    assert cmd_sync_threshold(cfg, width=1e-4) == 6
+    assert "threshold search failed" in capsys.readouterr().err
+    assert not (tmp_path / "sync" / "sync_threshold.json").exists()
 
 
 def test_run_checks_all_hard_pass():

@@ -15,8 +15,11 @@ from critsep import (
     sync_threshold,
 )
 from critsep.scalar import (
+    CriticalPoint,
+    _mixed_sign_cells,
     plane_energy,
     plane_grad,
+    plane_hess,
     sync_brute_cells,
     sync_residuals,
     verify_box,
@@ -103,6 +106,48 @@ def test_sync_threshold_scale_covariance():
     base = sync_threshold(1.0, 1.0, 2.0, 2.0, 4, width=1e-8)
     scaled = sync_threshold(4.0, 4.0, 2.0, 2.0, 4, width=1e-8)
     assert scaled.value == pytest.approx(4.0 * base.value, abs=1e-6)
+
+
+@pytest.mark.parametrize("mu1, mu2", [(1.0, 1.0), (1.0, 2.0), (1.0, 100.0), (3.0, 0.5), (4.0, 4.0)])
+def test_sync_threshold_closed_form_alpha_beta_two(mu1, mu2):
+    # for alpha = beta = 2 solutions exist iff 2 lam > -sqrt(mu1 mu2)
+    exact = -math.sqrt(mu1 * mu2) / 2.0
+    bracket = sync_threshold(mu1, mu2, 2.0, 2.0, 4, width=1e-10)
+    assert bracket.width <= 1e-10
+    assert bracket.lam_empty <= exact + 1e-12
+    assert exact - 1e-12 <= bracket.lam_nonempty
+
+
+@pytest.mark.parametrize("mu1, mu2, alpha, N", [
+    (1.0, 1.0, 1.5, 5), (2.0, 0.7, 1.5, 5), (1.0, 3.0, 1.2, 6), (0.5, 1.0, 1.9, 6),
+])
+def test_sync_threshold_closed_form_general(mu1, mu2, alpha, N):
+    # k_lo = k_max at lam* = -(mu1^alpha mu2^beta / (alpha^alpha beta^beta))^{1/2*}
+    beta = 2.0 * N / (N - 2.0) - alpha
+    exact = -((mu1**alpha * mu2**beta) / (alpha**alpha * beta**beta)) ** (1.0 / (alpha + beta))
+    bracket = sync_threshold(mu1, mu2, alpha, beta, N, width=1e-10)
+    assert bracket.lam_empty <= exact + 1e-12
+    assert exact - 1e-12 <= bracket.lam_nonempty
+
+
+@pytest.mark.parametrize("offset", [1e-7, 1e-6, 1e-5])
+def test_sync_solve_just_above_threshold(offset):
+    # near lam* = -1/sqrt(2) the solution runs off to s ~ 780 / sqrt(offset / 1e-6)
+    mu1, mu2, lam = 1.0, 2.0, -1.0 / math.sqrt(2.0) + offset
+    inst = SyncInstance(mu1=mu1, mu2=mu2, alpha=2.0, beta=2.0, lam=lam, N=4)
+    roots = sync_solve(inst)
+    assert len(roots) == 1
+    s, t = roots[0]
+    # alpha = beta = 2: s^2 = (mu2 - 2 lam) / (mu1 mu2 - 4 lam^2), t^2 likewise
+    assert s**2 == pytest.approx((mu2 - 2 * lam) / (mu1 * mu2 - 4 * lam**2), rel=1e-6)
+    assert t**2 == pytest.approx((mu1 - 2 * lam) / (mu1 * mu2 - 4 * lam**2), rel=1e-6)
+    r1, r2 = sync_residuals(inst, s, t)
+    assert max(abs(r1), abs(r2)) <= 1e-10 * mu1 * s**2
+
+
+def test_sync_solve_needs_repulsive_coupling():
+    with pytest.raises(DomainError):
+        sync_solve(SyncInstance(lam=0.0, **SYM))
 
 
 def test_fixed_point_free_cases():
@@ -216,3 +261,138 @@ def test_plane_energy_decays_along_rays():
     for tau in np.linspace(0.05, 1.0, 8):
         val = float(plane_energy(c, radius, tau * radius))
         assert val < plane_energy(c, 1.0, 1.0) - 1.0
+
+
+# ----------------------------------------------------- loop references
+#
+# The per-start and per-cell loops that plane_critical_points and
+# sync_brute_cells replaced with frozen and batched evaluation.  The
+# arithmetic is unchanged, so the results must compare equal.
+
+
+def reference_plane_critical_points(c, box, starts=200, max_iter=80, dedup_rel=1e-8):
+    """Multi-start Newton with every start iterated max_iter times."""
+    g = np.linspace(box.r, box.R, starts)
+    s, t = np.meshgrid(g, g)
+    s = s.ravel().copy()
+    t = t.ravel().copy()
+    for _ in range(max_iter):
+        es, et = plane_grad(c, s, t)
+        ess, ett, est = plane_hess(c, s, t)
+        det = ess * ett - est * est
+        bad = (det == 0.0) | ~np.isfinite(det)
+        det[bad] = 1.0
+        ds = -(es * ett - et * est) / det
+        dt = -(et * ess - es * est) / det
+        ds[bad] = 0.0
+        dt[bad] = 0.0
+        limit = 0.25 * (box.R - box.r)
+        np.clip(ds, -limit, limit, out=ds)
+        np.clip(dt, -limit, limit, out=dt)
+        s += ds
+        t += dt
+        s = np.clip(s, 1e-9, 10.0 * box.R)
+        t = np.clip(t, 1e-9, 10.0 * box.R)
+
+    es, et = plane_grad(c, s, t)
+    scale = max(c.a1, c.a2, c.b1, c.b2, c.d)
+    ok = (np.abs(es) <= 1e-9 * scale) & (np.abs(et) <= 1e-9 * scale)
+    ok &= (s > 0) & (t > 0)
+    pts = sorted(zip(s[ok], t[ok]))
+    found = []
+    for cand in pts:
+        if not any(
+            abs(cand[0] - q[0]) <= dedup_rel * max(1.0, abs(q[0]))
+            and abs(cand[1] - q[1]) <= dedup_rel * max(1.0, abs(q[1]))
+            for q in found
+        ):
+            found.append(cand)
+
+    points = []
+    for sv, tv in found:
+        ess, ett, est = plane_hess(c, sv, tv)
+        det = ess * ett - est * est
+        if abs(det) <= 1e-10 * scale**2:
+            kind = "degenerate"
+        elif det < 0.0:
+            kind = "saddle"
+        elif ess < 0.0:
+            kind = "max"
+        else:
+            kind = "min"
+        points.append(CriticalPoint(s=float(sv), t=float(tv), kind=kind))
+
+    gg = np.linspace(box.r, box.R, 400)
+    ss, tt = np.meshgrid(gg, gg)
+    grid_max = float(plane_energy(c, ss, tt).max())
+    e11 = float(plane_energy(c, 1.0, 1.0))
+    return points, e11 >= grid_max - 1e-9 * max(1.0, abs(grid_max))
+
+
+def reference_sync_brute_cells(inst, grid_points=1000, span=(1e-3, 1e3), depth=4, refine=8):
+    """Witness cell count with one residual evaluation per refined cell."""
+    g = np.geomspace(span[0], span[1], grid_points)
+    s, t = np.meshgrid(g, g, indexing="ij")
+    r1, r2 = sync_residuals(inst, s, t)
+    flags = _mixed_sign_cells(np.sign(r1)) & _mixed_sign_cells(np.sign(r2))
+    cells = [
+        (g[i], g[i + 1], g[j], g[j + 1]) for i, j in np.argwhere(flags)
+    ]
+    for _ in range(depth):
+        if not cells:
+            return 0
+        if len(cells) > 200000:
+            break
+        next_cells = []
+        for s0, s1, t0, t1 in cells:
+            gs = np.geomspace(s0, s1, refine + 1)
+            gt = np.geomspace(t0, t1, refine + 1)
+            ss, tt = np.meshgrid(gs, gt, indexing="ij")
+            r1, r2 = sync_residuals(inst, ss, tt)
+            sub = _mixed_sign_cells(np.sign(r1)) & _mixed_sign_cells(np.sign(r2))
+            for i, j in np.argwhere(sub):
+                next_cells.append((gs[i], gs[i + 1], gt[j], gt[j + 1]))
+        cells = next_cells
+    return len(cells)
+
+
+def _plane_suite_instances(seed, count=50):
+    rng = np.random.default_rng(seed)
+    return [
+        plane_coeffs(
+            float(rng.uniform(0.5, 2.0)),
+            float(rng.uniform(0.5, 2.0)),
+            float(rng.uniform(0.1, 1.0)),
+            4.0,
+            2.0,
+            2.0,
+        )
+        for _ in range(count)
+    ]
+
+
+def test_plane_critical_points_match_loop_reference():
+    # the canonical instance and the criterion-8 instances (seed 8)
+    canonical = plane_coeffs(1.0, 1.0, 1.0, 4.0, 2.0, 2.0)
+    box = plane_box(canonical)
+    assert plane_critical_points(canonical, box) == reference_plane_critical_points(canonical, box)
+    for c in _plane_suite_instances(8):
+        box = plane_box(c)
+        assert plane_critical_points(c, box, starts=60) == reference_plane_critical_points(
+            c, box, starts=60
+        )
+
+
+@pytest.mark.parametrize("mu1, mu2, alpha, N", [
+    (1.0, 1.0, 2.0, 4), (1.0, 100.0, 2.0, 4), (1.0, 1.0, 1.5, 5),
+])
+def test_sync_brute_cells_match_loop_reference(mu1, mu2, alpha, N):
+    beta = 2.0 * N / (N - 2.0) - alpha
+    bracket = sync_threshold(mu1, mu2, alpha, beta, N, width=1e-8)
+    counts = []
+    for lam in (bracket.value + 1e-2, bracket.value - 1e-2):
+        inst = SyncInstance(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam, N=N)
+        counts.append((sync_brute_cells(inst), reference_sync_brute_cells(inst)))
+    (above, above_ref), (below, below_ref) = counts
+    assert above == above_ref and above > 0
+    assert below == below_ref == 0
