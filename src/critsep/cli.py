@@ -241,19 +241,17 @@ def _meta_lines(cfg: RunConfig, title: str) -> str:
     )
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(x)) for x in values)
-
-
 def _write_profile(writer, name, cfg, columns):
     """Profile table in the configured format; columns is a name->array dict."""
+    lists = {k: np.asarray(v, dtype=float).tolist() for k, v in columns.items()}
     if cfg.fmt == "json":
-        writer.write_json(
-            name + ".json", {k: [float(x) for x in v] for k, v in columns.items()}
-        )
+        writer.write_json(name + ".json", lists)
         return name + ".json"
     header = ",".join(columns)
-    rows = "\n".join(_format_row(vals) for vals in zip(*columns.values()))
+    # repr of a Python float is the shortest round-trip form, as
+    # repr(float(x)) of a numpy scalar; the strings are made as the rows
+    # are joined, so no list of strings per column is held
+    rows = "\n".join(map(",".join, zip(*(map(repr, col) for col in lists.values()))))
     writer.write_text(name + ".csv", _meta_lines(cfg, name) + header + "\n" + rows + "\n")
     return name + ".csv"
 

@@ -38,7 +38,11 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 
-REFINE_CHUNK = 4096   # witness cells refined per batched evaluation
+# Grid points that the grid scans (sync_brute_cells, the maximum grid of
+# plane_critical_points) evaluate at once.  A float64 temporary of a block
+# then takes 128,000 bytes, below the 128 KiB from which the C allocator maps
+# fresh pages for each allocation, so the blocks of a scan reuse heap memory.
+BLOCK_POINTS = 16000
 
 __all__ = [
     "BoxReport",
@@ -148,6 +152,18 @@ def _mixed_sign_cells(sign_arr):
     return (mn < 0) & (mx > 0)
 
 
+def _witness_cells(inst: SyncInstance, gs, gt):
+    """Edges (s0, s1, t0, t1) of the cells of the grids gs[c] x gt[c]
+    where both residuals change sign."""
+    r1, r2 = sync_residuals(inst, gs[:, :, None], gt[:, None, :])
+    c, i, j = np.nonzero(_mixed_sign_cells(np.sign(r1)) & _mixed_sign_cells(np.sign(r2)))
+    return gs[c, i], gs[c, i + 1], gt[c, j], gt[c, j + 1]
+
+
+def _concat_cells(parts):
+    return (np.concatenate(a) for a in zip(*parts))
+
+
 def sync_brute_cells(
     inst: SyncInstance,
     grid_points: int = 1000,
@@ -162,30 +178,33 @@ def sync_brute_cells(
     the two zero-level curves do not meet on the scanned window.  Flagged
     cells are refined recursively, because near the emptiness threshold
     the two curves run almost tangent and a single coarse cell can contain
-    both without them crossing.  Each level refines its cells together, in
-    chunks of REFINE_CHUNK cells so that a level takes less memory than
-    the coarse grid.
+    both without them crossing.  No evaluation holds more than BLOCK_POINTS
+    grid points, unless two coarse rows or one refined cell alone exceed
+    it: the coarse grid is scanned in blocks of rows, adjacent blocks
+    sharing one row so that each cell lies in exactly one block, and each
+    level refines its cells in chunks of BLOCK_POINTS // (refine + 1)**2.
     """
-    g = np.geomspace(span[0], span[1], grid_points)
-    r1, r2 = sync_residuals(inst, g[:, None], g[None, :])
-    flags = _mixed_sign_cells(np.sign(r1)) & _mixed_sign_cells(np.sign(r2))
-    i, j = np.nonzero(flags)
-    s0, s1, t0, t1 = g[i], g[i + 1], g[j], g[j + 1]
+    if grid_points < 2:
+        return 0
+    g = np.geomspace(span[0], span[1], grid_points)[None, :]
+    rows = max(2, BLOCK_POINTS // grid_points)
+    s0, s1, t0, t1 = _concat_cells(
+        _witness_cells(inst, g[:, start:start + rows], g)
+        for start in range(0, grid_points - 1, rows - 1)
+    )
+    chunk = max(1, BLOCK_POINTS // (refine + 1) ** 2)
     for _ in range(depth):
         if s0.size == 0:
             return 0
         if s0.size > 200000:
             break
         parts = []
-        for start in range(0, s0.size, REFINE_CHUNK):
-            sl = slice(start, start + REFINE_CHUNK)
+        for start in range(0, s0.size, chunk):
+            sl = slice(start, start + chunk)
             gs = np.geomspace(s0[sl], s1[sl], refine + 1, axis=1)
             gt = np.geomspace(t0[sl], t1[sl], refine + 1, axis=1)
-            r1, r2 = sync_residuals(inst, gs[:, :, None], gt[:, None, :])
-            sub = _mixed_sign_cells(np.sign(r1)) & _mixed_sign_cells(np.sign(r2))
-            c, i, j = np.nonzero(sub)
-            parts.append((gs[c, i], gs[c, i + 1], gt[c, j], gt[c, j + 1]))
-        s0, s1, t0, t1 = (np.concatenate(a) for a in zip(*parts))
+            parts.append(_witness_cells(inst, gs, gt))
+        s0, s1, t0, t1 = _concat_cells(parts)
     return int(s0.size)
 
 
@@ -466,7 +485,12 @@ def plane_critical_points(
         points.append(CriticalPoint(s=float(sv), t=float(tv), kind=kind))
 
     gg = np.linspace(box.r, box.R, 400)
-    # broadcasting evaluates every power on 400 points, not 400^2
-    grid_max = float(plane_energy(c, gg[None, :], gg[:, None]).max())
+    # broadcasting evaluates every power on 400 points, not 400^2, and the
+    # rows go in blocks of BLOCK_POINTS
+    rows = BLOCK_POINTS // gg.size
+    grid_max = float(np.max([
+        plane_energy(c, gg[None, :], gg[i:i + rows, None]).max()
+        for i in range(0, gg.size, rows)
+    ]))
     e11 = float(plane_energy(c, 1.0, 1.0))
     return points, e11 >= grid_max - 1e-9 * max(1.0, abs(grid_max))

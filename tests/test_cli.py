@@ -3,6 +3,7 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from critsep import (
@@ -13,6 +14,9 @@ from critsep import (
 )
 from critsep.cli import (
     RunConfig,
+    _RunWriter,
+    _meta_lines,
+    _write_profile,
     cmd_solve,
     cmd_sweep,
     cmd_sync_threshold,
@@ -199,3 +203,28 @@ def test_json_output_format(tmp_path):
     data = json.loads((tmp_path / "jsonrun" / "profile.json").read_text())
     assert set(data) == {"theta", "u", "v", "weight"}
     assert len(data["theta"]) == cfg.model.M + 1
+
+
+def test_profile_writer_matches_per_row_repr(tmp_path):
+    # repr switches between fixed and scientific notation at 1e-4 and 1e16
+    edge = [1e-5, 1e-4, 9.999999999999999e-05, 1e16, 1e15, 9999999999999998.0,
+            -0.0, 0.0, 5e-324, 0.1 + 0.2, -1e-5, 1.0]
+    rng = np.random.default_rng(7)
+    n = 200
+    columns = {
+        "theta": np.array(edge * (n // len(edge)) + edge[: n % len(edge)]),
+        "u": rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-20, 20, n),
+        "v": rng.standard_normal(n),
+        "weight": rng.uniform(0.0, 1e-3, n),
+    }
+    cfg = tiny_config(tmp_path)
+    _write_profile(_RunWriter(cfg), "profile", cfg, columns)
+    rows = [",".join(repr(float(x)) for x in vals) for vals in zip(*columns.values())]
+    expected = _meta_lines(cfg, "profile") + "theta,u,v,weight\n" + "\n".join(rows) + "\n"
+    assert (tmp_path / "profile.csv").read_text() == expected
+
+    cfg = replace(cfg, fmt="json")
+    _write_profile(_RunWriter(cfg), "profile", cfg, columns)
+    lists = {k: [float(x) for x in v] for k, v in columns.items()}
+    expected = json.dumps(lists, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "profile.json").read_text() == expected

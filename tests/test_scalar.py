@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,16 +384,49 @@ def test_plane_critical_points_match_loop_reference():
         )
 
 
-@pytest.mark.parametrize("mu1, mu2, alpha, N", [
-    (1.0, 1.0, 2.0, 4), (1.0, 100.0, 2.0, 4), (1.0, 1.0, 1.5, 5),
-])
-def test_sync_brute_cells_match_loop_reference(mu1, mu2, alpha, N):
+# (mu1, mu2, alpha, N, (grid_points, refine, depth) or () for the defaults).
+# With BLOCK_POINTS = 16000 the coarse grids span 66.6 (1000), 4.2 (257),
+# 71.4 (1001) and 166.6 (1500) row blocks, and all but the 257-point case
+# refine their first level in more than one chunk (197, 197 and 3 cells a
+# chunk, against 444 for 257).
+_WITNESS_CASES = [
+    (1.0, 1.0, 2.0, 4, ()), (1.0, 100.0, 2.0, 4, ()), (1.0, 1.0, 1.5, 5, ()),
+    (1.0, 1.0, 1.5, 5, (257, 5, 2)), (1.0, 1.0, 1.5, 5, (1001, 8, 4)),
+    (1.0, 1.0, 2.0, 4, (1500, 63, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "mu1, mu2, alpha, N, grid", _WITNESS_CASES,
+    ids=["-".join(map(str, case[:4] + case[4])) for case in _WITNESS_CASES],
+)
+def test_sync_brute_cells_match_loop_reference(mu1, mu2, alpha, N, grid):
     beta = 2.0 * N / (N - 2.0) - alpha
     bracket = sync_threshold(mu1, mu2, alpha, beta, N, width=1e-8)
+    kwargs = dict(zip(("grid_points", "refine", "depth"), grid))
     counts = []
     for lam in (bracket.value + 1e-2, bracket.value - 1e-2):
         inst = SyncInstance(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam, N=N)
-        counts.append((sync_brute_cells(inst), reference_sync_brute_cells(inst)))
+        counts.append(
+            (sync_brute_cells(inst, **kwargs), reference_sync_brute_cells(inst, **kwargs))
+        )
     (above, above_ref), (below, below_ref) = counts
     assert above == above_ref and above > 0
     assert below == below_ref == 0
+
+
+def test_sync_brute_cells_memory_is_bounded():
+    # The default 1000 x 1000 coarse grid evaluated in one piece peaked at
+    # 54 MiB; in blocks of BLOCK_POINTS points the peak is about 1 MiB.
+    alpha, N = 1.5, 5
+    beta = 2.0 * N / (N - 2.0) - alpha
+    bracket = sync_threshold(1.0, 1.0, alpha, beta, N, width=1e-8)
+    inst = SyncInstance(mu1=1.0, mu2=1.0, alpha=alpha, beta=beta, lam=bracket.value + 1e-2, N=N)
+    tracemalloc.start()
+    try:
+        cells = sync_brute_cells(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells > 0
+    assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
