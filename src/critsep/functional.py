@@ -23,6 +23,12 @@ the norm bounds that hold on the Nehari set, and it lets the solver take
 well-scaled descent steps.  Since alpha, beta in (1, 2] the energy is C^1
 but not C^2 at zeros of a component; the mixed-power force is written with
 exponents alpha-1, beta-1 >= 0 only and vanishes where a component does.
+
+The pointwise forces are written once, in ``pair_forces``: one evaluation
+gives the powers, signs and forces of a pair, and the energy gradient, the
+two constraint gradients and the solver's Newton step all read from it.  A
+caller that needs several of them at one pair evaluates the kernel once and
+hands it to each.
 """
 
 import math
@@ -36,11 +42,19 @@ from .errors import (
     DegenerateInputError,
     DomainError,
 )
-from .geometry import ModelParams, ReducedGrid, h1_form, integrate, sobolev_constant
+from .geometry import (
+    ModelParams,
+    ReducedGrid,
+    h1_form,
+    h1_gram,
+    integrate,
+    sobolev_constant,
+)
 
 __all__ = [
     "CouplingParams",
     "NehariResiduals",
+    "PairForces",
     "PairIntegrals",
     "PairState",
     "check_exponents",
@@ -51,6 +65,7 @@ __all__ = [
     "nehari_det_bound",
     "nehari_matrix",
     "nehari_project",
+    "pair_forces",
     "pair_integrals",
     "residuals",
     "single_project",
@@ -150,45 +165,94 @@ def residuals(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> NehariR
     return residuals_from_integrals(pair_integrals(pair, cp, grid), cp)
 
 
-def _mixed_force_u(u, v, cp):
-    # d/du of |u|^alpha |v|^beta, written with the nonnegative exponent alpha-1
-    return cp.alpha * np.sign(u) * np.abs(u) ** (cp.alpha - 1.0) * np.abs(v) ** cp.beta
-
-
-def _mixed_force_v(u, v, cp):
-    return cp.beta * np.abs(u) ** cp.alpha * np.sign(v) * np.abs(v) ** (cp.beta - 1.0)
-
-
 def _crit_force(x, p):
     return np.sign(x) * np.abs(x) ** (p - 1.0)
 
 
-def gradient(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairState:
+@dataclass(frozen=True)
+class PairForces:
+    """Pointwise powers and forces of a pair (u, v), evaluated once.
+
+    ``crit_*`` are sign(x)|x|^(2*-1); ``mixed_u`` is d/du of |u|^alpha |v|^beta,
+    written with the nonnegative exponent alpha-1, and ``mixed_v`` likewise;
+    ``force_*`` = mu_i crit_* + lambda mixed_* is the nodal force of dE.
+    """
+
+    abs_u: np.ndarray
+    abs_v: np.ndarray
+    sign_u: np.ndarray
+    sign_v: np.ndarray
+    u_am1: np.ndarray  # |u|^(alpha-1)
+    v_b: np.ndarray  # |v|^beta
+    u_a: np.ndarray  # |u|^alpha
+    v_bm1: np.ndarray  # |v|^(beta-1)
+    crit_u: np.ndarray
+    crit_v: np.ndarray
+    mixed_u: np.ndarray
+    mixed_v: np.ndarray
+    force_u: np.ndarray
+    force_v: np.ndarray
+
+
+def pair_forces(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairForces:
+    """The one pointwise kernel of the pair energy: abs, sign, powers, forces."""
+    p = grid.params.two_star
+    abs_u, abs_v = np.abs(pair.u), np.abs(pair.v)
+    sign_u, sign_v = np.sign(pair.u), np.sign(pair.v)
+    u_am1 = abs_u ** (cp.alpha - 1.0)
+    v_b = abs_v**cp.beta
+    u_a = abs_u**cp.alpha
+    v_bm1 = abs_v ** (cp.beta - 1.0)
+    crit_u = sign_u * abs_u ** (p - 1.0)
+    crit_v = sign_v * abs_v ** (p - 1.0)
+    mixed_u = cp.alpha * sign_u * u_am1 * v_b
+    mixed_v = cp.beta * u_a * sign_v * v_bm1
+    return PairForces(
+        abs_u=abs_u,
+        abs_v=abs_v,
+        sign_u=sign_u,
+        sign_v=sign_v,
+        u_am1=u_am1,
+        v_b=v_b,
+        u_a=u_a,
+        v_bm1=v_bm1,
+        crit_u=crit_u,
+        crit_v=crit_v,
+        mixed_u=mixed_u,
+        mixed_v=mixed_v,
+        force_u=cp.mu1 * crit_u + cp.lam * mixed_u,
+        force_v=cp.mu2 * crit_v + cp.lam * mixed_v,
+    )
+
+
+def gradient(
+    pair: PairState, cp: CouplingParams, grid: ReducedGrid, forces: PairForces = None
+) -> PairState:
     """Riesz representative of dE with respect to the H^1 pair inner product.
 
     The linear part inverts exactly (K^{-1} K u = u), so only the force
     terms need a solve; the result vanishes at discrete critical points.
+    ``forces`` is ``pair_forces`` at the pair, when the caller has it.
     """
-    p = grid.params.two_star
-    u, v = pair.u, pair.v
+    f = forces if forces is not None else pair_forces(pair, cp, grid)
     q = grid.weights
-    force_u = cp.mu1 * _crit_force(u, p) + cp.lam * _mixed_force_u(u, v, cp)
-    force_v = cp.mu2 * _crit_force(v, p) + cp.lam * _mixed_force_v(u, v, cp)
-    return PairState(u=u - grid.solve_h1(q * force_u), v=v - grid.solve_h1(q * force_v))
-
-
-def _constraint_gradients(pair, cp, grid):
-    """Riesz gradients of the two Nehari residual functionals."""
-    p = grid.params.two_star
-    u, v = pair.u, pair.v
-    q = grid.weights
-    gf_u = 2.0 * u - grid.solve_h1(
-        q * (p * cp.mu1 * _crit_force(u, p) + cp.lam * cp.alpha * _mixed_force_u(u, v, cp))
+    return PairState(
+        u=pair.u - grid.solve_h1(q * f.force_u), v=pair.v - grid.solve_h1(q * f.force_v)
     )
-    gf_v = -grid.solve_h1(q * cp.lam * cp.alpha * _mixed_force_v(u, v, cp))
-    gh_u = -grid.solve_h1(q * cp.lam * cp.beta * _mixed_force_u(u, v, cp))
-    gh_v = 2.0 * v - grid.solve_h1(
-        q * (p * cp.mu2 * _crit_force(v, p) + cp.lam * cp.beta * _mixed_force_v(u, v, cp))
+
+
+def _constraint_gradients(pair, cp, grid, forces=None):
+    """Riesz gradients of the two Nehari residual functionals."""
+    f = forces if forces is not None else pair_forces(pair, cp, grid)
+    p = grid.params.two_star
+    q = grid.weights
+    gf_u = 2.0 * pair.u - grid.solve_h1(
+        q * (p * cp.mu1 * f.crit_u + cp.lam * cp.alpha * f.mixed_u)
+    )
+    gf_v = -grid.solve_h1(q * cp.lam * cp.alpha * f.mixed_v)
+    gh_u = -grid.solve_h1(q * cp.lam * cp.beta * f.mixed_u)
+    gh_v = 2.0 * pair.v - grid.solve_h1(
+        q * (p * cp.mu2 * f.crit_v + cp.lam * cp.beta * f.mixed_v)
     )
     return PairState(gf_u, gf_v), PairState(gh_u, gh_v)
 
@@ -204,34 +268,41 @@ def pair_norm(x: PairState, grid: ReducedGrid) -> float:
 
 def tangent_gradient(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairState:
     """Energy gradient minus its projection onto the constraint gradients."""
-    tg, _ = tangent_gradient_full(pair, cp, grid)
+    tg, _, _ = tangent_gradient_full(pair, cp, grid)
     return tg
 
 
-def tangent_gradient_full(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
-    """Tangential gradient together with the multiplier pair (s, t).
+def tangent_gradient_full(
+    pair: PairState, cp: CouplingParams, grid: ReducedGrid, forces: PairForces = None
+):
+    """Tangential gradient, the multiplier pair (s, t) and the full gradient.
 
     The multipliers solve the 2x2 Gram system that splits dE into its
     tangential part and s*df + t*dh; at a genuine constrained critical
-    point both are ~0.
+    point both are ~0.  The pointwise kernel is evaluated once (or taken
+    from ``forces``) and the Gram entries come from one differencing of
+    each component.
     """
-    g = gradient(pair, cp, grid)
-    gf, gh = _constraint_gradients(pair, cp, grid)
-    g11 = pair_inner(gf, gf, grid)
-    g12 = pair_inner(gf, gh, grid)
-    g22 = pair_inner(gh, gh, grid)
+    f = forces if forces is not None else pair_forces(pair, cp, grid)
+    g = gradient(pair, cp, grid, f)
+    gf, gh = _constraint_gradients(pair, cp, grid, f)
+    gram_u = h1_gram((g.u, gf.u, gh.u), grid)
+    gram_v = h1_gram((g.v, gf.v, gh.v), grid)
+    g11 = gram_u[1][1] + gram_v[1][1]
+    g12 = gram_u[1][2] + gram_v[1][2]
+    g22 = gram_u[2][2] + gram_v[2][2]
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * max(g11 * g22, 1e-300):
         raise DegenerateConstraintError(
             "constraint gradients are numerically dependent; "
             "the Nehari set is degenerate here (is lambda < 0?)"
         )
-    r1 = pair_inner(g, gf, grid)
-    r2 = pair_inner(g, gh, grid)
+    r1 = gram_u[0][1] + gram_v[0][1]
+    r2 = gram_u[0][2] + gram_v[0][2]
     s = (r1 * g22 - r2 * g12) / det
     t = (r2 * g11 - r1 * g12) / det
     tg = PairState(u=g.u - s * gf.u - t * gh.u, v=g.v - s * gf.v - t * gh.v)
-    return tg, (s, t)
+    return tg, (s, t), g
 
 
 def nehari_matrix(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> np.ndarray:
@@ -330,6 +401,7 @@ def nehari_project(
     grid: ReducedGrid,
     tol: float = 1e-12,
     max_iter: int = 100,
+    ints: PairIntegrals = None,
 ):
     """Unique positive (s, t) with (su, tv) on the Nehari set.
 
@@ -342,9 +414,11 @@ def nehari_project(
     solution.  Whenever a root exists it is unique, because at any root
     the scaling Hessian is negative definite (its determinant carries the
     competition-strength lower bound), so all ray critical points are
-    strict maxima.
+    strict maxima.  ``ints`` are the pair's integrals, when the caller
+    already has them.
     """
-    ints = pair_integrals(pair, cp, grid)
+    if ints is None:
+        ints = pair_integrals(pair, cp, grid)
     p = grid.params.two_star
     tiny = 1e-300
     if ints.a1 <= tiny or ints.b1 <= tiny or ints.a2 <= tiny or ints.b2 <= tiny:

@@ -38,6 +38,7 @@ __all__ = [
     "ReducedGrid",
     "build_grid",
     "h1_form",
+    "h1_gram",
     "integrate",
     "orbit_weight",
     "sobolev_constant",
@@ -194,6 +195,13 @@ def integrate(values, grid: ReducedGrid) -> float:
     return float(np.dot(grid.weights, values))
 
 
+def _h1_terms(u1, u2, d1, d2, grid: ReducedGrid) -> float:
+    """The H^1 form from two profiles and their first differences d1, d2."""
+    stiff = float(np.dot(grid.midweights, d1 * d2)) / grid.h
+    mass = grid.params.mass * float(np.dot(grid.weights, u1 * u2))
+    return stiff + mass
+
+
 def h1_form(u1, u2, grid: ReducedGrid) -> float:
     """Weighted H^1 bilinear form with the conformal mass term.
 
@@ -202,6 +210,22 @@ def h1_form(u1, u2, grid: ReducedGrid) -> float:
     """
     u1 = _check_length(u1, grid, "first profile")
     u2 = _check_length(u2, grid, "second profile")
-    stiff = float(np.dot(grid.midweights, np.diff(u1) * np.diff(u2))) / grid.h
-    mass = grid.params.mass * float(np.dot(grid.weights, u1 * u2))
-    return stiff + mass
+    return _h1_terms(u1, u2, np.diff(u1), np.diff(u2), grid)
+
+
+def h1_gram(profiles, grid: ReducedGrid) -> list:
+    """Symmetric matrix of h1_form over all pairs of profiles, as nested lists.
+
+    Each profile is differenced once; every entry equals the corresponding
+    h1_form value bit for bit.
+    """
+    profiles = [_check_length(x, grid, "profile") for x in profiles]
+    diffs = [np.diff(x) for x in profiles]
+    n = len(profiles)
+    gram = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = _h1_terms(
+                profiles[i], profiles[j], diffs[i], diffs[j], grid
+            )
+    return gram

@@ -41,12 +41,12 @@ from .functional import (
     _crit_force,
     check_exponents,
     energy_from_integrals,
-    gradient,
     limit_energy,
     limit_residuals,
     nehari_det_bound,
     nehari_matrix,
     nehari_project,
+    pair_forces,
     pair_inner,
     pair_integrals,
     residuals_from_integrals,
@@ -82,6 +82,10 @@ class SolveOptions:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise DomainError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise DomainError(f"grad_tol must be finite and positive, got {self.grad_tol}")
         if not (0.0 < self.armijo_slope < 1.0):
             raise DomainError(f"armijo slope fraction must be in (0,1), got {self.armijo_slope}")
         if not (0.0 < self.armijo_backtrack < 1.0):
@@ -161,7 +165,13 @@ def _tridiag_h1(grid):
     return diag, -wm
 
 
-def _pair_newton_direction(u, v, cp, grid):
+def _pair_residual(u, v, f, grid):
+    """Nodal residuals K u - q f_u and K v - q f_v of the free critical equations."""
+    q = grid.weights
+    return grid.apply_h1(u) - q * f.force_u, grid.apply_h1(v) - q * f.force_v
+
+
+def _pair_newton_direction(u, v, cp, grid, f):
     """Newton direction for the free critical equations of the pair.
 
     The Jacobian of (K u - q f_u, K v - q f_v) is a pentadiagonal matrix in
@@ -173,20 +183,18 @@ def _pair_newton_direction(u, v, cp, grid):
     in turn, because in the thin interface layer of strong coupling the
     full step overshoots.  Returns the direction and the residual norm at
     (u, v).
+
+    ``f`` is the pointwise kernel ``pair_forces`` at (u, v): the forces and
+    the first-derivative powers are read from it, and only the second
+    derivatives of the powers are computed here.
     """
     p = grid.params.two_star
     q = grid.weights
     lam, al, be = cp.lam, cp.alpha, cp.beta
-    au, av = np.abs(u), np.abs(v)
-    mixed_u = al * np.sign(u) * au ** (al - 1.0) * av**be
-    mixed_v = be * au**al * np.sign(v) * av ** (be - 1.0)
-    f_u = cp.mu1 * np.sign(u) * au ** (p - 1.0) + lam * mixed_u
-    f_v = cp.mu2 * np.sign(v) * av ** (p - 1.0) + lam * mixed_v
-    res_u = grid.apply_h1(u) - q * f_u
-    res_v = grid.apply_h1(v) - q * f_v
-    duu = cp.mu1 * (p - 1.0) * au ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(u, al - 2.0) * av**be
-    dvv = cp.mu2 * (p - 1.0) * av ** (p - 2.0) + lam * be * (be - 1.0) * au**al * _safe_pow(v, be - 2.0)
-    duv = lam * al * be * np.sign(u) * np.sign(v) * au ** (al - 1.0) * av ** (be - 1.0)
+    res_u, res_v = _pair_residual(u, v, f, grid)
+    duu = cp.mu1 * (p - 1.0) * f.abs_u ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(u, al - 2.0) * f.v_b
+    dvv = cp.mu2 * (p - 1.0) * f.abs_v ** (p - 2.0) + lam * be * (be - 1.0) * f.u_a * _safe_pow(v, be - 2.0)
+    duv = lam * al * be * f.sign_u * f.sign_v * f.u_am1 * f.v_bm1
     kdiag, koff = _tridiag_h1(grid)
     n = grid.size
     ab = np.zeros((5, 2 * n))
@@ -211,13 +219,7 @@ def _pair_newton_direction(u, v, cp, grid):
 
 
 def _pair_residual_norm(u, v, cp, grid):
-    p = grid.params.two_star
-    q = grid.weights
-    au, av = np.abs(u), np.abs(v)
-    f_u = cp.mu1 * np.sign(u) * au ** (p - 1.0) + cp.lam * cp.alpha * np.sign(u) * au ** (cp.alpha - 1.0) * av**cp.beta
-    f_v = cp.mu2 * np.sign(v) * av ** (p - 1.0) + cp.lam * cp.beta * au**cp.alpha * np.sign(v) * av ** (cp.beta - 1.0)
-    res_u = grid.apply_h1(u) - q * f_u
-    res_v = grid.apply_h1(v) - q * f_v
+    res_u, res_v = _pair_residual(u, v, pair_forces(PairState(u, v), cp, grid), grid)
     return math.hypot(np.linalg.norm(res_u), np.linalg.norm(res_v))
 
 
@@ -253,7 +255,13 @@ def _limit_residual_norm(w, cp, grid):
 def minimize_nehari(
     init: PairState, cp: CouplingParams, grid: ReducedGrid, opts: SolveOptions
 ) -> SolveResult:
-    """Energy minimization over the discrete invariant Nehari set."""
+    """Energy minimization over the discrete invariant Nehari set.
+
+    Each iterate is evaluated once: one pointwise kernel feeds the tangent
+    gradient and the Newton step, the integrals of an accepted trial are
+    handed to the next projection, and a solve that stops inside the loop
+    returns the evaluation it stopped at.
+    """
     _check_lambda(cp)
     check_exponents(cp, grid.params)
     params = grid.params
@@ -269,15 +277,16 @@ def minimize_nehari(
     tau = None
     prev = None  # previous accepted iterate and its tangent gradient
     recent_res = deque(maxlen=RESIDUAL_WINDOW)  # Newton residual norms of recent iterates
+    ints = None  # integrals of (u, v) when an accepted trial computed them
     message = "max_iters exceeded"
     converged = False
-    k = 0
 
     for k in range(opts.max_iters):
         if opts.positivity_enforced:
+            # accepted trials are already nonnegative, so their integrals stay valid
             u = np.abs(u)
             v = np.abs(v)
-        s, t = nehari_project(PairState(u, v), cp, grid)
+        s, t = nehari_project(PairState(u, v), cp, grid, ints=ints)
         u *= s
         v *= t
         pair = PairState(u, v)
@@ -292,7 +301,8 @@ def minimize_nehari(
         trace.append(value)
         stats.update(ints, value, cp, params)
 
-        tg, _mult = tangent_gradient_full(pair, cp, grid)
+        forces = pair_forces(pair, cp, grid)
+        tg, mult, g = tangent_gradient_full(pair, cp, grid, forces)
         tg_sq = pair_inner(tg, tg, grid)
         tg_norm = math.sqrt(max(tg_sq, 0.0))
         if tg_norm <= opts.grad_tol:
@@ -307,7 +317,7 @@ def minimize_nehari(
         # rule of Grippo, Lampariello and Lucidi, 1986).  The energy trace
         # stays monotone, the residual may rise for a few steps, and
         # late-stage convergence stops scaling with |lambda|.
-        direction, res_norm = _pair_newton_direction(u, v, cp, grid)
+        direction, res_norm = _pair_newton_direction(u, v, cp, grid, forces)
         if direction is not None:
             recent_res.append(res_norm)
             res_ref = 0.99 * max(recent_res)
@@ -331,7 +341,7 @@ def minimize_nehari(
                     value_n <= value + 1e-12 * abs(value)
                     and _pair_residual_norm(u_n, v_n, cp, grid) < res_ref
                 ):
-                    u, v = u_n, v_n
+                    u, v, ints = u_n, v_n, ints_n
                     newton_accepted = True
                     break
             if newton_accepted:
@@ -363,6 +373,7 @@ def minimize_nehari(
             if value_try <= value - opts.armijo_slope * step * tg_sq:
                 u = s_try * u_try
                 v = t_try * v_try
+                ints = ints_try
                 tau = step
                 accepted = True
                 break
@@ -370,12 +381,12 @@ def minimize_nehari(
         if not accepted:
             message = "line search stalled"
             break
-
-    pair = PairState(u, v)
-    ints = pair_integrals(pair, cp, grid)
-    tg, mult = tangent_gradient_full(pair, cp, grid)
-    tg_norm = math.sqrt(max(pair_inner(tg, tg, grid), 0.0))
-    g = gradient(pair, cp, grid)
+    else:
+        # the last step moved the pair off the evaluated iterate
+        pair = PairState(u, v)
+        ints = pair_integrals(pair, cp, grid)
+        tg, mult, g = tangent_gradient_full(pair, cp, grid)
+        tg_norm = math.sqrt(max(pair_inner(tg, tg, grid), 0.0))
     full_norm = math.sqrt(max(pair_inner(g, g, grid), 0.0))
     if converged and full_norm > 10.0 * opts.grad_tol:
         converged = False

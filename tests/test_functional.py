@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from critsep import (
     ConvergenceError,
     CouplingParams,
+    DegenerateConstraintError,
     DegenerateInputError,
     DomainError,
     ModelParams,
@@ -25,13 +27,18 @@ from critsep import (
     tangent_gradient,
 )
 from critsep.functional import (
+    _constraint_gradients,
     check_exponents,
     nehari_det_bound,
     nehari_matrix,
+    pair_forces,
     pair_inner,
     pair_integrals,
     sobolev_lower_bound,
+    tangent_gradient_full,
 )
+from critsep.geometry import h1_gram
+from critsep.solver import _pair_newton_direction, _safe_pow, _tridiag_h1
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=128)
 GRID = build_grid(PARAMS)
@@ -298,3 +305,194 @@ def test_limit_residuals_split():
     assert rm == pytest.approx(
         h1_form(pair.v, pair.v, GRID) - integrate(pair.v**4, GRID), rel=1e-12
     )
+
+
+# ----------------------------------------------------- kernel references
+#
+# The force code that pair_forces replaced: gradient, constraint gradients,
+# tangent gradient and pair Newton direction each evaluating their own
+# powers, and the Gram entries taken from one h1_form call each.  The
+# arithmetic is unchanged, so the results must compare equal.
+
+
+def _reference_mixed_force_u(u, v, cp):
+    return cp.alpha * np.sign(u) * np.abs(u) ** (cp.alpha - 1.0) * np.abs(v) ** cp.beta
+
+
+def _reference_mixed_force_v(u, v, cp):
+    return cp.beta * np.abs(u) ** cp.alpha * np.sign(v) * np.abs(v) ** (cp.beta - 1.0)
+
+
+def _reference_crit_force(x, p):
+    return np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def reference_gradient(pair, cp, grid):
+    p = grid.params.two_star
+    u, v = pair.u, pair.v
+    q = grid.weights
+    force_u = cp.mu1 * _reference_crit_force(u, p) + cp.lam * _reference_mixed_force_u(u, v, cp)
+    force_v = cp.mu2 * _reference_crit_force(v, p) + cp.lam * _reference_mixed_force_v(u, v, cp)
+    return PairState(u=u - grid.solve_h1(q * force_u), v=v - grid.solve_h1(q * force_v))
+
+
+def reference_constraint_gradients(pair, cp, grid):
+    p = grid.params.two_star
+    u, v = pair.u, pair.v
+    q = grid.weights
+    mixed_u = _reference_mixed_force_u
+    mixed_v = _reference_mixed_force_v
+    gf_u = 2.0 * u - grid.solve_h1(
+        q * (p * cp.mu1 * _reference_crit_force(u, p) + cp.lam * cp.alpha * mixed_u(u, v, cp))
+    )
+    gf_v = -grid.solve_h1(q * cp.lam * cp.alpha * mixed_v(u, v, cp))
+    gh_u = -grid.solve_h1(q * cp.lam * cp.beta * mixed_u(u, v, cp))
+    gh_v = 2.0 * v - grid.solve_h1(
+        q * (p * cp.mu2 * _reference_crit_force(v, p) + cp.lam * cp.beta * mixed_v(u, v, cp))
+    )
+    return PairState(gf_u, gf_v), PairState(gh_u, gh_v)
+
+
+def reference_tangent_gradient_full(pair, cp, grid):
+    g = reference_gradient(pair, cp, grid)
+    gf, gh = reference_constraint_gradients(pair, cp, grid)
+    g11 = pair_inner(gf, gf, grid)
+    g12 = pair_inner(gf, gh, grid)
+    g22 = pair_inner(gh, gh, grid)
+    det = g11 * g22 - g12 * g12
+    if det <= 1e-14 * max(g11 * g22, 1e-300):
+        raise DegenerateConstraintError("dependent constraint gradients")
+    r1 = pair_inner(g, gf, grid)
+    r2 = pair_inner(g, gh, grid)
+    s = (r1 * g22 - r2 * g12) / det
+    t = (r2 * g11 - r1 * g12) / det
+    tg = PairState(u=g.u - s * gf.u - t * gh.u, v=g.v - s * gf.v - t * gh.v)
+    return tg, (s, t)
+
+
+def reference_pair_newton_direction(u, v, cp, grid):
+    p = grid.params.two_star
+    q = grid.weights
+    lam, al, be = cp.lam, cp.alpha, cp.beta
+    au, av = np.abs(u), np.abs(v)
+    mixed_u = al * np.sign(u) * au ** (al - 1.0) * av**be
+    mixed_v = be * au**al * np.sign(v) * av ** (be - 1.0)
+    f_u = cp.mu1 * np.sign(u) * au ** (p - 1.0) + lam * mixed_u
+    f_v = cp.mu2 * np.sign(v) * av ** (p - 1.0) + lam * mixed_v
+    res_u = grid.apply_h1(u) - q * f_u
+    res_v = grid.apply_h1(v) - q * f_v
+    duu = cp.mu1 * (p - 1.0) * au ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(u, al - 2.0) * av**be
+    dvv = cp.mu2 * (p - 1.0) * av ** (p - 2.0) + lam * be * (be - 1.0) * au**al * _safe_pow(v, be - 2.0)
+    duv = lam * al * be * np.sign(u) * np.sign(v) * au ** (al - 1.0) * av ** (be - 1.0)
+    kdiag, koff = _tridiag_h1(grid)
+    n = grid.size
+    ab = np.zeros((5, 2 * n))
+    inter_off = np.repeat(koff, 2)
+    ab[0, 2:] = inter_off
+    ab[4, :-2] = inter_off
+    ab[1, 1::2] = -q * duv
+    ab[3, 0:-1:2] = -q * duv
+    ab[2, 0::2] = kdiag - q * duu
+    ab[2, 1::2] = kdiag - q * dvv
+    rhs = np.empty(2 * n)
+    rhs[0::2] = -res_u
+    rhs[1::2] = -res_v
+    try:
+        sol = solve_banded((2, 2), ab, rhs)
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    if not np.isfinite(sol).all():
+        return None, math.inf
+    res_norm = math.hypot(np.linalg.norm(res_u), np.linalg.norm(res_v))
+    return (sol[0::2], sol[1::2]), res_norm
+
+
+def _kernel_pairs(grid):
+    """Overlapping positive, disjoint (exact zeros) and sign-changing pairs."""
+    rng = np.random.default_rng(grid.params.N * 10 + grid.params.m)
+
+    def profile():
+        acc = np.zeros(grid.size)
+        for j in range(1, 5):
+            acc += rng.normal(0.0, 0.5) * np.cos(2.0 * j * grid.theta) / j
+        return acc
+
+    bumps = initial_guess("bumps", grid, 0)
+    return [
+        PairState(np.exp(profile()), np.exp(profile())),
+        bumps,
+        PairState(bumps.u + 0.1 * profile(), bumps.v - 0.1 * profile()),
+        PairState(profile(), profile()),
+    ]
+
+
+def _same_pair(a, b):
+    return np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+KERNEL_CASES = [
+    (N, m, N + 1 - m, 0.5 * 2.0 * N / (N - 2.0))
+    for N in range(4, 9)
+    for m in range(2, N)
+] + [(5, m, 6 - m, 1.5) for m in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("N, m, n, alpha", KERNEL_CASES)
+def test_pair_kernel_matches_references(N, m, n, alpha):
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=64))
+    beta = grid.params.two_star - alpha
+    for mu1, mu2 in ((1.0, 1.0), (1.0, 2.5)):
+        for lam in (-1.0, -1e3, -1e8):
+            cp = CouplingParams(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam)
+            for pair in _kernel_pairs(grid):
+                forces = pair_forces(pair, cp, grid)
+                ref_g = reference_gradient(pair, cp, grid)
+                assert _same_pair(gradient(pair, cp, grid), ref_g)
+                assert _same_pair(gradient(pair, cp, grid, forces), ref_g)
+                ref_c = reference_constraint_gradients(pair, cp, grid)
+                for new, ref in zip(_constraint_gradients(pair, cp, grid, forces), ref_c):
+                    assert _same_pair(new, ref)
+                try:
+                    ref_tg, ref_mult = reference_tangent_gradient_full(pair, cp, grid)
+                except DegenerateConstraintError:
+                    with pytest.raises(DegenerateConstraintError):
+                        tangent_gradient_full(pair, cp, grid, forces)
+                else:
+                    tg, mult, g = tangent_gradient_full(pair, cp, grid, forces)
+                    assert _same_pair(tg, ref_tg) and mult == ref_mult
+                    assert _same_pair(g, ref_g)
+                direction, res_norm = _pair_newton_direction(pair.u, pair.v, cp, grid, forces)
+                ref_dir, ref_norm = reference_pair_newton_direction(pair.u, pair.v, cp, grid)
+                assert res_norm == ref_norm
+                if ref_dir is None:
+                    assert direction is None
+                else:
+                    assert np.array_equal(direction[0], ref_dir[0])
+                    assert np.array_equal(direction[1], ref_dir[1])
+
+
+def test_h1_gram_equals_h1_form():
+    rng = np.random.default_rng(21)
+    profiles = [rng.normal(size=GRID.size) for _ in range(4)] + [np.zeros(GRID.size)]
+    gram = h1_gram(profiles, GRID)
+    for i, x in enumerate(profiles):
+        for j, y in enumerate(profiles):
+            assert gram[i][j] == h1_form(x, y, GRID)
+
+
+def test_nehari_project_with_given_integrals():
+    # the closed form (disjoint), the Newton path, its grid-scan restart,
+    # and the failure raised when no positive scaling exists
+    ones = np.ones(GRID.size)
+    cases = [(initial_guess("bumps", GRID, 0), CP)]
+    cases += [(smooth_pair(seed), CP_WEAK) for seed in (4, 5, 6)]
+    cases += [(smooth_pair(seed), CP) for seed in (4, 5, 6)]
+    cases += [(PairState(ones, ones), CP)]
+    for pair, cp in cases:
+        try:
+            expected = nehari_project(pair, cp, GRID)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                nehari_project(pair, cp, GRID, ints=pair_integrals(pair, cp, GRID))
+        else:
+            assert nehari_project(pair, cp, GRID, ints=pair_integrals(pair, cp, GRID)) == expected

@@ -20,7 +20,15 @@ from critsep import (
     sobolev_constant,
 )
 from critsep.errors import CollapseError
-from critsep.functional import pair_integrals, sobolev_lower_bound
+from critsep.functional import (
+    energy_from_integrals,
+    nehari_project,
+    pair_inner,
+    pair_integrals,
+    residuals_from_integrals,
+    sobolev_lower_bound,
+    tangent_gradient_full,
+)
 from critsep.solver import _rescale_parts
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=256)
@@ -35,6 +43,24 @@ def test_solve_options_validation():
         SolveOptions(armijo_slope=1.5)
     with pytest.raises(DomainError):
         SolveOptions(armijo_backtrack=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_iters": 0},
+        {"max_iters": -1},
+        {"grad_tol": math.nan},
+        {"grad_tol": math.inf},
+        {"grad_tol": 0.0},
+        {"grad_tol": -1e-6},
+    ],
+)
+def test_solve_options_reject_settings_without_a_solve(kwargs):
+    # max_iters = 0 used to return the unprojected start as one iteration;
+    # a NaN tolerance could never be met
+    with pytest.raises(DomainError):
+        SolveOptions(**kwargs)
 
 
 def test_initial_guess_bumps_disjoint():
@@ -183,3 +209,54 @@ def test_rescale_parts_collapse_detection():
         _rescale_parts(w, CP, GRID, 1e12, 0.0, 7)
     with pytest.raises(CollapseError):
         _rescale_parts(np.where(w > 0, w, 0.0) - 0.0, CP, GRID, 0.0, 0.0, 3)
+
+
+@pytest.mark.parametrize(
+    "N, m, n, lam, max_iters, message",
+    [
+        (4, 2, 3, -1.0, 20000, "tangent gradient below tolerance"),
+        (4, 2, 3, -1.0, 3, "max_iters exceeded"),
+        (8, 4, 5, -1e8, 20000, "line search stalled"),
+    ],
+)
+def test_minimize_nehari_returns_the_evaluation_at_its_pair(N, m, n, lam, max_iters, message):
+    # a solve that stops inside the loop returns the evaluation made there,
+    # one cut by max_iters evaluates its last pair afterwards; both must
+    # equal a fresh evaluation at the returned pair
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
+    alpha = 0.5 * grid.params.two_star
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=alpha, beta=alpha, lam=lam)
+    opts = SolveOptions(grad_tol=1e-6, max_iters=max_iters)
+    res = minimize_nehari(initial_guess("bumps", grid, 0), cp, grid, opts)
+    assert res.message == message
+    ints = pair_integrals(res.pair, cp, grid)
+    tg, mult, g = tangent_gradient_full(res.pair, cp, grid)
+    assert res.energy == energy_from_integrals(ints, cp, grid.params)
+    assert res.residuals == residuals_from_integrals(ints, cp)
+    assert res.grad_norm == math.sqrt(max(pair_inner(tg, tg, grid), 0.0))
+    assert res.full_grad_norm == math.sqrt(max(pair_inner(g, g, grid), 0.0))
+    assert res.multipliers == mult
+
+
+@pytest.mark.parametrize("newton", [True, False])
+def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypatch, newton):
+    # the projection at the top of an iteration takes the integrals of the
+    # accepted trial; they must be those of the pair it projects, after
+    # Newton steps and (with the Newton candidate switched off) Armijo steps
+    from critsep import solver
+
+    handed = []
+
+    def checked(pair, cp, grid, ints=None):
+        if ints is not None:
+            handed.append(ints == pair_integrals(pair, cp, grid))
+        return nehari_project(pair, cp, grid, ints=ints)
+
+    monkeypatch.setattr(solver, "nehari_project", checked)
+    if not newton:
+        monkeypatch.setattr(solver, "_pair_newton_direction", lambda *args: (None, math.inf))
+    opts = SolveOptions(grad_tol=1e-6, max_iters=30)
+    res = minimize_nehari(initial_guess("bumps", GRID, 0), CP, GRID, opts)
+    assert res.converged == newton
+    assert len(handed) == res.iterations - 1
+    assert all(handed)
