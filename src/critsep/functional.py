@@ -262,10 +262,6 @@ def pair_inner(x: PairState, y: PairState, grid: ReducedGrid) -> float:
     return h1_form(x.u, y.u, grid) + h1_form(x.v, y.v, grid)
 
 
-def pair_norm(x: PairState, grid: ReducedGrid) -> float:
-    return math.sqrt(max(pair_inner(x, x, grid), 0.0))
-
-
 def tangent_gradient(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairState:
     """Energy gradient minus its projection onto the constraint gradients."""
     tg, _, _ = tangent_gradient_full(pair, cp, grid)

@@ -241,8 +241,9 @@ def sweep_lambda(
     """Warm-started continuation over the schedule, ending at the limit solve.
 
     Solver failures mark their record and the continuation proceeds from
-    the last good pair.  The limit problem is started from u - v of the
-    final pair.
+    the last good pair.  From the fourth row on, an ok row whose overlap
+    exceeds that of the previous ok row is marked "ok;overlap-increase".
+    The limit problem is started from u - v of the final pair.
     """
     pair = init if init is not None else initial_guess("bumps", grid, opts.seed)
     records = []
@@ -282,6 +283,16 @@ def sweep_lambda(
                 "(lambda %.6g -> %.6g); logged as a finding",
                 a.energy, b.energy, a.lam, b.lam,
             )
+    # segregation should be monotone once the continuation settles; flag any
+    # later row whose overlap grew instead (after the check above, which
+    # reads only the rows marked plain "ok")
+    prev_overlap = None
+    for i, rec in enumerate(records):
+        if rec.status != "ok":
+            continue
+        if i >= 3 and prev_overlap is not None and rec.overlap > prev_overlap:
+            rec.status = "ok;overlap-increase"
+        prev_overlap = rec.overlap
 
     w0 = pair.u - pair.v
     try:

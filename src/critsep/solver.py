@@ -1,22 +1,28 @@
 """Constrained minimization on the discrete Nehari sets.
 
-The pair solver keeps its iterates exactly on the discrete Nehari set:
-every accepted iterate is rescaled by the unique positive (s, t) with
-vanishing residuals, and steps are taken along the negative tangential
-gradient (the H^1-preconditioned energy gradient with its component along
-the two constraint gradients removed).  Step sizes start from a
-Barzilai-Borwein estimate and are backtracked until the Armijo condition
-holds for the energy of the re-projected trial, so the energy of accepted
-iterates never increases.  Convergence additionally requires the full
-gradient to be small, which certifies that the constrained critical point
-is a free critical point (the multiplier solve returns ~0).
+One descent driver, ``_descend``, solves the paper's three problems: the
+pair on the invariant Nehari set (``_Pair``, ``minimize_nehari``), one
+component on its Nehari set, the level of the strict level gap (``_Single``,
+``minimize_single``), and the sign-changing limit problem whose positive
+and negative parts sit on their own Nehari sets (``_Limit``,
+``minimize_limit``).
 
-The same scheme drives the single-component problem (one constraint) and
-the sign-changing limit problem, where the two constraints fix the
-separate scalings of the positive and negative parts.
+A state is a tuple of per-component arrays.  A problem object lands a state
+on its constraint set and checks the norm floors (``land(x, at, k)`` returns
+the landed state, what was computed there and the energy), evaluates the
+tangent gradient, i.e. the H^1-preconditioned energy gradient minus its part
+along the constraint gradients (``evaluate(x, at)``), lands a trial state
+(``trial(x)``), and may offer a Newton direction for the free critical
+equations (``newton(x, ev)``) with the residual its candidate must contract
+(``residual_norm(x)``).  The driver lands the iterate, stops when the
+tangent gradient is small, tries the Newton candidate and otherwise takes a
+Barzilai-Borwein step, backtracked until the Armijo condition holds for the
+energy of the landed trial, so accepted energies never increase.  The pair
+and single solves also require a small full gradient at convergence, which
+certifies a free critical point (the multiplier solve returns ~0).
 
 Inequalities that hold on the continuous Nehari set are monitored on every
-accepted iterate and summarized in the result: the energy identity
+landed pair and summarized in the result: the energy identity
 E = (a1+a2)/N, the per-component norm floors, and the positivity margin of
 the 2x2 scaling Hessian determinant.
 """
@@ -28,12 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (
-    CollapseError,
-    ConvergenceError,
-    DegenerateInputError,
-    DomainError,
-)
+from .errors import CollapseError, ConvergenceError, DegenerateInputError, DomainError
 from .functional import (
     CouplingParams,
     NehariResiduals,
@@ -47,7 +48,6 @@ from .functional import (
     nehari_matrix,
     nehari_project,
     pair_forces,
-    pair_inner,
     pair_integrals,
     residuals_from_integrals,
     single_project,
@@ -135,15 +135,31 @@ class SolveResult:
     message: str = ""
 
 
-def _check_lambda(cp):
-    if cp.lam >= 0.0:
-        raise DomainError(f"competitive solve requires lambda < 0, got {cp.lam}")
+@dataclass
+class LimitResult:
+    w: np.ndarray
+    energy: float
+    grad_norm: float
+    iterations: int
+    converged: bool
+    residuals: tuple
+    energy_trace: np.ndarray
+    message: str = ""
 
 
 def _bb_step(dx_sq, dx_dg, fallback):
     if dx_dg > 0.0 and np.isfinite(dx_dg):
         return min(max(dx_sq / dx_dg, 1e-12), 1e3)
     return fallback
+
+
+def _inner(x, y, grid):
+    """H^1 inner product of two states (tuples of component arrays)."""
+    return sum(h1_form(a, b, grid) for a, b in zip(x, y))
+
+
+def _norm(x, grid):
+    return math.sqrt(max(_inner(x, x, grid), 0.0))
 
 
 def _safe_pow(x, e):
@@ -179,7 +195,7 @@ def _pair_newton_direction(u, v, cp, grid, f):
     gives the step.  Used as an accelerator once the descent is in the
     right basin: the first-order scheme alone needs O(|lambda|) iterations
     because the coupling term dominates the curvature in the overlap
-    region.  The caller damps the step: it tries the lengths NEWTON_STEPS
+    region.  The driver damps the step: it tries the lengths NEWTON_STEPS
     in turn, because in the thin interface layer of strong coupling the
     full step overshoots.  Returns the direction and the residual norm at
     (u, v).
@@ -218,18 +234,23 @@ def _pair_newton_direction(u, v, cp, grid, f):
     return (sol[0::2], sol[1::2]), res_norm
 
 
-def _pair_residual_norm(u, v, cp, grid):
-    res_u, res_v = _pair_residual(u, v, pair_forces(PairState(u, v), cp, grid), grid)
-    return math.hypot(np.linalg.norm(res_u), np.linalg.norm(res_v))
+def _limit_force(w, cp, p):
+    """The weight (mu1 where w > 0, mu2 elsewhere) and the limit force mu sign(w)|w|^(2*-1)."""
+    mu = np.where(w > 0.0, cp.mu1, cp.mu2)
+    return mu, mu * _crit_force(w, p)
+
+
+def _limit_residual(w, cp, grid):
+    """The weight mu and the nodal residual K w - q mu f(w) of the limit equation."""
+    mu, force = _limit_force(w, cp, grid.params.two_star)
+    return mu, grid.apply_h1(w) - grid.weights * force
 
 
 def _limit_newton_direction(w, cp, grid):
-    """Newton direction for the critical equation of the limit problem."""
+    """Newton direction (a one-component state) for the limit equation, and the residual norm."""
     p = grid.params.two_star
     q = grid.weights
-    mu = np.where(w > 0.0, cp.mu1, cp.mu2)
-    force = mu * _crit_force(w, p)
-    res = grid.apply_h1(w) - q * force
+    mu, res = _limit_residual(w, cp, grid)
     dww = mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
     kdiag, koff = _tridiag_h1(grid)
     ab = np.zeros((3, grid.size))
@@ -242,280 +263,7 @@ def _limit_newton_direction(w, cp, grid):
         return None, math.inf
     if not np.isfinite(sol).all():
         return None, math.inf
-    return sol, float(np.linalg.norm(res))
-
-
-def _limit_residual_norm(w, cp, grid):
-    p = grid.params.two_star
-    mu = np.where(w > 0.0, cp.mu1, cp.mu2)
-    res = grid.apply_h1(w) - grid.weights * mu * _crit_force(w, p)
-    return float(np.linalg.norm(res))
-
-
-def minimize_nehari(
-    init: PairState, cp: CouplingParams, grid: ReducedGrid, opts: SolveOptions
-) -> SolveResult:
-    """Energy minimization over the discrete invariant Nehari set.
-
-    Each iterate is evaluated once: one pointwise kernel feeds the tangent
-    gradient and the Newton step, the integrals of an accepted trial are
-    handed to the next projection, and a solve that stops inside the loop
-    returns the evaluation it stopped at.
-    """
-    _check_lambda(cp)
-    check_exponents(cp, grid.params)
-    params = grid.params
-    u = np.asarray(init.u, dtype=float).copy()
-    v = np.asarray(init.v, dtype=float).copy()
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise DegenerateInputError("initial profiles must be finite")
-
-    stats = NehariInvariantStats()
-    trace = []
-    floor_u = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, params.N)
-    floor_v = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, params.N)
-    tau = None
-    prev = None  # previous accepted iterate and its tangent gradient
-    recent_res = deque(maxlen=RESIDUAL_WINDOW)  # Newton residual norms of recent iterates
-    ints = None  # integrals of (u, v) when an accepted trial computed them
-    message = "max_iters exceeded"
-    converged = False
-
-    for k in range(opts.max_iters):
-        if opts.positivity_enforced:
-            # accepted trials are already nonnegative, so their integrals stay valid
-            u = np.abs(u)
-            v = np.abs(v)
-        s, t = nehari_project(PairState(u, v), cp, grid, ints=ints)
-        u *= s
-        v *= t
-        pair = PairState(u, v)
-        ints = pair_integrals(pair, cp, grid)
-        if ints.a1 < floor_u or ints.a2 < floor_v:
-            raise CollapseError(
-                "a component collapsed during the solve",
-                iteration=k,
-                component="u" if ints.a1 < floor_u else "v",
-            )
-        value = energy_from_integrals(ints, cp, params)
-        trace.append(value)
-        stats.update(ints, value, cp, params)
-
-        forces = pair_forces(pair, cp, grid)
-        tg, mult, g = tangent_gradient_full(pair, cp, grid, forces)
-        tg_sq = pair_inner(tg, tg, grid)
-        tg_norm = math.sqrt(max(tg_sq, 0.0))
-        if tg_norm <= opts.grad_tol:
-            converged = True
-            message = "tangent gradient below tolerance"
-            break
-
-        # Damped Newton candidate for the free critical equations: the first
-        # of the step lengths NEWTON_STEPS whose re-projected pair keeps the
-        # energy nonincreasing and brings the residual below 0.99 times the
-        # largest of the last RESIDUAL_WINDOW residual norms (the nonmonotone
-        # rule of Grippo, Lampariello and Lucidi, 1986).  The energy trace
-        # stays monotone, the residual may rise for a few steps, and
-        # late-stage convergence stops scaling with |lambda|.
-        direction, res_norm = _pair_newton_direction(u, v, cp, grid, forces)
-        if direction is not None:
-            recent_res.append(res_norm)
-            res_ref = 0.99 * max(recent_res)
-            newton_accepted = False
-            for length in NEWTON_STEPS:
-                u_n = u + length * direction[0]
-                v_n = v + length * direction[1]
-                if opts.positivity_enforced:
-                    u_n = np.abs(u_n)
-                    v_n = np.abs(v_n)
-                try:
-                    s_n, t_n = nehari_project(PairState(u_n, v_n), cp, grid)
-                except (ConvergenceError, DegenerateInputError):
-                    continue
-                u_n *= s_n
-                v_n *= t_n
-                ints_n = pair_integrals(PairState(u_n, v_n), cp, grid)
-                value_n = energy_from_integrals(ints_n, cp, params)
-                # energy ties at roundoff must not block the residual contraction
-                if (
-                    value_n <= value + 1e-12 * abs(value)
-                    and _pair_residual_norm(u_n, v_n, cp, grid) < res_ref
-                ):
-                    u, v, ints = u_n, v_n, ints_n
-                    newton_accepted = True
-                    break
-            if newton_accepted:
-                continue
-
-        if prev is not None:
-            du = PairState(u - prev[0], v - prev[1])
-            dg = PairState(tg.u - prev[2].u, tg.v - prev[2].v)
-            tau = _bb_step(pair_inner(du, du, grid), pair_inner(du, dg, grid), tau)
-        if tau is None:
-            tau = 1.0 / max(1.0, tg_norm)
-        prev = (u.copy(), v.copy(), tg)
-
-        accepted = False
-        step = tau
-        for _ in range(60):
-            u_try = u - step * tg.u
-            v_try = v - step * tg.v
-            if opts.positivity_enforced:
-                u_try = np.abs(u_try)
-                v_try = np.abs(v_try)
-            try:
-                s_try, t_try = nehari_project(PairState(u_try, v_try), cp, grid)
-            except (ConvergenceError, DegenerateInputError):
-                step *= opts.armijo_backtrack
-                continue
-            ints_try = pair_integrals(PairState(s_try * u_try, t_try * v_try), cp, grid)
-            value_try = energy_from_integrals(ints_try, cp, params)
-            if value_try <= value - opts.armijo_slope * step * tg_sq:
-                u = s_try * u_try
-                v = t_try * v_try
-                ints = ints_try
-                tau = step
-                accepted = True
-                break
-            step *= opts.armijo_backtrack
-        if not accepted:
-            message = "line search stalled"
-            break
-    else:
-        # the last step moved the pair off the evaluated iterate
-        pair = PairState(u, v)
-        ints = pair_integrals(pair, cp, grid)
-        tg, mult, g = tangent_gradient_full(pair, cp, grid)
-        tg_norm = math.sqrt(max(pair_inner(tg, tg, grid), 0.0))
-    full_norm = math.sqrt(max(pair_inner(g, g, grid), 0.0))
-    if converged and full_norm > 10.0 * opts.grad_tol:
-        converged = False
-        message = "tangent gradient small but full gradient is not"
-    return SolveResult(
-        pair=pair,
-        energy=energy_from_integrals(ints, cp, params),
-        grad_norm=tg_norm,
-        full_grad_norm=full_norm,
-        iterations=k + 1,
-        converged=converged,
-        residuals=residuals_from_integrals(ints, cp),
-        multipliers=mult,
-        stats=stats,
-        energy_trace=np.asarray(trace),
-        message=message,
-    )
-
-
-def _single_tangent(u, mu, grid):
-    """Gradient, constraint multiplier and tangential gradient for one component."""
-    p = grid.params.two_star
-    q = grid.weights
-    force = mu * _crit_force(u, p)
-    g = u - grid.solve_h1(q * force)
-    gf = 2.0 * u - grid.solve_h1(q * p * force)
-    coef = h1_form(g, gf, grid) / h1_form(gf, gf, grid)
-    tg = g - coef * gf
-    return g, tg, coef
-
-
-def minimize_single(
-    u_init: np.ndarray, mu: float, grid: ReducedGrid, opts: SolveOptions
-) -> SolveResult:
-    """Single-component mode: minimize over the one-constraint Nehari set."""
-    params = grid.params
-    p = params.two_star
-    u = np.asarray(u_init, dtype=float).copy()
-    floor = COLLAPSE_FRACTION * sobolev_lower_bound(mu, params.N)
-    trace = []
-    tau = None
-    prev = None
-    message = "max_iters exceeded"
-    converged = False
-    k = 0
-
-    def state(x):
-        return h1_form(x, x, grid), mu * integrate(np.abs(x) ** p, grid)
-
-    for k in range(opts.max_iters):
-        if opts.positivity_enforced:
-            u = np.abs(u)
-        u = single_project(u, mu, grid) * u
-        a, b = state(u)
-        if a < floor:
-            raise CollapseError("profile collapsed", iteration=k, component="u")
-        value = 0.5 * a - b / p
-        trace.append(value)
-
-        _g, tg, _coef = _single_tangent(u, mu, grid)
-        tg_sq = h1_form(tg, tg, grid)
-        tg_norm = math.sqrt(max(tg_sq, 0.0))
-        if tg_norm <= opts.grad_tol:
-            converged = True
-            message = "tangent gradient below tolerance"
-            break
-
-        if prev is not None:
-            du = u - prev[0]
-            dg = tg - prev[1]
-            tau = _bb_step(h1_form(du, du, grid), h1_form(du, dg, grid), tau)
-        if tau is None:
-            tau = 1.0 / max(1.0, tg_norm)
-        prev = (u.copy(), tg)
-
-        accepted = False
-        step = tau
-        for _ in range(60):
-            u_try = u - step * tg
-            if opts.positivity_enforced:
-                u_try = np.abs(u_try)
-            a_t, b_t = state(u_try)
-            if a_t <= 0.0 or b_t <= 0.0:
-                step *= opts.armijo_backtrack
-                continue
-            s_try = (a_t / b_t) ** (1.0 / (p - 2.0))
-            value_try = 0.5 * s_try**2 * a_t - s_try**p * b_t / p
-            if value_try <= value - opts.armijo_slope * step * tg_sq:
-                u = s_try * u_try
-                tau = step
-                accepted = True
-                break
-            step *= opts.armijo_backtrack
-        if not accepted:
-            message = "line search stalled"
-            break
-
-    a, b = state(u)
-    g, tg, coef = _single_tangent(u, mu, grid)
-    tg_norm = math.sqrt(max(h1_form(tg, tg, grid), 0.0))
-    full_norm = math.sqrt(max(h1_form(g, g, grid), 0.0))
-    if converged and full_norm > 10.0 * opts.grad_tol:
-        converged = False
-        message = "tangent gradient small but full gradient is not"
-    return SolveResult(
-        pair=PairState(u, np.zeros_like(u)),
-        energy=0.5 * a - b / p,
-        grad_norm=tg_norm,
-        full_grad_norm=full_norm,
-        iterations=k + 1,
-        converged=converged,
-        residuals=NehariResiduals(f_val=a - b, h_val=0.0),
-        multipliers=(coef, 0.0),
-        stats=NehariInvariantStats(),
-        energy_trace=np.asarray(trace),
-        message=message,
-    )
-
-
-@dataclass
-class LimitResult:
-    w: np.ndarray
-    energy: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    residuals: tuple
-    energy_trace: np.ndarray
-    message: str = ""
+    return (sol,), float(np.linalg.norm(res))
 
 
 def _rescale_parts(w, cp, grid, floor_p, floor_m, iteration):
@@ -548,7 +296,7 @@ def _limit_tangent(w, cp, grid):
     neg = w < 0.0
     wp = np.maximum(w, 0.0)
     wm = np.minimum(w, 0.0)
-    force = np.where(pos, cp.mu1, cp.mu2) * _crit_force(w, p)
+    _mu, force = _limit_force(w, cp, p)
     g = w - grid.solve_h1(q * force)
     gf_p = grid.solve_h1(
         np.where(pos, 2.0 * grid.apply_h1(wp), 0.0) - q * p * cp.mu1 * wp ** (p - 1.0)
@@ -570,90 +318,306 @@ def _limit_tangent(w, cp, grid):
     return g, g - c1 * gf_p - c2 * gf_m
 
 
+# ------------------------------------------------------------- problems
+
+
+class _Pair:
+    """The pair (u, v) on the invariant Nehari set."""
+
+    newton_steps = NEWTON_STEPS
+    residual_window = RESIDUAL_WINDOW
+
+    def __init__(self, cp, grid, positive):
+        self.cp, self.grid, self.positive = cp, grid, positive
+        self.floor_u = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, grid.params.N)
+        self.floor_v = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
+        self.stats = NehariInvariantStats()
+
+    def land(self, x, ints, k):
+        x, ints, value = self.trial(x, ints)
+        if ints.a1 < self.floor_u or ints.a2 < self.floor_v:
+            which = "u" if ints.a1 < self.floor_u else "v"
+            raise CollapseError("a component collapsed during the solve", iteration=k, component=which)
+        self.stats.update(ints, value, self.cp, self.grid.params)
+        return x, ints, value
+
+    def evaluate(self, x, ints):
+        forces = pair_forces(PairState(*x), self.cp, self.grid)
+        tg, mult, g = tangent_gradient_full(PairState(*x), self.cp, self.grid, forces)
+        return (tg.u, tg.v), (forces, mult, (g.u, g.v), ints)
+
+    def trial(self, x, ints=None):
+        # a landed pair is nonnegative already, so handed integrals stay valid
+        u, v = (np.abs(c) for c in x) if self.positive else x
+        s, t = nehari_project(PairState(u, v), self.cp, self.grid, ints=ints)
+        pair = PairState(s * u, t * v)
+        ints = pair_integrals(pair, self.cp, self.grid)
+        return (pair.u, pair.v), ints, energy_from_integrals(ints, self.cp, self.grid.params)
+
+    def newton(self, x, ev):
+        return _pair_newton_direction(x[0], x[1], self.cp, self.grid, ev[0])
+
+    def residual_norm(self, x):
+        forces = pair_forces(PairState(*x), self.cp, self.grid)
+        return math.hypot(*map(np.linalg.norm, _pair_residual(*x, forces, self.grid)))
+
+
+class _Single:
+    """One component u on the one-constraint Nehari set; no Newton candidate."""
+
+    residual_window = 1
+
+    def __init__(self, mu, grid, positive):
+        self.mu, self.grid, self.positive = mu, grid, positive
+        self.p = grid.params.two_star
+        self.floor = COLLAPSE_FRACTION * sobolev_lower_bound(mu, grid.params.N)
+
+    def _norms(self, u):
+        return h1_form(u, u, self.grid), self.mu * integrate(np.abs(u) ** self.p, self.grid)
+
+    def land(self, x, at, k):
+        u = np.abs(x[0]) if self.positive else x[0]
+        u = single_project(u, self.mu, self.grid) * u
+        a, b = self._norms(u)
+        if a < self.floor:
+            raise CollapseError("profile collapsed", iteration=k, component="u")
+        return (u,), (a, b), 0.5 * a - b / self.p
+
+    def evaluate(self, x, at):
+        """Tangent gradient; the gradient, multiplier and norms for the result."""
+        (u,), grid, q = x, self.grid, self.grid.weights
+        a, b = at if at is not None else self._norms(u)
+        force = self.mu * _crit_force(u, self.p)
+        g = u - grid.solve_h1(q * force)
+        gf = 2.0 * u - grid.solve_h1(q * self.p * force)
+        coef = h1_form(g, gf, grid) / h1_form(gf, gf, grid)
+        return (g - coef * gf,), ((g,), coef, a, b)
+
+    def trial(self, x):
+        u = np.abs(x[0]) if self.positive else x[0]
+        a, b = self._norms(u)
+        if a <= 0.0 or b <= 0.0:
+            return None
+        s = (a / b) ** (1.0 / (self.p - 2.0))
+        return (s * u,), None, 0.5 * s**2 * a - s**self.p * b / self.p
+
+    def newton(self, x, ev):
+        return None, math.inf
+
+
+class _Limit:
+    """The sign-changing profile w whose parts sit on their own Nehari sets."""
+
+    newton_steps = (1.0,)  # the undamped step against the current residual
+    residual_window = 1
+
+    def __init__(self, cp, grid):
+        self.cp, self.grid = cp, grid
+        self.floor_p = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, grid.params.N)
+        self.floor_m = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
+
+    def land(self, x, at, k):
+        w = _rescale_parts(x[0], self.cp, self.grid, self.floor_p, self.floor_m, k)
+        return (w,), None, limit_energy(w, self.cp, self.grid)
+
+    def evaluate(self, x, at):
+        _g, tg = _limit_tangent(x[0], self.cp, self.grid)
+        return (tg,), None
+
+    def trial(self, x):
+        w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0, None)
+        return (w,), None, limit_energy(w, self.cp, self.grid)
+
+    def newton(self, x, ev):
+        return _limit_newton_direction(x[0], self.cp, self.grid)
+
+    def residual_norm(self, x):
+        return float(np.linalg.norm(_limit_residual(x[0], self.cp, self.grid)[1]))
+
+
+# --------------------------------------------------------------- driver
+
+
+@dataclass
+class _Run:
+    x: tuple          # the final iterate
+    ev: object        # the problem's evaluation at x
+    grad_norm: float  # H^1 norm of the tangent gradient at x
+    iterations: int
+    converged: bool
+    message: str
+    trace: list       # energy of each landed iterate
+
+
+def _attempt(problem, x):
+    """The landed trial of x, or None when x cannot be landed."""
+    try:
+        return problem.trial(x)
+    except (CollapseError, ConvergenceError, DegenerateInputError):
+        return None
+
+
+def _newton_trial(problem, x, direction, value, res_ref):
+    """The first damped Newton trial that keeps the energy and contracts the residual."""
+    for length in problem.newton_steps:
+        trial = _attempt(problem, tuple(c + length * d for c, d in zip(x, direction)))
+        # energy ties at roundoff must not block the residual contraction
+        if (
+            trial is not None
+            and trial[2] <= value + 1e-12 * abs(value)
+            and problem.residual_norm(trial[0]) < res_ref
+        ):
+            return trial
+    return None
+
+
+def _descend(problem, x, opts):
+    """Constrained descent from the state x; see the module docstring.
+
+    Each iterate is evaluated once: the evaluation feeds the convergence
+    test, the Newton direction and the gradient step, what an accepted trial
+    computed is handed to the next landing, and a solve that stops inside
+    the loop returns the evaluation it stopped at.
+    """
+    if not all(np.isfinite(c).all() for c in x):
+        raise DegenerateInputError("initial profiles must be finite")
+    grid = problem.grid
+    trace = []
+    tau = prev = at = None  # BB length, previous (iterate, tangent), handed-over data
+    recent_res = deque(maxlen=problem.residual_window)
+    converged, message = False, "max_iters exceeded"
+
+    for k in range(opts.max_iters):
+        x, at, value = problem.land(x, at, k)
+        trace.append(value)
+        tg, ev = problem.evaluate(x, at)
+        tg_sq = _inner(tg, tg, grid)
+        tg_norm = math.sqrt(max(tg_sq, 0.0))
+        if tg_norm <= opts.grad_tol:
+            converged, message = True, "tangent gradient below tolerance"
+            break
+
+        # Newton candidate for the free critical equations: the first of the
+        # problem's step lengths whose landed trial keeps the energy
+        # nonincreasing and brings the residual below 0.99 times the largest
+        # of the last residual_window residual norms (with a window above 1,
+        # the nonmonotone rule of Grippo, Lampariello and Lucidi, 1986).  The
+        # energy trace stays monotone, the residual may rise for a few steps,
+        # and late-stage convergence stops scaling with |lambda|.
+        direction, res_norm = problem.newton(x, ev)
+        if direction is not None:
+            recent_res.append(res_norm)
+            trial = _newton_trial(problem, x, direction, value, 0.99 * max(recent_res))
+            if trial is not None:
+                x, at, _ = trial
+                continue
+
+        if prev is not None:
+            dx = tuple(a - b for a, b in zip(x, prev[0]))
+            dg = tuple(a - b for a, b in zip(tg, prev[1]))
+            tau = _bb_step(_inner(dx, dx, grid), _inner(dx, dg, grid), tau)
+        if tau is None:
+            tau = 1.0 / max(1.0, tg_norm)
+        prev = (x, tg)
+
+        step = tau
+        for _ in range(60):
+            trial = _attempt(problem, tuple(c - step * d for c, d in zip(x, tg)))
+            if trial is not None and trial[2] <= value - opts.armijo_slope * step * tg_sq:
+                x, at, _ = trial
+                tau = step
+                break
+            step *= opts.armijo_backtrack
+        else:
+            message = "line search stalled"
+            break
+    else:
+        # the last step moved the iterate off the evaluated one
+        tg, ev = problem.evaluate(x, at)
+        tg_norm = _norm(tg, grid)
+    return _Run(x, ev, tg_norm, k + 1, converged, message, trace)
+
+
+# ------------------------------------------------------------ public API
+
+
+def _solve_result(run, g, grid, opts, **fields):
+    """SolveResult of a pair or single run; a large full gradient demotes convergence."""
+    full_norm = _norm(g, grid)
+    converged, message = run.converged, run.message
+    if converged and full_norm > 10.0 * opts.grad_tol:
+        converged, message = False, "tangent gradient small but full gradient is not"
+    return SolveResult(
+        grad_norm=run.grad_norm,
+        full_grad_norm=full_norm,
+        iterations=run.iterations,
+        converged=converged,
+        energy_trace=np.asarray(run.trace),
+        message=message,
+        **fields,
+    )
+
+
+def minimize_nehari(
+    init: PairState, cp: CouplingParams, grid: ReducedGrid, opts: SolveOptions
+) -> SolveResult:
+    """Energy minimization over the discrete invariant Nehari set."""
+    if cp.lam >= 0.0:
+        raise DomainError(f"competitive solve requires lambda < 0, got {cp.lam}")
+    check_exponents(cp, grid.params)
+    problem = _Pair(cp, grid, opts.positivity_enforced)
+    x = (np.asarray(init.u, dtype=float), np.asarray(init.v, dtype=float))
+    run = _descend(problem, x, opts)
+    _forces, mult, g, ints = run.ev
+    return _solve_result(
+        run, g, grid, opts,
+        pair=PairState(*run.x),
+        energy=energy_from_integrals(ints, cp, grid.params),
+        residuals=residuals_from_integrals(ints, cp),
+        multipliers=mult,
+        stats=problem.stats,
+    )
+
+
+def minimize_single(
+    u_init: np.ndarray, mu: float, grid: ReducedGrid, opts: SolveOptions
+) -> SolveResult:
+    """Single-component mode: minimize over the one-constraint Nehari set."""
+    problem = _Single(mu, grid, opts.positivity_enforced)
+    run = _descend(problem, (np.asarray(u_init, dtype=float),), opts)
+    (u,) = run.x
+    g, coef, a, b = run.ev
+    return _solve_result(
+        run, g, grid, opts,
+        pair=PairState(u, np.zeros_like(u)),
+        energy=0.5 * a - b / grid.params.two_star,
+        residuals=NehariResiduals(f_val=a - b, h_val=0.0),
+        multipliers=(coef, 0.0),
+        stats=NehariInvariantStats(),
+    )
+
+
 def minimize_limit(
     w_init: np.ndarray, cp: CouplingParams, grid: ReducedGrid, opts: SolveOptions
 ) -> LimitResult:
     """Minimize the sign-changing limit energy over profiles whose positive
-    and negative parts each sit on their own Nehari set."""
-    params = grid.params
-    w = np.asarray(w_init, dtype=float).copy()
+    and negative parts each sit on their own Nehari set.  The returned w is
+    the final iterate rescaled once more; its tangent norm is taken there."""
+    w = np.asarray(w_init, dtype=float)
     if np.max(w) <= 0.0 or np.min(w) >= 0.0:
         raise DegenerateInputError("limit solve needs a sign-changing start")
-    floor_p = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, params.N)
-    floor_m = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, params.N)
-    trace = []
-    tau = None
-    prev = None
-    message = "max_iters exceeded"
-    converged = False
-    tg_norm = math.inf
-    k = 0
-
-    for k in range(opts.max_iters):
-        w = _rescale_parts(w, cp, grid, floor_p, floor_m, k)
-        value = limit_energy(w, cp, grid)
-        trace.append(value)
-
-        _g, tg = _limit_tangent(w, cp, grid)
-        tg_sq = h1_form(tg, tg, grid)
-        tg_norm = math.sqrt(max(tg_sq, 0.0))
-        if tg_norm <= opts.grad_tol:
-            converged = True
-            message = "tangent gradient below tolerance"
-            break
-
-        direction, res_norm = _limit_newton_direction(w, cp, grid)
-        if direction is not None:
-            try:
-                w_n = _rescale_parts(w + direction, cp, grid, 0.0, 0.0, k)
-            except (CollapseError, DegenerateInputError):
-                w_n = None
-            if w_n is not None:
-                value_n = limit_energy(w_n, cp, grid)
-                if (
-                    value_n <= value + 1e-12 * abs(value)
-                    and _limit_residual_norm(w_n, cp, grid) < 0.99 * res_norm
-                ):
-                    w = w_n
-                    continue
-
-        if prev is not None:
-            du = w - prev[0]
-            dg = tg - prev[1]
-            tau = _bb_step(h1_form(du, du, grid), h1_form(du, dg, grid), tau)
-        if tau is None:
-            tau = 1.0 / max(1.0, tg_norm)
-        prev = (w.copy(), tg)
-
-        accepted = False
-        step = tau
-        for _ in range(60):
-            try:
-                w_try = _rescale_parts(w - step * tg, cp, grid, 0.0, 0.0, k)
-            except (CollapseError, DegenerateInputError):
-                step *= opts.armijo_backtrack
-                continue
-            value_try = limit_energy(w_try, cp, grid)
-            if value_try <= value - opts.armijo_slope * step * tg_sq:
-                w = w_try
-                tau = step
-                accepted = True
-                break
-            step *= opts.armijo_backtrack
-        if not accepted:
-            message = "line search stalled"
-            break
-
-    w = _rescale_parts(w, cp, grid, 0.0, 0.0, k)
+    run = _descend(_Limit(cp, grid), (w,), opts)
+    w = _rescale_parts(run.x[0], cp, grid, 0.0, 0.0, run.iterations - 1)
+    _g, tg = _limit_tangent(w, cp, grid)
     return LimitResult(
         w=w,
         energy=limit_energy(w, cp, grid),
-        grad_norm=tg_norm,
-        iterations=k + 1,
-        converged=converged,
+        grad_norm=_norm((tg,), grid),
+        iterations=run.iterations,
+        converged=run.converged,
         residuals=limit_residuals(w, cp, grid),
-        energy_trace=np.asarray(trace),
-        message=message,
+        energy_trace=np.asarray(run.trace),
+        message=run.message,
     )
 
 

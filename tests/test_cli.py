@@ -228,3 +228,16 @@ def test_profile_writer_matches_per_row_repr(tmp_path):
     lists = {k: [float(x) for x in v] for k, v in columns.items()}
     expected = json.dumps(lists, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "profile.json").read_text() == expected
+
+
+def test_cmd_sweep_json_rows_equal_the_csv_cells(tmp_path):
+    cfg = tiny_config(tmp_path / "csv")
+    assert cmd_sweep(cfg) == 0
+    assert cmd_sweep(replace(cfg, out_dir=str(tmp_path / "json"), fmt="json")) == 0
+    lines = [l for l in (tmp_path / "csv" / "sweep.csv").read_text().splitlines()
+             if l and not l.startswith("#")]
+    header = lines[0].split(",")
+    cells = [dict(zip(header, l.split(","))) for l in lines[1:]]
+    rows = json.loads((tmp_path / "json" / "sweep.json").read_text())
+    assert rows == cells
+    assert json.loads((tmp_path / "json" / "plotdata.json").read_text()) == rows

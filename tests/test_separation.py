@@ -149,3 +149,28 @@ def test_interface_drift_with_mu2_is_logged_not_asserted():
     diffs = np.diff(thetas)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         warnings.warn(f"interface drift not monotone across mu2 scan: {thetas}")
+
+
+def test_sweep_marks_overlap_increase_after_the_monotonicity_check(monkeypatch):
+    # rows from the fourth on whose overlap exceeds the previous ok row's are
+    # marked; the energy check before the marking still sees every ok row
+    from dataclasses import replace
+
+    from critsep import separation
+
+    overlaps = iter([6.0, 7.0, 4.0, 4.5, 3.0, 3.2])
+    energies = iter([1.0, 2.0, 3.0, 2.5, 4.0, 5.0])
+    real = separation._record_from_result
+
+    def scripted(*args):
+        rec = real(*args)
+        return replace(rec, overlap=next(overlaps), energy=next(energies))
+
+    monkeypatch.setattr(separation, "_record_from_result", scripted)
+    sched = geometric_schedule(-1.0, -100.0, 6)
+    result = sweep_lambda(sched, CP, build_grid(ModelParams(N=4, m=2, n=3, M=64)), OPTS)
+    assert [r.status for r in result.records] == [
+        "ok", "ok", "ok", "ok;overlap-increase", "ok", "ok;overlap-increase",
+    ]
+    # the 3.0 -> 2.5 energy drop sits on a row that is marked afterwards
+    assert not result.monotonicity_ok

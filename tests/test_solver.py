@@ -260,3 +260,50 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
     assert res.converged == newton
     assert len(handed) == res.iterations - 1
     assert all(handed)
+
+
+@pytest.mark.parametrize(
+    "N, m, n, mu2, max_iters, grad_tol, message",
+    [
+        (4, 2, 3, 1.0, 20000, 1e-6, "tangent gradient below tolerance"),
+        (4, 2, 3, 1.0, 3, 1e-6, "max_iters exceeded"),
+        (8, 2, 7, 2.5, 60, 1e-8, "line search stalled"),
+    ],
+)
+def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
+    N, m, n, mu2, max_iters, grad_tol, message
+):
+    # the returned w is the final iterate rescaled once more; its reported
+    # tangent norm must be the one at that w, also after a max_iters cut
+    from critsep.solver import _limit_tangent
+
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
+    alpha = 0.5 * grid.params.two_star
+    cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=alpha, beta=alpha, lam=-1.0)
+    init = initial_guess("bumps", grid, 0)
+    opts = SolveOptions(grad_tol=grad_tol, max_iters=max_iters)
+    res = minimize_limit(init.u - init.v, cp, grid, opts)
+    assert res.message == message
+    _g, tg = _limit_tangent(res.w, cp, grid)
+    assert res.grad_norm == math.sqrt(max(h1_form(tg, tg, grid), 0.0))
+
+
+def _nonfinite_start(kind, bad):
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=64))
+    init = initial_guess("bumps", grid, 0)
+    u = init.u.copy()
+    u[5] = bad
+    if kind == "pair":
+        return minimize_nehari, (PairState(u, init.v), CP, grid, OPTS)
+    if kind == "single":
+        return minimize_single, (u, 1.0, grid, OPTS)
+    return minimize_limit, (u - init.v, CP, grid, OPTS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["pair", "single", "limit"])
+def test_nonfinite_start_raises_a_typed_error(kind, bad):
+    # scipy's untyped ValueError used to escape the single and limit solves
+    solve, args = _nonfinite_start(kind, bad)
+    with pytest.raises(DegenerateInputError, match="finite"):
+        solve(*args)
