@@ -1,4 +1,4 @@
-"""Command line front end: configuration, runs, persistence, verification.
+"""Command line front end: configuration, runs and persistence.
 
 Subcommands:
 
@@ -7,7 +7,7 @@ Subcommands:
     sweep           lambda continuation with warm starts, write the record
                     table, a plot-data copy, the limit profile and manifest
     sync-threshold  bracket the synchronized-solution emptiness threshold
-    verify          run the invariant battery and print a check table
+    verify          run the invariant battery of `checks` and print its table
     sobolev         print the embedding constant and its cross-check
 
 Config files are JSON trees whose numeric leaves are decimal strings (so
@@ -19,7 +19,6 @@ carries timestamps.
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -27,43 +26,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import scalar
+from . import checks, scalar
 from .errors import BracketError, CollapseError, ConvergenceError, DomainError
-from .functional import (
-    CouplingParams,
-    PairState,
-    check_exponents,
-    energy,
-    gradient,
-    nehari_det_bound,
-    nehari_matrix,
-    nehari_project,
-    pair_inner,
-    pair_integrals,
-    residuals_from_integrals,
-    sobolev_lower_bound,
-)
-from .geometry import (
-    ModelParams,
-    build_grid,
-    h1_form,
-    integrate,
-    orbit_weight,
-    sobolev_constant,
-    sphere_area,
-)
-from .separation import (
-    SweepSchedule,
-    geometric_schedule,
-    interface_locate,
-    sweep_lambda,
-)
-from .solver import SolveOptions, initial_guess, minimize_limit, minimize_nehari
+from .functional import CouplingParams, PairState, check_exponents
+from .geometry import ModelParams, build_grid, sobolev_constant
+from .separation import SweepSchedule, geometric_schedule, sweep_lambda
+from .solver import SolveOptions, initial_guess, minimize_nehari
 
 ARTIFACT_VERSION = "0.1.0"
 
 __all__ = [
-    "CheckResult",
     "RunConfig",
     "cmd_solve",
     "cmd_sweep",
@@ -75,7 +47,6 @@ __all__ = [
     "default_config",
     "load_config",
     "main",
-    "run_checks",
     "save_config",
 ]
 
@@ -268,16 +239,6 @@ def _load_profile_pair(path):
 # ---------------------------------------------------------------- solve
 
 
-def _stats_flags(stats):
-    return {
-        "energy_identity_ok": bool(stats.max_energy_identity_dev <= 1e-8),
-        "lower_bounds_ok": bool(
-            min(stats.min_bound_ratio_u, stats.min_bound_ratio_v) >= 0.99
-        ),
-        "det_bound_ok": bool(stats.min_det_ratio >= 0.99),
-    }
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     if cfg.coupling.lam >= 0.0:
         print("error: competitive solve requires lambda < 0", file=sys.stderr)
@@ -317,7 +278,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "iterations": res.iterations,
         "converged": res.converged,
         "multipliers": list(res.multipliers),
-        "invariants": _stats_flags(res.stats),
+        "invariants": checks.invariant_flags(res.stats),
         "config_sha256": config_digest(cfg),
     }
     writer.write_json("summary.json", summary)
@@ -460,248 +421,8 @@ def cmd_sync_threshold(cfg: RunConfig, width: float = 1e-6) -> int:
 # ---------------------------------------------------------------- verify
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    hard: bool
-    detail: str = ""
-
-
-def _check_sphere_areas():
-    targets = [
-        (1, 2.0 * math.pi),
-        (2, 4.0 * math.pi),
-        (4, 8.0 * math.pi**2 / 3.0),
-    ]
-    worst = max(abs(sphere_area(k) - v) / v for k, v in targets)
-    return worst <= 1e-12, f"max rel dev {worst:.2e}"
-
-
-def _check_quadrature():
-    worst = 0.0
-    for N in range(4, 9):
-        for m in range(2, N):
-            params = ModelParams(N=N, m=m, n=N + 1 - m, M=64)
-            grid = build_grid(params)
-            area = sphere_area(N)
-            worst = max(worst, abs(integrate(np.ones(grid.size), grid) - area) / area)
-    return worst <= 1e-10, f"max rel dev {worst:.2e}"
-
-
-def _check_weight_symmetry():
-    params = ModelParams(N=6, m=3, n=4, M=64)
-    swapped = ModelParams(N=6, m=4, n=3, M=64)
-    rng = np.random.default_rng(7)
-    theta = rng.uniform(0.0, 0.5 * math.pi, size=200)
-    w1 = orbit_weight(theta, params)
-    w2 = orbit_weight(0.5 * math.pi - theta, swapped)
-    worst = np.max(np.abs(w1 - w2) / np.maximum(np.abs(w1), 1e-300))
-    return worst <= 5e-13, f"max rel dev {worst:.2e}"
-
-
-def _check_h1_properties():
-    params = ModelParams(N=4, m=2, n=3, M=64)
-    grid = build_grid(params)
-    rng = np.random.default_rng(11)
-    ok = True
-    detail = []
-    for _ in range(5):
-        u = rng.normal(size=grid.size)
-        v = rng.normal(size=grid.size)
-        sym = abs(h1_form(u, v, grid) - h1_form(v, u, grid))
-        if sym > 1e-10:
-            ok = False
-            detail.append(f"asymmetry {sym:.2e}")
-        if h1_form(u, u, grid) <= 0.0:
-            ok = False
-            detail.append("not positive definite")
-    if h1_form(np.zeros(grid.size), np.zeros(grid.size), grid) != 0.0:
-        ok = False
-        detail.append("nonzero at zero")
-    return ok, "; ".join(detail) or "symmetric positive definite on samples"
-
-
-def _check_sobolev_dual(inject=None):
-    factor = (inject or {}).get("sobolev_factor", 1.0)
-    worst = 0.0
-    for N in (4, 5, 6):
-        s_closed = sobolev_constant(N) * factor
-        s_dual = (N * (N - 2) / 4.0) * sphere_area(N) ** (2.0 / N)
-        worst = max(worst, abs(s_closed - s_dual) / s_dual)
-    return worst <= 1e-12, f"max rel dev {worst:.2e}"
-
-
-def _random_pair(grid, rng, positive=False):
-    def profile():
-        acc = np.zeros(grid.size)
-        for j in range(1, 5):
-            acc += rng.normal(0.0, 0.5) * np.cos(2.0 * j * grid.theta) / j
-        return np.exp(acc) if positive else acc + rng.normal(0.0, 0.2)
-
-    return PairState(u=profile(), v=profile())
-
-
-def _check_gradient_fd(n_pairs=5, M=64, tol=1e-6):
-    params = ModelParams(N=4, m=2, n=3, M=M)
-    grid = build_grid(params)
-    cp = CouplingParams(mu1=1.0, mu2=1.3, alpha=2.0, beta=2.0, lam=-0.7)
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for _ in range(n_pairs):
-        pair = _random_pair(grid, rng, positive=True)
-        direction = _random_pair(grid, rng)
-        g = gradient(pair, cp, grid)
-        lhs = pair_inner(g, direction, grid)
-        eps = 1e-5
-        up = PairState(pair.u + eps * direction.u, pair.v + eps * direction.v)
-        dn = PairState(pair.u - eps * direction.u, pair.v - eps * direction.v)
-        rhs = (energy(up, cp, grid) - energy(dn, cp, grid)) / (2.0 * eps)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
-    return worst <= tol, f"max rel dev {worst:.2e} over {n_pairs} pairs"
-
-
-def _check_nehari_projection():
-    params = ModelParams(N=4, m=2, n=3, M=64)
-    grid = build_grid(params)
-    cp = CouplingParams(mu1=1.0, mu2=2.0, alpha=2.0, beta=2.0, lam=-0.5)
-    rng = np.random.default_rng(39)
-    issues = []
-    for _ in range(5):
-        pair = _random_pair(grid, rng, positive=True)
-        s, t = nehari_project(pair, cp, grid)
-        scaled = PairState(s * pair.u, t * pair.v)
-        ints = pair_integrals(scaled, cp, grid)
-        res = residuals_from_integrals(ints, cp)
-        scale = max(ints.a1, ints.a2)
-        if max(abs(res.f_val), abs(res.h_val)) > 1e-8 * scale:
-            issues.append("residuals after projection too large")
-        s2, t2 = nehari_project(scaled, cp, grid)
-        if abs(s2 - 1.0) > 1e-8 or abs(t2 - 1.0) > 1e-8:
-            issues.append("projection of on-manifold pair differs from (1,1)")
-        if ints.a1 < 0.99 * sobolev_lower_bound(cp.mu1, 4) or ints.a2 < 0.99 * sobolev_lower_bound(cp.mu2, 4):
-            issues.append("norm floor violated")
-        det = float(np.linalg.det(nehari_matrix(ints, cp, params)))
-        if det < 0.99 * nehari_det_bound(ints, cp, params):
-            issues.append("determinant bound violated")
-        base = energy(scaled, cp, grid)
-        for _ in range(20):
-            rs, rt = np.exp(rng.normal(0.0, 0.7, size=2))
-            trial = energy(PairState(rs * scaled.u, rt * scaled.v), cp, grid)
-            if trial > base + 1e-10 * abs(base):
-                issues.append("scaled energy exceeds on-manifold value")
-                break
-    return not issues, "; ".join(sorted(set(issues))) or "projection invariants hold"
-
-
-def _check_sync_diagonal():
-    inst = scalar.SyncInstance(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-0.25, N=4)
-    roots = scalar.sync_solve(inst)
-    target = math.sqrt(2.0)
-    hit = any(abs(s - target) < 1e-6 and abs(t - target) < 1e-6 for s, t in roots)
-    gone = scalar.sync_solve(replace(inst, lam=-0.5))
-    diag_left = [r for r in gone if abs(r[0] - r[1]) < 1e-6]
-    ok = hit and not diag_left
-    return ok, f"roots at -0.25: {len(roots)}, diagonal roots at -0.5: {len(diag_left)}"
-
-
-def _check_fixed_point_free():
-    ok = (
-        scalar.fixed_point_free(1.0, 2.0, -0.5)
-        and not scalar.fixed_point_free(1.0, 2.0, -0.4)
-        and scalar.fixed_point_free(2.0, 1.5, -1.4)
-    )
-    return ok, "boundary and strict cases"
-
-
-def _check_plane_identity():
-    c = scalar.plane_coeffs(1.0, 1.0, 1.0, 4.0, 2.0, 2.0)
-    es, et = scalar.plane_grad(c, 1.0, 1.0)
-    if max(abs(float(es)), abs(float(et))) > 1e-12:
-        return False, "gradient at (1,1) nonzero"
-    box = scalar.plane_box(c)
-    if not box.ok:
-        return False, "no trapping box found"
-    points, global_ok = scalar.plane_critical_points(c, box)
-    only11 = len(points) == 1 and abs(points[0].s - 1) < 1e-6 and abs(points[0].t - 1) < 1e-6
-    return only11 and global_ok, (
-        f"critical points: {[(round(p.s, 6), round(p.t, 6), p.kind) for p in points]}"
-    )
-
-
-def _check_refinement(levels=(128, 256, 512)):
-    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0)
-    opts = SolveOptions(grad_tol=1e-8, max_iters=40000)
-    energies = []
-    for M in levels:
-        grid = build_grid(ModelParams(N=4, m=2, n=3, M=M))
-        res = minimize_nehari(initial_guess("bumps", grid, 0), cp, grid, opts)
-        energies.append(res.energy)
-    d1 = abs(energies[0] - energies[1])
-    d2 = abs(energies[1] - energies[2])
-    if d2 == 0.0:
-        return True, "differences at roundoff; order check vacuous"
-    ratio = d1 / d2
-    return 2.0 <= ratio <= 8.0, (
-        f"E({levels[0]})={energies[0]:.8f} E({levels[1]})={energies[1]:.8f} "
-        f"E({levels[2]})={energies[2]:.8f}; diff ratio {ratio:.2f} (~4 expected)"
-    )
-
-
-def _soft_clambda_monotone():
-    grid = build_grid(ModelParams(N=4, m=2, n=3, M=96))
-    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0)
-    sched = geometric_schedule(-1.0, -100.0, 6)
-    result = sweep_lambda(sched, cp, grid, SolveOptions(grad_tol=1e-5))
-    return result.monotonicity_ok, "energy nondecreasing along the schedule"
-
-
-def _soft_interface_drift():
-    grid = build_grid(ModelParams(N=4, m=2, n=3, M=96))
-    opts = SolveOptions(grad_tol=1e-5)
-    thetas = []
-    for mu2 in (1.0, 2.0, 4.0):
-        cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=2.0, beta=2.0, lam=-1.0)
-        init = initial_guess("bumps", grid, 0)
-        res = minimize_limit(init.u - init.v, cp, grid, opts)
-        thetas.append(interface_locate(res.w, grid))
-    diffs = np.diff(thetas)
-    monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
-    return monotone, f"interface positions {[round(t, 4) for t in thetas]}"
-
-
-def run_checks(inject=None, include_soft=True):
-    """Run the verification battery; returns a list of CheckResult."""
-    hard = [
-        ("sphere_area_values", _check_sphere_areas),
-        ("quadrature_exactness", _check_quadrature),
-        ("orbit_weight_symmetry", _check_weight_symmetry),
-        ("h1_form_properties", _check_h1_properties),
-        ("sobolev_dual_formula", lambda: _check_sobolev_dual(inject)),
-        ("gradient_finite_difference", _check_gradient_fd),
-        ("nehari_projection", _check_nehari_projection),
-        ("sync_diagonal_closed_form", _check_sync_diagonal),
-        ("fixed_point_free_boundary", _check_fixed_point_free),
-        ("plane_function_uniqueness", _check_plane_identity),
-        ("refinement_order", _check_refinement),
-    ]
-    soft = [
-        ("clambda_monotonicity", _soft_clambda_monotone),
-        ("interface_mu2_drift", _soft_interface_drift),
-    ]
-    results = []
-    for name, fn in hard:
-        passed, detail = fn()
-        results.append(CheckResult(name=name, passed=passed, hard=True, detail=detail))
-    if include_soft:
-        for name, fn in soft:
-            passed, detail = fn()
-            results.append(CheckResult(name=name, passed=passed, hard=False, detail=detail))
-    return results
-
-
-def cmd_verify(inject=None, include_soft=True) -> int:
-    results = run_checks(inject=inject, include_soft=include_soft)
+def cmd_verify(include_soft=True) -> int:
+    results = checks.run_checks(include_soft=include_soft)
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:
@@ -762,8 +483,6 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="invariant battery")
     common(p_verify)
     p_verify.add_argument("--skip-soft", action="store_true")
-    p_verify.add_argument("--inject-bad-sobolev", action="store_true",
-                          help=argparse.SUPPRESS)
 
     p_sob = sub.add_parser("sobolev", help="print the embedding constant")
     p_sob.add_argument("--dim", type=int, default=4)
@@ -777,13 +496,11 @@ def main(argv=None) -> int:
     if args.command == "sync-threshold":
         return cmd_sync_threshold(_load_or_default(args), width=args.width)
     if args.command == "verify":
-        inject = {"sobolev_factor": 1.001} if args.inject_bad_sobolev else None
-        return cmd_verify(inject=inject, include_soft=not args.skip_soft)
+        return cmd_verify(include_soft=not args.skip_soft)
     if args.command == "sobolev":
         n = args.dim
-        s = sobolev_constant(n)
-        dual = (n * (n - 2) / 4.0) * sphere_area(n) ** (2.0 / n)
-        print(f"S({n}) = {s!r}  dual-form dev {abs(s - dual) / dual:.2e}")
+        print(f"S({n}) = {sobolev_constant(n)!r}  "
+              f"dual-form dev {checks.sobolev_dual_dev(n):.2e}")
         return 0
     return 2
 

@@ -632,7 +632,9 @@ def initial_guess(kind: str, grid: ReducedGrid, seed: int = 0) -> PairState:
     """Deterministic starting pairs: 'bumps', 'constants_split' or 'random'.
 
     'bumps' places disjointly supported caps near the two ends of the arc,
-    so the overlap integral of the pair is exactly zero.
+    so the overlap integral of the pair is exactly zero.  'random' suits the
+    single and limit solves only: its two positive profiles overlap
+    everywhere, and the pair solve raises ConvergenceError from them.
     """
     theta = grid.theta
     if kind == "bumps":

@@ -21,20 +21,23 @@ from critsep import (
     build_grid,
     energy,
     geometric_schedule,
-    gradient,
     initial_guess,
-    integrate,
     interface_locate,
     minimize_limit,
     minimize_nehari,
     minimize_single,
     sobolev_constant,
-    sphere_area,
     sweep_lambda,
     verify_tori,
 )
-from critsep.functional import pair_inner
 from critsep import scalar
+from critsep.checks import (
+    cosine_series,
+    gradient_fd_dev,
+    quadrature_dev,
+    rescaled_energy_peak,
+    sobolev_dual_dev,
+)
 
 S4 = sobolev_constant(4)
 SINGLE_LEVEL = 0.25 * S4 * S4          # = 8 pi^2 / 3
@@ -70,19 +73,8 @@ def sweep2048(grid2048):
 
 def test_criterion_1_geometry_identities():
     t0 = time.time()
-    worst_quad = 0.0
-    for N in range(4, 9):
-        for m in range(2, N):
-            grid = build_grid(ModelParams(N=N, m=m, n=N + 1 - m, M=64))
-            area = sphere_area(N)
-            worst_quad = max(
-                worst_quad, abs(integrate(np.ones(grid.size), grid) - area) / area
-            )
-    worst_dual = 0.0
-    for N in range(4, 9):
-        s = sobolev_constant(N)
-        dual = (N * (N - 2) / 4.0) * sphere_area(N) ** (2.0 / N)
-        worst_dual = max(worst_dual, abs(s - dual) / dual)
+    worst_quad = quadrature_dev()
+    worst_dual = max(sobolev_dual_dev(N) for N in range(4, 9))
     dt = time.time() - t0
     ok = worst_quad <= 1e-10 and worst_dual <= 1e-10 and dt < 1.0
     report(1, "geometry identities", ok,
@@ -210,11 +202,8 @@ def test_criterion_6_nehari_invariant_battery(grid2048, level_solves, sweep2048)
     for lam, res in level_solves.items():
         cp = replace(CP4, lam=lam)
         base = energy(res.pair, cp, grid2048)
-        for _ in range(100):
-            s, t = np.exp(rng.normal(0.0, 0.7, size=2))
-            trial = energy(PairState(s * res.pair.u, t * res.pair.v), cp, grid2048)
-            if trial > base + 1e-9 * abs(base):
-                max_prop_ok = False
+        if rescaled_energy_peak(res.pair, cp, grid2048, rng, 100) > base + 1e-9 * abs(base):
+            max_prop_ok = False
     ok = (
         worst_dev <= 1e-8
         and worst_bound >= 0.99
@@ -315,22 +304,11 @@ def test_criterion_9_gradient_correctness():
     grid = build_grid(params)
     cp = CouplingParams(mu1=1.0, mu2=1.3, alpha=2.0, beta=2.0, lam=-0.7)
     rng = np.random.default_rng(99)
-    eps = 1e-5
     worst = 0.0
     for _ in range(50):
-        def profile(positive):
-            acc = np.zeros(grid.size)
-            for j in range(1, 5):
-                acc += rng.normal(0.0, 0.5) * np.cos(2.0 * j * grid.theta) / j
-            return np.exp(acc) if positive else acc
-        pair = PairState(profile(True), profile(True))
-        direction = PairState(profile(False), profile(False))
-        g = gradient(pair, cp, grid)
-        lhs = pair_inner(g, direction, grid)
-        up = PairState(pair.u + eps * direction.u, pair.v + eps * direction.v)
-        dn = PairState(pair.u - eps * direction.u, pair.v - eps * direction.v)
-        rhs = (energy(up, cp, grid) - energy(dn, cp, grid)) / (2.0 * eps)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
+        pair = PairState(np.exp(cosine_series(grid, rng)), np.exp(cosine_series(grid, rng)))
+        direction = PairState(cosine_series(grid, rng), cosine_series(grid, rng))
+        worst = max(worst, gradient_fd_dev(pair, direction, cp, grid))
     ok = worst <= 1e-6
     report(9, "gradient correctness", ok, f"max rel dev {worst:.2e} over 50 pairs")
     assert worst <= 1e-6

@@ -12,6 +12,8 @@ from critsep import (
     SolveOptions,
     SweepSchedule,
 )
+from critsep import geometry
+from critsep.checks import run_checks
 from critsep.cli import (
     RunConfig,
     _RunWriter,
@@ -27,7 +29,6 @@ from critsep.cli import (
     default_config,
     load_config,
     main,
-    run_checks,
     save_config,
 )
 
@@ -177,8 +178,15 @@ def test_run_checks_all_hard_pass():
     assert failed == []
 
 
-def test_cmd_verify_negative_control(capsys):
-    code = cmd_verify(inject={"sobolev_factor": 1.001}, include_soft=False)
+def _bad_sobolev(monkeypatch):
+    """Scale the closed-form Sobolev constant by 1.001 for one test."""
+    exact = geometry.sobolev_constant
+    monkeypatch.setattr(geometry, "sobolev_constant", lambda N: exact(N) * 1.001)
+
+
+def test_cmd_verify_negative_control(capsys, monkeypatch):
+    _bad_sobolev(monkeypatch)
+    code = cmd_verify(include_soft=False)
     out = capsys.readouterr()
     assert code == 1
     assert "sobolev_dual_formula" in out.err
@@ -189,8 +197,10 @@ def test_main_sobolev_smoke(capsys):
     assert "S(4)" in capsys.readouterr().out
 
 
-def test_main_verify_inject(capsys):
-    assert main(["verify", "--skip-soft", "--inject-bad-sobolev"]) == 1
+def test_main_verify_inject(capsys, monkeypatch):
+    _bad_sobolev(monkeypatch)
+    assert main(["verify", "--skip-soft"]) == 1
+    assert "sobolev_dual_formula" in capsys.readouterr().err
 
 
 def test_json_output_format(tmp_path):

@@ -26,6 +26,7 @@ from critsep import (
     sobolev_constant,
     tangent_gradient,
 )
+from critsep.checks import cosine_series
 from critsep.functional import (
     _constraint_gradients,
     check_exponents,
@@ -49,14 +50,8 @@ CP_WEAK = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-0.2)
 
 def smooth_pair(seed, positive=True):
     rng = np.random.default_rng(seed)
-
-    def profile():
-        acc = np.zeros(GRID.size)
-        for j in range(1, 5):
-            acc += rng.normal(0.0, 0.5) * np.cos(2.0 * j * GRID.theta) / j
-        return np.exp(acc) if positive else acc
-
-    return PairState(u=profile(), v=profile())
+    u, v = cosine_series(GRID, rng), cosine_series(GRID, rng)
+    return PairState(np.exp(u), np.exp(v)) if positive else PairState(u, v)
 
 
 def test_coupling_params_validation():
@@ -410,19 +405,13 @@ def reference_pair_newton_direction(u, v, cp, grid):
 def _kernel_pairs(grid):
     """Overlapping positive, disjoint (exact zeros) and sign-changing pairs."""
     rng = np.random.default_rng(grid.params.N * 10 + grid.params.m)
-
-    def profile():
-        acc = np.zeros(grid.size)
-        for j in range(1, 5):
-            acc += rng.normal(0.0, 0.5) * np.cos(2.0 * j * grid.theta) / j
-        return acc
-
+    p = [cosine_series(grid, rng) for _ in range(6)]
     bumps = initial_guess("bumps", grid, 0)
     return [
-        PairState(np.exp(profile()), np.exp(profile())),
+        PairState(np.exp(p[0]), np.exp(p[1])),
         bumps,
-        PairState(bumps.u + 0.1 * profile(), bumps.v - 0.1 * profile()),
-        PairState(profile(), profile()),
+        PairState(bumps.u + 0.1 * p[2], bumps.v - 0.1 * p[3]),
+        PairState(p[4], p[5]),
     ]
 
 

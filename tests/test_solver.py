@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from critsep import (
+    ConvergenceError,
     CouplingParams,
     DegenerateInputError,
     DomainError,
@@ -109,6 +110,15 @@ def test_minimize_nehari_requires_negative_lambda():
     cp0 = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=0.0)
     with pytest.raises(DomainError):
         minimize_nehari(initial_guess("bumps", GRID, 0), cp0, GRID, OPTS)
+
+
+def test_minimize_nehari_cannot_start_from_random():
+    # both random profiles are positive everywhere, so no scaling of the
+    # pair lands on the Nehari set; the start suits single and limit solves
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=128))
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1e3)
+    with pytest.raises(ConvergenceError):
+        minimize_nehari(initial_guess("random", grid, 0), cp, grid, OPTS)
 
 
 def test_monotone_descent_trace():
