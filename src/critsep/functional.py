@@ -397,7 +397,6 @@ def nehari_project(
     grid: ReducedGrid,
     tol: float = 1e-12,
     max_iter: int = 100,
-    ints: PairIntegrals = None,
 ):
     """Unique positive (s, t) with (su, tv) on the Nehari set.
 
@@ -410,11 +409,9 @@ def nehari_project(
     solution.  Whenever a root exists it is unique, because at any root
     the scaling Hessian is negative definite (its determinant carries the
     competition-strength lower bound), so all ray critical points are
-    strict maxima.  ``ints`` are the pair's integrals, when the caller
-    already has them.
+    strict maxima.
     """
-    if ints is None:
-        ints = pair_integrals(pair, cp, grid)
+    ints = pair_integrals(pair, cp, grid)
     p = grid.params.two_star
     tiny = 1e-300
     if ints.a1 <= tiny or ints.b1 <= tiny or ints.a2 <= tiny or ints.b2 <= tiny:

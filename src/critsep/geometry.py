@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import lapack
 
 from .errors import DimensionError, DomainError
 
@@ -124,7 +124,10 @@ class ReducedGrid:
     ``weights`` are the nodal quadrature weights (trapezoid in the orbit
     weight, rescaled to sum exactly to |S^N|); ``midweights`` sample the
     orbit weight at cell midpoints and drive the stiffness part of the
-    H^1 form.  The factor of the tridiagonal H^1 operator is cached.
+    H^1 form.  The tridiagonal H^1 operator is assembled once and cached
+    (``h1_tridiagonal``), together with its L D L^T factor, which LAPACK's
+    ``pttrf`` computes on the first ``solve_h1``; the grid also owns the
+    work array of the banded pair Newton matrix (``band_work``).
     """
 
     params: ModelParams
@@ -132,22 +135,44 @@ class ReducedGrid:
     weights: np.ndarray
     midweights: np.ndarray
     h: float
-    _chol: tuple = field(default=None, repr=False, compare=False)
+    _tridiag: tuple = field(default=None, repr=False, compare=False)
+    _ldl: tuple = field(default=None, repr=False, compare=False)
+    _band: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return self.theta.size
 
-    def _operator_banded(self) -> np.ndarray:
-        wm = self.midweights / self.h
-        diag = np.zeros(self.size)
-        diag[:-1] += wm
-        diag[1:] += wm
-        diag += self.params.mass * self.weights
-        ab = np.zeros((2, self.size))
-        ab[0, 1:] = -wm
-        ab[1, :] = diag
-        return ab
+    def h1_tridiagonal(self) -> tuple:
+        """Diagonal and off-diagonal of the discrete H^1 operator, read-only.
+
+        Assembled once: the mass term first, then the stiffness of each cell
+        added to its two end nodes.  Every banded matrix built on the
+        operator (the H^1 solve and the Newton matrices of the solver)
+        starts from these two arrays.
+        """
+        if self._tridiag is None:
+            wm = self.midweights / self.h
+            diag = self.params.mass * self.weights
+            diag[:-1] += wm
+            diag[1:] += wm
+            off = -wm
+            diag.flags.writeable = off.flags.writeable = False
+            self._tridiag = diag, off
+        return self._tridiag
+
+    def band_work(self) -> np.ndarray:
+        """The zeroed (7, 2 * size) Fortran-order work array of the pair Newton matrix.
+
+        The layout is LAPACK's ``gbsv`` band storage for two sub- and two
+        superdiagonals, which ``gbsv`` overwrites with its LU factor; the
+        array is reused across calls and zeroed on each.
+        """
+        if self._band is None:
+            self._band = np.zeros((7, 2 * self.size), order="F")
+        else:
+            self._band.fill(0.0)
+        return self._band
 
     def apply_h1(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the discrete H^1 operator."""
@@ -158,10 +183,22 @@ class ReducedGrid:
         return out
 
     def solve_h1(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve K x = rhs for the discrete H^1 operator K."""
-        if self._chol is None:
-            self._chol = cholesky_banded(self._operator_banded(), lower=False)
-        return cho_solve_banded((self._chol, False), rhs)
+        """Solve K x = rhs for the discrete H^1 operator K.
+
+        Raises ValueError when rhs is not finite or has the wrong length.
+        """
+        rhs = _check_length(rhs, self, "right-hand side")
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        if self._ldl is None:
+            d, e, info = lapack.dpttrf(*self.h1_tridiagonal())
+            if info != 0:
+                raise np.linalg.LinAlgError(f"H^1 operator not positive definite ({info})")
+            self._ldl = d, e
+        x, info = lapack.dpttrs(*self._ldl, rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of pttrs")
+        return x
 
 
 def build_grid(params: ModelParams) -> ReducedGrid:

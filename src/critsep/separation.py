@@ -243,7 +243,9 @@ def sweep_lambda(
     Solver failures mark their record and the continuation proceeds from
     the last good pair.  From the fourth row on, an ok row whose overlap
     exceeds that of the previous ok row is marked "ok;overlap-increase".
-    The limit problem is started from u - v of the final pair.
+    ``monotonicity_ok`` holds when every row converged and no energy
+    decreased along the schedule (beyond a relative 1e-6).  The limit
+    problem is started from u - v of the final pair.
     """
     pair = init if init is not None else initial_guess("bumps", grid, opts.seed)
     records = []
@@ -273,8 +275,14 @@ def sweep_lambda(
             stats.append(None)
             log.warning("solve at lambda=%g failed: %s", lam, exc)
 
-    monotonicity_ok = True
+    # monotone only when every row converged and no energy decreased
     good = [r for r in records if r.status == "ok"]
+    monotonicity_ok = len(good) == len(records)
+    if not monotonicity_ok:
+        log.warning(
+            "%d of %d rows did not converge; energy monotonicity not established",
+            len(records) - len(good), len(records),
+        )
     for a, b in zip(good, good[1:]):
         if b.energy < a.energy * (1.0 - 1e-6):
             monotonicity_ok = False

@@ -9,7 +9,8 @@ and negative parts sit on their own Nehari sets (``_Limit``,
 
 A state is a tuple of per-component arrays.  A problem object lands a state
 on its constraint set and checks the norm floors (``land(x, at, k)`` returns
-the landed state, what was computed there and the energy), evaluates the
+the landed state, what was computed there and the energy; the pair takes an
+accepted trial, handed over with its integrals, as it is), evaluates the
 tangent gradient, i.e. the H^1-preconditioned energy gradient minus its part
 along the constraint gradients (``evaluate(x, at)``), lands a trial state
 (``trial(x)``), and may offer a Newton direction for the free critical
@@ -32,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .errors import CollapseError, ConvergenceError, DegenerateInputError, DomainError
 from .functional import (
@@ -173,12 +174,29 @@ def _safe_pow(x, e):
     return out
 
 
-def _tridiag_h1(grid):
-    wm = grid.midweights / grid.h
-    diag = grid.params.mass * grid.weights.copy()
-    diag[:-1] += wm
-    diag[1:] += wm
-    return diag, -wm
+def solve_banded(l_and_u, ab, rhs):
+    """Solve the banded system A x = rhs through LAPACK; ab and rhs are overwritten.
+
+    (1, 1): ``ab`` is (3, n) in the diagonal-ordered form of
+    ``scipy.linalg.solve_banded`` (``ab[1 + i - j, j] == A[i, j]``) and goes
+    to the tridiagonal ``gtsv``.  Otherwise ``ab`` is LAPACK's
+    (2l + u + 1, n) ``gbsv`` band storage in Fortran order
+    (``ab[l + u + i - j, j] == A[i, j]``, the first l rows zero for the fill
+    of the LU), factored in place.  Both eliminate with partial pivoting.
+    A non-finite matrix or right-hand side raises ValueError, a singular
+    matrix LinAlgError.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if l_and_u == (1, 1):
+        *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
+    else:
+        _lu, _piv, x, info = lapack.dgbsv(*l_and_u, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
+    return x
 
 
 def _pair_residual(u, v, f, grid):
@@ -211,17 +229,17 @@ def _pair_newton_direction(u, v, cp, grid, f):
     duu = cp.mu1 * (p - 1.0) * f.abs_u ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(u, al - 2.0) * f.v_b
     dvv = cp.mu2 * (p - 1.0) * f.abs_v ** (p - 2.0) + lam * be * (be - 1.0) * f.u_a * _safe_pow(v, be - 2.0)
     duv = lam * al * be * f.sign_u * f.sign_v * f.u_am1 * f.v_bm1
-    kdiag, koff = _tridiag_h1(grid)
-    n = grid.size
-    ab = np.zeros((5, 2 * n))
+    kdiag, koff = grid.h1_tridiagonal()
+    # rows 2..6 of the gbsv layout hold the five bands; 0 and 1 the LU fill
+    ab = grid.band_work()
     inter_off = np.repeat(koff, 2)
-    ab[0, 2:] = inter_off
-    ab[4, :-2] = inter_off
-    ab[1, 1::2] = -q * duv
-    ab[3, 0:-1:2] = -q * duv
-    ab[2, 0::2] = kdiag - q * duu
-    ab[2, 1::2] = kdiag - q * dvv
-    rhs = np.empty(2 * n)
+    ab[2, 2:] = inter_off
+    ab[6, :-2] = inter_off
+    ab[3, 1::2] = -q * duv
+    ab[5, 0:-1:2] = -q * duv
+    ab[4, 0::2] = kdiag - q * duu
+    ab[4, 1::2] = kdiag - q * dvv
+    rhs = np.empty(2 * grid.size)
     rhs[0::2] = -res_u
     rhs[1::2] = -res_v
     try:
@@ -252,7 +270,7 @@ def _limit_newton_direction(w, cp, grid):
     q = grid.weights
     mu, res = _limit_residual(w, cp, grid)
     dww = mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
-    kdiag, koff = _tridiag_h1(grid)
+    kdiag, koff = grid.h1_tridiagonal()
     ab = np.zeros((3, grid.size))
     ab[0, 1:] = koff
     ab[1, :] = kdiag - q * dww
@@ -334,7 +352,11 @@ class _Pair:
         self.stats = NehariInvariantStats()
 
     def land(self, x, ints, k):
-        x, ints, value = self.trial(x, ints)
+        # an accepted trial arrives projected, with its integrals
+        if ints is None:
+            x, ints, value = self.trial(x)
+        else:
+            value = energy_from_integrals(ints, self.cp, self.grid.params)
         if ints.a1 < self.floor_u or ints.a2 < self.floor_v:
             which = "u" if ints.a1 < self.floor_u else "v"
             raise CollapseError("a component collapsed during the solve", iteration=k, component=which)
@@ -346,10 +368,9 @@ class _Pair:
         tg, mult, g = tangent_gradient_full(PairState(*x), self.cp, self.grid, forces)
         return (tg.u, tg.v), (forces, mult, (g.u, g.v), ints)
 
-    def trial(self, x, ints=None):
-        # a landed pair is nonnegative already, so handed integrals stay valid
+    def trial(self, x):
         u, v = (np.abs(c) for c in x) if self.positive else x
-        s, t = nehari_project(PairState(u, v), self.cp, self.grid, ints=ints)
+        s, t = nehari_project(PairState(u, v), self.cp, self.grid)
         pair = PairState(s * u, t * v)
         ints = pair_integrals(pair, self.cp, self.grid)
         return (pair.u, pair.v), ints, energy_from_integrals(ints, self.cp, self.grid.params)

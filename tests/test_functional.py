@@ -39,7 +39,7 @@ from critsep.functional import (
     tangent_gradient_full,
 )
 from critsep.geometry import h1_gram
-from critsep.solver import _pair_newton_direction, _safe_pow, _tridiag_h1
+from critsep.solver import _pair_newton_direction, _safe_pow
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=128)
 GRID = build_grid(PARAMS)
@@ -365,6 +365,14 @@ def reference_tangent_gradient_full(pair, cp, grid):
     return tg, (s, t)
 
 
+def reference_tridiag_h1(grid):
+    wm = grid.midweights / grid.h
+    diag = grid.params.mass * grid.weights.copy()
+    diag[:-1] += wm
+    diag[1:] += wm
+    return diag, -wm
+
+
 def reference_pair_newton_direction(u, v, cp, grid):
     p = grid.params.two_star
     q = grid.weights
@@ -379,7 +387,7 @@ def reference_pair_newton_direction(u, v, cp, grid):
     duu = cp.mu1 * (p - 1.0) * au ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(u, al - 2.0) * av**be
     dvv = cp.mu2 * (p - 1.0) * av ** (p - 2.0) + lam * be * (be - 1.0) * au**al * _safe_pow(v, be - 2.0)
     duv = lam * al * be * np.sign(u) * np.sign(v) * au ** (al - 1.0) * av ** (be - 1.0)
-    kdiag, koff = _tridiag_h1(grid)
+    kdiag, koff = reference_tridiag_h1(grid)
     n = grid.size
     ab = np.zeros((5, 2 * n))
     inter_off = np.repeat(koff, 2)
@@ -467,21 +475,3 @@ def test_h1_gram_equals_h1_form():
     for i, x in enumerate(profiles):
         for j, y in enumerate(profiles):
             assert gram[i][j] == h1_form(x, y, GRID)
-
-
-def test_nehari_project_with_given_integrals():
-    # the closed form (disjoint), the Newton path, its grid-scan restart,
-    # and the failure raised when no positive scaling exists
-    ones = np.ones(GRID.size)
-    cases = [(initial_guess("bumps", GRID, 0), CP)]
-    cases += [(smooth_pair(seed), CP_WEAK) for seed in (4, 5, 6)]
-    cases += [(smooth_pair(seed), CP) for seed in (4, 5, 6)]
-    cases += [(PairState(ones, ones), CP)]
-    for pair, cp in cases:
-        try:
-            expected = nehari_project(pair, cp, GRID)
-        except ConvergenceError:
-            with pytest.raises(ConvergenceError):
-                nehari_project(pair, cp, GRID, ints=pair_integrals(pair, cp, GRID))
-        else:
-            assert nehari_project(pair, cp, GRID, ints=pair_integrals(pair, cp, GRID)) == expected

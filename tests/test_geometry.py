@@ -138,10 +138,21 @@ def test_h1_form_symmetry_and_positivity():
 
 
 def test_h1_solve_inverts_operator():
-    grid = build_grid(ModelParams(N=4, m=2, n=3, M=64))
     rng = np.random.default_rng(5)
-    x = rng.normal(size=grid.size)
-    assert np.allclose(grid.solve_h1(grid.apply_h1(x)), x, atol=1e-10)
+    for M in (64, 2048, 8192):
+        grid = build_grid(ModelParams(N=4, m=2, n=3, M=M))
+        x = rng.normal(size=grid.size)
+        err = np.max(np.abs(grid.solve_h1(grid.apply_h1(x)) - x))
+        assert err <= 1e-10 * np.max(np.abs(x)), M
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_h1_solve_rejects_nonfinite_input(bad):
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=64))
+    rhs = np.ones(grid.size)
+    rhs[7] = bad
+    with pytest.raises(ValueError):
+        grid.solve_h1(rhs)
 
 
 def test_sobolev_constant_values():

@@ -174,3 +174,24 @@ def test_sweep_marks_overlap_increase_after_the_monotonicity_check(monkeypatch):
     ]
     # the 3.0 -> 2.5 energy drop sits on a row that is marked afterwards
     assert not result.monotonicity_ok
+
+
+def test_sweep_without_converged_rows_is_not_monotone(monkeypatch, caplog):
+    # rows that did not converge establish no monotonicity: with every solve
+    # cut at 2 iterations no row converges, and the flag must read false
+    from dataclasses import replace
+
+    from critsep import separation
+
+    real = separation.minimize_nehari
+
+    def capped(init, cp, grid, opts):
+        return real(init, cp, grid, replace(opts, max_iters=2))
+
+    monkeypatch.setattr(separation, "minimize_nehari", capped)
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=96))
+    opts = SolveOptions(grad_tol=1e-5)
+    result = sweep_lambda(geometric_schedule(-1.0, -100.0, 6), CP, grid, opts)
+    assert [r.status for r in result.records] == ["not converged: max_iters exceeded"] * 6
+    assert not result.monotonicity_ok
+    assert "6 of 6 rows did not converge" in caplog.text

@@ -23,14 +23,13 @@ from critsep import (
 from critsep.errors import CollapseError
 from critsep.functional import (
     energy_from_integrals,
-    nehari_project,
     pair_inner,
     pair_integrals,
     residuals_from_integrals,
     sobolev_lower_bound,
     tangent_gradient_full,
 )
-from critsep.solver import _rescale_parts
+from critsep.solver import _rescale_parts, solve_banded
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=256)
 GRID = build_grid(PARAMS)
@@ -250,26 +249,39 @@ def test_minimize_nehari_returns_the_evaluation_at_its_pair(N, m, n, lam, max_it
 
 @pytest.mark.parametrize("newton", [True, False])
 def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypatch, newton):
-    # the projection at the top of an iteration takes the integrals of the
-    # accepted trial; they must be those of the pair it projects, after
-    # Newton steps and (with the Newton candidate switched off) Armijo steps
+    # only the start is projected at the top of an iteration; an accepted
+    # trial lands as it is, with the integrals it computed, and these must
+    # be those of the pair it is, after Newton steps and (with the Newton
+    # candidate switched off) Armijo steps
     from critsep import solver
 
-    handed = []
+    projections, attempts, landed = [], [], []
+    project, attempt, land = solver.nehari_project, solver._attempt, solver._Pair.land
 
-    def checked(pair, cp, grid, ints=None):
-        if ints is not None:
-            handed.append(ints == pair_integrals(pair, cp, grid))
-        return nehari_project(pair, cp, grid, ints=ints)
+    def counting_project(*args, **kwargs):
+        projections.append(1)
+        return project(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "nehari_project", checked)
+    def counting_attempt(problem, x):
+        attempts.append(1)
+        return attempt(problem, x)
+
+    def checked_land(problem, x, ints, k):
+        x, ints, value = land(problem, x, ints, k)
+        landed.append(ints == pair_integrals(PairState(*x), problem.cp, problem.grid))
+        return x, ints, value
+
+    monkeypatch.setattr(solver, "nehari_project", counting_project)
+    monkeypatch.setattr(solver, "_attempt", counting_attempt)
+    monkeypatch.setattr(solver._Pair, "land", checked_land)
     if not newton:
         monkeypatch.setattr(solver, "_pair_newton_direction", lambda *args: (None, math.inf))
     opts = SolveOptions(grad_tol=1e-6, max_iters=30)
     res = minimize_nehari(initial_guess("bumps", GRID, 0), CP, GRID, opts)
     assert res.converged == newton
-    assert len(handed) == res.iterations - 1
-    assert all(handed)
+    assert len(landed) == res.iterations
+    assert all(landed)
+    assert len(projections) == len(attempts) + 1
 
 
 @pytest.mark.parametrize(
@@ -277,7 +289,7 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
     [
         (4, 2, 3, 1.0, 20000, 1e-6, "tangent gradient below tolerance"),
         (4, 2, 3, 1.0, 3, 1e-6, "max_iters exceeded"),
-        (8, 2, 7, 2.5, 60, 1e-8, "line search stalled"),
+        (6, 2, 5, 1.0, 60, 1e-8, "line search stalled"),
     ],
 )
 def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
@@ -296,6 +308,60 @@ def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
     assert res.message == message
     _g, tg = _limit_tangent(res.w, cp, grid)
     assert res.grad_norm == math.sqrt(max(h1_form(tg, tg, grid), 0.0))
+
+
+def test_solve_energies_agree_with_the_recorded_levels():
+    # the one stated tolerance for last-bit changes of the iteration: cold
+    # N = 4 solves at M = 512 and the limit, against energies recorded when
+    # the banded solves went through scipy's wrappers
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=512))
+    init = initial_guess("bumps", grid, 0)
+    recorded = {-1.0: 176.28821812129704, -10.0: 250.80088065537007, -1e3: 325.6975785909016}
+    for lam, level in recorded.items():
+        cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=lam)
+        assert minimize_nehari(init, cp, grid, OPTS).energy == pytest.approx(level, rel=1e-12)
+    limit = minimize_limit(init.u - init.v, CP, grid, OPTS)
+    assert limit.energy == pytest.approx(365.4212356370716, rel=1e-12)
+
+
+def _banded_system(l_and_u, n, seed):
+    """A random diagonally dominant band matrix in scipy's diagonal-ordered form."""
+    rng = np.random.default_rng(seed)
+    ab = rng.normal(size=(sum(l_and_u) + 1, n))
+    ab[l_and_u[1]] += 10.0
+    return ab, rng.normal(size=n)
+
+
+def _lapack_layout(l_and_u, ab):
+    """ab as solve_banded takes it: (1, 1) as it is, else gbsv storage."""
+    if l_and_u == (1, 1):
+        return ab.copy()
+    work = np.zeros((l_and_u[0] + ab.shape[0], ab.shape[1]), order="F")
+    work[l_and_u[0]:] = ab
+    return work
+
+
+@pytest.mark.parametrize("l_and_u", [(1, 1), (2, 2)])
+def test_solve_banded_matches_scipy(l_and_u):
+    from scipy.linalg import solve_banded as scipy_solve_banded
+
+    ab, rhs = _banded_system(l_and_u, 41, 3)
+    x = solve_banded(l_and_u, _lapack_layout(l_and_u, ab), rhs.copy())
+    assert np.array_equal(x, scipy_solve_banded(l_and_u, ab, rhs))
+    ab[:, 20] = 0.0  # a zero column: singular
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_banded(l_and_u, _lapack_layout(l_and_u, ab), rhs.copy())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["matrix", "rhs"])
+@pytest.mark.parametrize("l_and_u", [(1, 1), (2, 2)])
+def test_solve_banded_rejects_nonfinite_input(l_and_u, where, bad):
+    ab, rhs = _banded_system(l_and_u, 41, 4)
+    ab = _lapack_layout(l_and_u, ab)
+    (ab if where == "matrix" else rhs)[..., 17] = bad
+    with pytest.raises(ValueError):
+        solve_banded(l_and_u, ab, rhs)
 
 
 def _nonfinite_start(kind, bad):
