@@ -17,6 +17,7 @@ carries timestamps.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -62,6 +63,12 @@ class RunConfig:
     sweep: SweepSchedule
     out_dir: str = "out"
     fmt: str = "csv"
+
+    def __post_init__(self):
+        if not self.out_dir:
+            raise DomainError("output directory must be a non-empty path")
+        if self.fmt not in ("csv", "json"):
+            raise DomainError(f"output format must be 'csv' or 'json', got {self.fmt!r}")
 
 
 def default_config() -> RunConfig:
@@ -116,9 +123,6 @@ def config_from_tree(tree: dict) -> RunConfig:
     c = tree["coupling"]
     s = tree["solver"]
     out = tree.get("output", {})
-    fmt = out.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"output format must be 'csv' or 'json', got {fmt!r}")
     return RunConfig(
         model=ModelParams(N=int(m["N"]), m=int(m["m"]), n=int(m["n"]), M=int(m["M"])),
         coupling=CouplingParams(
@@ -138,7 +142,7 @@ def config_from_tree(tree: dict) -> RunConfig:
         ),
         sweep=SweepSchedule(lambdas=tuple(float(x) for x in tree["sweep"]["lambdas"])),
         out_dir=out.get("dir", "out"),
-        fmt=fmt,
+        fmt=out.get("format", "csv"),
     )
 
 
@@ -173,18 +177,14 @@ class _RunWriter:
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def register(self, name: str) -> None:
-        with open(self.path(name), "rb") as fh:
-            blob = fh.read()
+    def write_text(self, name: str, text: str) -> None:
+        blob = text.encode()
+        with open(self.path(name), "wb") as fh:
+            fh.write(blob)
         self.files[name] = {
             "sha256": hashlib.sha256(blob).hexdigest(),
             "bytes": len(blob),
         }
-
-    def write_text(self, name: str, text: str) -> None:
-        with open(self.path(name), "w") as fh:
-            fh.write(text)
-        self.register(name)
 
     def write_json(self, name: str, obj) -> None:
         self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -212,18 +212,33 @@ def _meta_lines(cfg: RunConfig, title: str) -> str:
     )
 
 
-def _write_profile(writer, name, cfg, columns):
-    """Profile table in the configured format; columns is a name->array dict."""
-    lists = {k: np.asarray(v, dtype=float).tolist() for k, v in columns.items()}
+@functools.lru_cache(maxsize=4)
+def _grid_text(params: ModelParams) -> tuple:
+    """The theta and weight cells of a profile table on the grid of params.
+
+    They depend on the grid alone, so every profile written on one grid in
+    a process shares them (about 1.2 MB of strings at M = 8192).
+    """
+    grid = build_grid(params)
+    return tuple(map(repr, grid.theta.tolist())), tuple(map(repr, grid.weights.tolist()))
+
+
+def _write_profile(writer, name, cfg, grid, u, v):
+    """Profile table (theta, u, v, weight) on grid in the configured format."""
+    u = np.asarray(u, dtype=float).tolist()
+    v = np.asarray(v, dtype=float).tolist()
     if cfg.fmt == "json":
+        lists = {"theta": grid.theta.tolist(), "u": u, "v": v,
+                 "weight": grid.weights.tolist()}
         writer.write_json(name + ".json", lists)
         return name + ".json"
-    header = ",".join(columns)
+    theta, weight = _grid_text(grid.params)
     # repr of a Python float is the shortest round-trip form, as
-    # repr(float(x)) of a numpy scalar; the strings are made as the rows
-    # are joined, so no list of strings per column is held
-    rows = "\n".join(map(",".join, zip(*(map(repr, col) for col in lists.values()))))
-    writer.write_text(name + ".csv", _meta_lines(cfg, name) + header + "\n" + rows + "\n")
+    # repr(float(x)) of a numpy scalar; the u and v strings are made as the
+    # rows are joined, so no list of strings per column is held
+    rows = "\n".join(map(",".join, zip(theta, map(repr, u), map(repr, v), weight)))
+    writer.write_text(name + ".csv",
+                      _meta_lines(cfg, name) + "theta,u,v,weight\n" + rows + "\n")
     return name + ".csv"
 
 
@@ -263,12 +278,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 4
 
-    _write_profile(
-        writer,
-        "profile",
-        cfg,
-        {"theta": grid.theta, "u": res.pair.u, "v": res.pair.v, "weight": grid.weights},
-    )
+    _write_profile(writer, "profile", cfg, grid, res.pair.u, res.pair.v)
     summary = {
         "energy": res.energy,
         "grad_norm": res.grad_norm,
@@ -348,28 +358,11 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
         writer.write_text("plotdata.csv", meta + table)
 
     if result.limit_result is not None:
-        _write_profile(
-            writer,
-            "limit_profile",
-            cfg,
-            {
-                "theta": grid.theta,
-                "u": np.maximum(result.limit_result.w, 0.0),
-                "v": np.maximum(-result.limit_result.w, 0.0),
-                "weight": grid.weights,
-            },
-        )
-    _write_profile(
-        writer,
-        "warmstart_profile",
-        cfg,
-        {
-            "theta": grid.theta,
-            "u": result.final_pair.u,
-            "v": result.final_pair.v,
-            "weight": grid.weights,
-        },
-    )
+        w = result.limit_result.w
+        _write_profile(writer, "limit_profile", cfg, grid,
+                       np.maximum(w, 0.0), np.maximum(-w, 0.0))
+    _write_profile(writer, "warmstart_profile", cfg, grid,
+                   result.final_pair.u, result.final_pair.v)
     n_ok = sum(1 for r in result.records if r.status.startswith("ok"))
     writer.write_json(
         "sweep_summary.json",
@@ -441,9 +434,9 @@ def cmd_verify(include_soft=True) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         cfg = replace(cfg, model=replace(cfg.model, M=args.grid))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
@@ -489,12 +482,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    if args.command in ("solve", "sweep", "sync-threshold"):
+        try:
+            cfg = _load_or_default(args)
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "solve":
-        return cmd_solve(_load_or_default(args))
+        return cmd_solve(cfg)
     if args.command == "sweep":
-        return cmd_sweep(_load_or_default(args), resume=args.resume)
+        return cmd_sweep(cfg, resume=args.resume)
     if args.command == "sync-threshold":
-        return cmd_sync_threshold(_load_or_default(args), width=args.width)
+        return cmd_sync_threshold(cfg, width=args.width)
     if args.command == "verify":
         return cmd_verify(include_soft=not args.skip_soft)
     if args.command == "sobolev":

@@ -18,6 +18,7 @@ from critsep.cli import (
     RunConfig,
     _RunWriter,
     _meta_lines,
+    _grid_text,
     _write_profile,
     cmd_solve,
     cmd_sweep,
@@ -31,6 +32,7 @@ from critsep.cli import (
     main,
     save_config,
 )
+from critsep.errors import DomainError
 
 
 def tiny_config(out_dir, M=64, lam=-1.0, lambdas=(-1.0, -3.0, -10.0, -30.0)):
@@ -215,29 +217,78 @@ def test_json_output_format(tmp_path):
     assert len(data["theta"]) == cfg.model.M + 1
 
 
+def _expected_profile_csv(cfg, grid, u, v):
+    rows = [",".join(repr(float(x)) for x in vals)
+            for vals in zip(grid.theta, u, v, grid.weights)]
+    return _meta_lines(cfg, "profile") + "theta,u,v,weight\n" + "\n".join(rows) + "\n"
+
+
 def test_profile_writer_matches_per_row_repr(tmp_path):
     # repr switches between fixed and scientific notation at 1e-4 and 1e16
     edge = [1e-5, 1e-4, 9.999999999999999e-05, 1e16, 1e15, 9999999999999998.0,
             -0.0, 0.0, 5e-324, 0.1 + 0.2, -1e-5, 1.0]
+    cfg = tiny_config(tmp_path, M=16)
+    grid = geometry.build_grid(cfg.model)
     rng = np.random.default_rng(7)
-    n = 200
-    columns = {
-        "theta": np.array(edge * (n // len(edge)) + edge[: n % len(edge)]),
-        "u": rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-20, 20, n),
-        "v": rng.standard_normal(n),
-        "weight": rng.uniform(0.0, 1e-3, n),
-    }
-    cfg = tiny_config(tmp_path)
-    _write_profile(_RunWriter(cfg), "profile", cfg, columns)
-    rows = [",".join(repr(float(x)) for x in vals) for vals in zip(*columns.values())]
-    expected = _meta_lines(cfg, "profile") + "theta,u,v,weight\n" + "\n".join(rows) + "\n"
-    assert (tmp_path / "profile.csv").read_text() == expected
+    n = grid.size
+    u = np.array(edge + list(rng.uniform(-1.0, 1.0, n - len(edge))
+                             * 10.0 ** rng.integers(-20, 20, n - len(edge))))
+    v = np.array(edge[::-1] + list(rng.standard_normal(n - len(edge))))
+    _write_profile(_RunWriter(cfg), "profile", cfg, grid, u, v)
+    assert (tmp_path / "profile.csv").read_text() == _expected_profile_csv(cfg, grid, u, v)
 
     cfg = replace(cfg, fmt="json")
-    _write_profile(_RunWriter(cfg), "profile", cfg, columns)
-    lists = {k: [float(x) for x in v] for k, v in columns.items()}
+    _write_profile(_RunWriter(cfg), "profile", cfg, grid, u, v)
+    lists = {k: [float(x) for x in col]
+             for k, col in zip(("theta", "u", "v", "weight"),
+                               (grid.theta, u, v, grid.weights))}
     expected = json.dumps(lists, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "profile.json").read_text() == expected
+
+
+def test_profile_grid_columns_follow_the_split_not_only_M(tmp_path):
+    # same M, different (N, m, n), so different weights: each file carries
+    # the weight column of its own grid, not a cached one keyed on M
+    for model in (ModelParams(N=4, m=2, n=3, M=32), ModelParams(N=5, m=3, n=3, M=32)):
+        cfg = replace(tiny_config(tmp_path / str(model.N)), model=model)
+        grid = geometry.build_grid(model)
+        u = np.linspace(0.0, 1.0, grid.size)
+        _write_profile(_RunWriter(cfg), "profile", cfg, grid, u, u[::-1])
+        assert (tmp_path / str(model.N) / "profile.csv").read_text() == \
+            _expected_profile_csv(cfg, grid, u, u[::-1])
+
+
+def test_sweep_profiles_share_one_grid_text_entry(tmp_path):
+    cfg = tiny_config(tmp_path / "sweep", M=48, lambdas=(-1.0, -2.0))
+    misses = _grid_text.cache_info().misses
+    assert cmd_sweep(cfg) == 0
+    assert (tmp_path / "sweep" / "limit_profile.csv").exists()
+    assert (tmp_path / "sweep" / "warmstart_profile.csv").exists()
+    assert _grid_text.cache_info().misses - misses <= 1
+
+
+@pytest.mark.parametrize("grid", ["0", "8"])
+def test_main_rejects_a_small_grid_override(tmp_path, capsys, grid):
+    out = tmp_path / "run"
+    assert main(["solve", "--grid", grid, "--out", str(out)]) == 2
+    assert "need at least 16 grid cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys):
+    tree = config_to_tree(default_config())
+    tree["model"]["M"] = "4"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tree))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "need at least 16 grid cells" in capsys.readouterr().err
+
+
+def test_config_rejects_an_empty_output_directory(tmp_path, capsys):
+    with pytest.raises(DomainError):
+        replace(default_config(), out_dir="")
+    assert main(["solve", "--out", ""]) == 2
+    assert "output directory" in capsys.readouterr().err
 
 
 def test_cmd_sweep_json_rows_equal_the_csv_cells(tmp_path):
