@@ -153,8 +153,14 @@ def save_config(cfg: RunConfig, path: str) -> None:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        return config_from_tree(json.load(fh))
+    """The config in a file; a file that cannot be read or parsed raises DomainError."""
+    try:
+        with open(path) as fh:
+            return config_from_tree(json.load(fh))
+    except DomainError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DomainError(f"bad config file {path!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -324,9 +330,6 @@ def _sweep_rows(records, limit_record) -> list:
 
 
 def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
-    if any(l >= 0 for l in cfg.sweep.lambdas):
-        print("error: sweep schedule must be negative", file=sys.stderr)
-        return 2
     try:
         check_exponents(cfg.coupling, cfg.model)
     except DomainError as exc:
@@ -455,26 +458,26 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_args(p, solves=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="solver seed override")
-        p.add_argument("--grid", type=int, help="grid size override (M)")
+        if solves:
+            p.add_argument("--seed", type=int, help="solver seed override")
+            p.add_argument("--grid", type=int, help="grid size override (M)")
 
     p_solve = sub.add_parser("solve", help="single-lambda minimization")
-    common(p_solve)
+    config_args(p_solve)
 
     p_sweep = sub.add_parser("sweep", help="lambda continuation")
-    common(p_sweep)
+    config_args(p_sweep)
     p_sweep.add_argument("--resume", action="store_true",
                          help="warm-start from a persisted profile")
 
     p_sync = sub.add_parser("sync-threshold", help="synchronized-solution threshold")
-    common(p_sync)
+    config_args(p_sync, solves=False)
     p_sync.add_argument("--width", type=float, default=1e-6)
 
     p_verify = sub.add_parser("verify", help="invariant battery")
-    common(p_verify)
     p_verify.add_argument("--skip-soft", action="store_true")
 
     p_sob = sub.add_parser("sobolev", help="print the embedding constant")

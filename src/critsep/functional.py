@@ -29,6 +29,13 @@ gives the powers, signs and forces of a pair, and the energy gradient, the
 two constraint gradients and the solver's Newton step all read from it.  A
 caller that needs several of them at one pair evaluates the kernel once and
 hands it to each.
+
+The pair, the single component and the sign-changing limit problem share
+one one-component algebra, written once here: the norms (a, b) of a
+component, the ray scale (a/b)^(1/(2*-2)) onto its Nehari set and the 2x2
+Gram projection off two constraint gradients.  The limit problem, which puts
+w+ and w- each on its own Nehari set (the lambda -> -inf image of the pair),
+lives at the end of this module.
 """
 
 import math
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CollapseError,
     ConvergenceError,
     DegenerateConstraintError,
     DegenerateInputError,
@@ -58,6 +66,8 @@ __all__ = [
     "PairIntegrals",
     "PairState",
     "check_exponents",
+    "component_norms",
+    "coupling_integral",
     "energy",
     "gradient",
     "limit_energy",
@@ -67,6 +77,7 @@ __all__ = [
     "nehari_project",
     "pair_forces",
     "pair_integrals",
+    "ray_scale",
     "residuals",
     "single_project",
     "sobolev_lower_bound",
@@ -126,21 +137,30 @@ class PairIntegrals:
     coupling: float
 
 
-def _crit_power(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|^p, safe for p > 0."""
-    return np.abs(x) ** p
+def _crit_integral(x: np.ndarray, mu: float, grid: ReducedGrid) -> float:
+    """mu * int |x|^{2*}."""
+    return mu * integrate(np.abs(x) ** grid.params.two_star, grid)
+
+
+def component_norms(x: np.ndarray, mu: float, grid: ReducedGrid) -> tuple:
+    """(a, b) = (|x|_{H^1}^2, mu * int |x|^{2*}) of one component."""
+    return h1_form(x, x, grid), _crit_integral(x, mu, grid)
+
+
+def coupling_integral(u: np.ndarray, v: np.ndarray, cp: CouplingParams, grid: ReducedGrid) -> float:
+    """int |u|^alpha |v|^beta."""
+    return integrate(np.abs(u) ** cp.alpha * np.abs(v) ** cp.beta, grid)
+
+
+def ray_scale(a: float, b: float, p: float) -> float:
+    """The s > 0 with s^2 a = s^p b, which puts s x on its one-component Nehari set."""
+    return (a / b) ** (1.0 / (p - 2.0))
 
 
 def pair_integrals(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairIntegrals:
-    p = grid.params.two_star
-    u, v = pair.u, pair.v
-    return PairIntegrals(
-        a1=h1_form(u, u, grid),
-        b1=cp.mu1 * integrate(_crit_power(u, p), grid),
-        a2=h1_form(v, v, grid),
-        b2=cp.mu2 * integrate(_crit_power(v, p), grid),
-        coupling=integrate(_crit_power(u, cp.alpha) * _crit_power(v, cp.beta), grid),
-    )
+    a1, b1 = component_norms(pair.u, cp.mu1, grid)
+    a2, b2 = component_norms(pair.v, cp.mu2, grid)
+    return PairIntegrals(a1, b1, a2, b2, coupling_integral(pair.u, pair.v, cp, grid))
 
 
 def energy_from_integrals(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> float:
@@ -284,21 +304,29 @@ def tangent_gradient_full(
     gf, gh = _constraint_gradients(pair, cp, grid, f)
     gram_u = h1_gram((g.u, gf.u, gh.u), grid)
     gram_v = h1_gram((g.v, gf.v, gh.v), grid)
-    g11 = gram_u[1][1] + gram_v[1][1]
-    g12 = gram_u[1][2] + gram_v[1][2]
-    g22 = gram_u[2][2] + gram_v[2][2]
+    s, t = _gram_multipliers(
+        [[x + y for x, y in zip(row_u, row_v)] for row_u, row_v in zip(gram_u, gram_v)]
+    )
+    tg = PairState(u=g.u - s * gf.u - t * gh.u, v=g.v - s * gf.v - t * gh.v)
+    return tg, (s, t), g
+
+
+def _gram_multipliers(gram):
+    """The (s, t) that make g - s*gf - t*gh orthogonal to gf and gh.
+
+    ``gram`` is the H^1 Gram matrix of (g, gf, gh); the 2x2 system is solved
+    by Cramer's rule.  Raises DegenerateConstraintError when gf and gh are
+    numerically dependent.
+    """
+    g11, g12, g22 = gram[1][1], gram[1][2], gram[2][2]
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * max(g11 * g22, 1e-300):
         raise DegenerateConstraintError(
             "constraint gradients are numerically dependent; "
             "the Nehari set is degenerate here (is lambda < 0?)"
         )
-    r1 = gram_u[0][1] + gram_v[0][1]
-    r2 = gram_u[0][2] + gram_v[0][2]
-    s = (r1 * g22 - r2 * g12) / det
-    t = (r2 * g11 - r1 * g12) / det
-    tg = PairState(u=g.u - s * gf.u - t * gh.u, v=g.v - s * gf.v - t * gh.v)
-    return tg, (s, t), g
+    r1, r2 = gram[0][1], gram[0][2]
+    return (r1 * g22 - r2 * g12) / det, (r2 * g11 - r1 * g12) / det
 
 
 def nehari_matrix(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> np.ndarray:
@@ -325,28 +353,30 @@ def nehari_det_bound(ints: PairIntegrals, cp: CouplingParams, params: ModelParam
 
 def single_project(u: np.ndarray, mu: float, grid: ReducedGrid) -> float:
     """Scale factor putting a single nonzero profile on its Nehari set."""
-    p = grid.params.two_star
-    a = h1_form(u, u, grid)
-    b = mu * integrate(_crit_power(u, p), grid)
+    a, b = component_norms(u, mu, grid)
     if a <= 0.0 or b <= 0.0:
         raise DegenerateInputError("cannot project the zero profile")
-    return (a / b) ** (1.0 / (p - 2.0))
+    return ray_scale(a, b, grid.params.two_star)
+
+
+def _scaled_component(x, a, b, coupling_term, p):
+    """Residual x^2 a - x^p b - coupling_term and its scale (all signs positive)."""
+    quad, crit = x * x * a, x**p * b
+    return quad - crit - coupling_term, quad + crit - coupling_term
 
 
 def _scaled_residuals(s, t, ints, cp, p):
+    """Nehari residuals (f, h) of (su, tv), their scales and the mixed term; s, t may be arrays."""
     mixed = s**cp.alpha * t**cp.beta * ints.coupling
-    f = s * s * ints.a1 - s**p * ints.b1 - cp.lam * cp.alpha * mixed
-    h = t * t * ints.a2 - t**p * ints.b2 - cp.lam * cp.beta * mixed
-    return f, h, mixed
+    f, sc_f = _scaled_component(s, ints.a1, ints.b1, cp.lam * cp.alpha * mixed, p)
+    h, sc_h = _scaled_component(t, ints.a2, ints.b2, cp.lam * cp.beta * mixed, p)
+    return f, h, sc_f, sc_h, mixed
 
 
 def _scaling_newton(s, t, ints, cp, p, tol, max_iter):
     """Damped Newton for the 2x2 scaling system; None when it stalls."""
-    f, h, mixed = _scaled_residuals(s, t, ints, cp, p)
+    f, h, sc_f, sc_h, mixed = _scaled_residuals(s, t, ints, cp, p)
     for _ in range(max_iter):
-        # residual scale: same monomials with all signs positive
-        sc_f = s * s * ints.a1 + s**p * ints.b1 - cp.lam * cp.alpha * mixed
-        sc_h = t * t * ints.a2 + t**p * ints.b2 - cp.lam * cp.beta * mixed
         if abs(f) <= tol * sc_f and abs(h) <= tol * sc_h:
             return s, t
         fs = 2.0 * s * ints.a1 - p * s ** (p - 1.0) * ints.b1 - cp.lam * cp.alpha**2 * mixed / s
@@ -364,11 +394,9 @@ def _scaling_newton(s, t, ints, cp, p, tol, max_iter):
         while step > 1e-14:
             s_new, t_new = s + step * ds, t + step * dt
             if s_new > 0.0 and t_new > 0.0:
-                f_new, h_new, mixed_new = _scaled_residuals(s_new, t_new, ints, cp, p)
-                sfn = s_new**2 * ints.a1 + s_new**p * ints.b1 - cp.lam * cp.alpha * mixed_new
-                shn = t_new**2 * ints.a2 + t_new**p * ints.b2 - cp.lam * cp.beta * mixed_new
-                if math.hypot(f_new / sfn, h_new / shn) < norm0:
-                    s, t, f, h, mixed = s_new, t_new, f_new, h_new, mixed_new
+                new = _scaled_residuals(s_new, t_new, ints, cp, p)
+                if math.hypot(new[0] / new[2], new[1] / new[3]) < norm0:
+                    s, t, (f, h, sc_f, sc_h, mixed) = s_new, t_new, new
                     improved = True
                     break
             step *= 0.5
@@ -381,11 +409,7 @@ def _scaling_grid_start(ints, cp, p, n=48):
     """Best (s, t) on a coarse log grid, by scale-relative residual."""
     g = np.geomspace(1e-3, 1e3, n)
     s, t = np.meshgrid(g, g, indexing="ij")
-    mixed = s**cp.alpha * t**cp.beta * ints.coupling
-    f = s * s * ints.a1 - s**p * ints.b1 - cp.lam * cp.alpha * mixed
-    h = t * t * ints.a2 - t**p * ints.b2 - cp.lam * cp.beta * mixed
-    sc_f = s * s * ints.a1 + s**p * ints.b1 - cp.lam * cp.alpha * mixed
-    sc_h = t * t * ints.a2 + t**p * ints.b2 - cp.lam * cp.beta * mixed
+    f, h, sc_f, sc_h, _ = _scaled_residuals(s, t, ints, cp, p)
     score = np.hypot(f / sc_f, h / sc_h)
     i, j = np.unravel_index(np.argmin(score), score.shape)
     return float(g[i]), float(g[j])
@@ -416,8 +440,7 @@ def nehari_project(
     tiny = 1e-300
     if ints.a1 <= tiny or ints.b1 <= tiny or ints.a2 <= tiny or ints.b2 <= tiny:
         raise DegenerateInputError("both components must be nonzero to project")
-    s0 = (ints.a1 / ints.b1) ** (1.0 / (p - 2.0))
-    t0 = (ints.a2 / ints.b2) ** (1.0 / (p - 2.0))
+    s0, t0 = ray_scale(ints.a1, ints.b1, p), ray_scale(ints.a2, ints.b2, p)
     if ints.coupling == 0.0:
         return s0, t0
     root = _scaling_newton(s0, t0, ints, cp, p, tol, max_iter)
@@ -425,7 +448,7 @@ def nehari_project(
         s1, t1 = _scaling_grid_start(ints, cp, p)
         root = _scaling_newton(s1, t1, ints, cp, p, tol, max_iter)
     if root is None:
-        f, h, _ = _scaled_residuals(s0, t0, ints, cp, p)
+        f, h, *_ = _scaled_residuals(s0, t0, ints, cp, p)
         raise ConvergenceError(
             "Nehari scaling system did not converge",
             residual=math.hypot(f, h),
@@ -434,28 +457,79 @@ def nehari_project(
     return root
 
 
-def _positive_part(w):
-    return np.maximum(w, 0.0)
-
-
-def _negative_part(w):
-    return np.minimum(w, 0.0)
+# ------------------------------------------------------- limit functional
 
 
 def limit_energy(w: np.ndarray, cp: CouplingParams, grid: ReducedGrid) -> float:
     """Energy of the single sign-changing limit problem."""
-    p = grid.params.two_star
-    wp = _positive_part(w)
-    wm = _negative_part(w)
-    bulk = cp.mu1 * integrate(wp**p, grid) + cp.mu2 * integrate((-wm) ** p, grid)
-    return 0.5 * h1_form(w, w, grid) - bulk / p
+    bulk = _crit_integral(np.maximum(w, 0.0), cp.mu1, grid) + _crit_integral(
+        np.minimum(w, 0.0), cp.mu2, grid
+    )
+    return 0.5 * h1_form(w, w, grid) - bulk / grid.params.two_star
 
 
 def limit_residuals(w: np.ndarray, cp: CouplingParams, grid: ReducedGrid):
     """Nehari residuals of the positive and negative parts of w."""
+    ap, bp = component_norms(np.maximum(w, 0.0), cp.mu1, grid)
+    am, bm = component_norms(np.minimum(w, 0.0), cp.mu2, grid)
+    return ap - bp, am - bm
+
+
+def _limit_force(w, cp, p):
+    """The weight (mu1 where w > 0, mu2 elsewhere) and the limit force mu sign(w)|w|^(2*-1)."""
+    mu = np.where(w > 0.0, cp.mu1, cp.mu2)
+    return mu, mu * _crit_force(w, p)
+
+
+def _limit_residual(w, cp, grid):
+    """The weight mu and the nodal residual K w - q mu f(w) of the limit equation."""
+    mu, force = _limit_force(w, cp, grid.params.two_star)
+    return mu, grid.apply_h1(w) - grid.weights * force
+
+
+def _rescale_parts(w, cp, grid, floor_p, floor_m, iteration):
+    """w+ and w- each scaled onto its Nehari set; CollapseError when a part is lost."""
     p = grid.params.two_star
-    wp = _positive_part(w)
-    wm = _negative_part(w)
-    rp = h1_form(wp, wp, grid) - cp.mu1 * integrate(wp**p, grid)
-    rm = h1_form(wm, wm, grid) - cp.mu2 * integrate((-wm) ** p, grid)
-    return rp, rm
+    wp = np.maximum(w, 0.0)
+    wm = np.minimum(w, 0.0)
+    ap, bp = component_norms(wp, cp.mu1, grid)
+    am, bm = component_norms(wm, cp.mu2, grid)
+    if ap <= 0.0 or bp <= 0.0:
+        raise CollapseError("positive part collapsed", iteration=iteration, component="w+")
+    if am <= 0.0 or bm <= 0.0:
+        raise CollapseError("negative part collapsed", iteration=iteration, component="w-")
+    s, t = ray_scale(ap, bp, p), ray_scale(am, bm, p)
+    # the norm floors apply to the rescaled (on-set) parts, not the raw split
+    if s * s * ap < floor_p:
+        raise CollapseError("positive part collapsed", iteration=iteration, component="w+")
+    if t * t * am < floor_m:
+        raise CollapseError("negative part collapsed", iteration=iteration, component="w-")
+    return s * wp + t * wm
+
+
+def _limit_constraint_gradients(w, cp, grid):
+    """Riesz gradients of the Nehari residual functionals of w+ and w-."""
+    p = grid.params.two_star
+    q = grid.weights
+    wp = np.maximum(w, 0.0)
+    wm = np.minimum(w, 0.0)
+    gf_p = grid.solve_h1(
+        np.where(w > 0.0, 2.0 * grid.apply_h1(wp), 0.0) - q * p * cp.mu1 * wp ** (p - 1.0)
+    )
+    gf_m = grid.solve_h1(
+        np.where(w < 0.0, 2.0 * grid.apply_h1(wm), 0.0) - q * p * cp.mu2 * _crit_force(wm, p)
+    )
+    return gf_p, gf_m
+
+
+def _limit_tangent(w, cp, grid):
+    """Tangential part of the preconditioned limit-energy gradient.
+
+    Raises DegenerateConstraintError, as the pair does, when the two
+    constraint gradients are numerically dependent.
+    """
+    _mu, force = _limit_force(w, cp, grid.params.two_star)
+    g = w - grid.solve_h1(grid.weights * force)
+    gf_p, gf_m = _limit_constraint_gradients(w, cp, grid)
+    c1, c2 = _gram_multipliers(h1_gram((g, gf_p, gf_m), grid))
+    return g - c1 * gf_p - c2 * gf_m

@@ -27,7 +27,7 @@ from .errors import (
     DomainError,
     TopologyError,
 )
-from .functional import CouplingParams, PairState
+from .functional import CouplingParams, PairState, coupling_integral
 from .geometry import ReducedGrid
 from .solver import (
     LimitResult,
@@ -51,6 +51,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SIGN_DEADBAND = 1e-12  # relative; nodes this far below the peak count as zero
+# a solve that raises one of these fails its row and the sweep goes on
+SOLVE_ERRORS = (CollapseError, ConvergenceError, DegenerateInputError, DegenerateConstraintError)
 
 
 @dataclass(frozen=True)
@@ -208,23 +210,30 @@ def verify_tori(w: np.ndarray, grid: ReducedGrid) -> ToriReport:
     )
 
 
-def _record_from_result(lam, res, pair, cp, grid):
-    overlap = float(
-        np.dot(
-            grid.weights,
-            np.abs(pair.u) ** cp.alpha * np.abs(pair.v) ** cp.beta,
-        )
-    )
+def _interface_or_nan(profile, grid):
+    """interface_locate, or NaN when the profile has no single sign change."""
     try:
-        theta0 = interface_locate(pair, grid)
+        return interface_locate(profile, grid)
     except TopologyError:
-        theta0 = math.nan
+        return math.nan
+
+
+def _failed_record(lam, exc):
+    """The all-NaN row of a solve that raised."""
+    nan = math.nan
+    return SweepRecord(lam=lam, energy=nan, overlap=nan, lambda_overlap=nan,
+                       interface_theta=nan, max_pointwise_product=nan, solver_iters=0,
+                       status=f"failed: {type(exc).__name__}: {exc}")
+
+
+def _record_from_result(lam, res, pair, cp, grid):
+    overlap = coupling_integral(pair.u, pair.v, cp, grid)
     return SweepRecord(
         lam=lam,
         energy=res.energy,
         overlap=overlap,
         lambda_overlap=-lam * overlap,
-        interface_theta=theta0,
+        interface_theta=_interface_or_nan(pair, grid),
         max_pointwise_product=float(np.max(pair.u * pair.v)),
         solver_iters=res.iterations,
         status="ok" if res.converged else f"not converged: {res.message}",
@@ -257,21 +266,9 @@ def sweep_lambda(
             pair = res.pair
             records.append(_record_from_result(lam, res, pair, cp, grid))
             stats.append(res.stats)
-        except (CollapseError, ConvergenceError, DegenerateInputError,
-                DegenerateConstraintError) as exc:
+        except SOLVE_ERRORS as exc:
             # keep partial results on solver failure
-            records.append(
-                SweepRecord(
-                    lam=lam,
-                    energy=math.nan,
-                    overlap=math.nan,
-                    lambda_overlap=math.nan,
-                    interface_theta=math.nan,
-                    max_pointwise_product=math.nan,
-                    solver_iters=0,
-                    status=f"failed: {type(exc).__name__}: {exc}",
-                )
-            )
+            records.append(_failed_record(lam, exc))
             stats.append(None)
             log.warning("solve at lambda=%g failed: %s", lam, exc)
 
@@ -305,33 +302,19 @@ def sweep_lambda(
     w0 = pair.u - pair.v
     try:
         limit_res = minimize_limit(w0, cp_base, grid, opts)
-        try:
-            theta0 = interface_locate(limit_res.w, grid)
-        except TopologyError:
-            theta0 = math.nan
         limit_record = SweepRecord(
             lam=-math.inf,
             energy=limit_res.energy,
             overlap=0.0,
             lambda_overlap=0.0,
-            interface_theta=theta0,
+            interface_theta=_interface_or_nan(limit_res.w, grid),
             max_pointwise_product=0.0,
             solver_iters=limit_res.iterations,
             status="ok" if limit_res.converged else f"not converged: {limit_res.message}",
         )
-    except (CollapseError, ConvergenceError, DegenerateInputError,
-            DegenerateConstraintError) as exc:
+    except SOLVE_ERRORS as exc:
         limit_res = None
-        limit_record = SweepRecord(
-            lam=-math.inf,
-            energy=math.nan,
-            overlap=math.nan,
-            lambda_overlap=math.nan,
-            interface_theta=math.nan,
-            max_pointwise_product=math.nan,
-            solver_iters=0,
-            status=f"failed: {type(exc).__name__}: {exc}",
-        )
+        limit_record = _failed_record(-math.inf, exc)
         log.warning("limit solve failed: %s", exc)
     return SweepResult(
         records=records,

@@ -5,7 +5,8 @@ pair on the invariant Nehari set (``_Pair``, ``minimize_nehari``), one
 component on its Nehari set, the level of the strict level gap (``_Single``,
 ``minimize_single``), and the sign-changing limit problem whose positive
 and negative parts sit on their own Nehari sets (``_Limit``,
-``minimize_limit``).
+``minimize_limit``).  The formulas they are built from live in ``functional``;
+this module keeps the driver, the problems and the two Newton directions.
 
 A state is a tuple of per-component arrays.  A problem object lands a state
 on its constraint set and checks the norm floors (``land(x, at, k)`` returns
@@ -41,7 +42,11 @@ from .functional import (
     NehariResiduals,
     PairState,
     _crit_force,
+    _limit_residual,
+    _limit_tangent,
+    _rescale_parts,
     check_exponents,
+    component_norms,
     energy_from_integrals,
     limit_energy,
     limit_residuals,
@@ -50,12 +55,13 @@ from .functional import (
     nehari_project,
     pair_forces,
     pair_integrals,
+    ray_scale,
     residuals_from_integrals,
     single_project,
     sobolev_lower_bound,
     tangent_gradient_full,
 )
-from .geometry import HALF_PI, ReducedGrid, h1_form, integrate
+from .geometry import HALF_PI, ReducedGrid, h1_form
 
 __all__ = [
     "LimitResult",
@@ -252,18 +258,6 @@ def _pair_newton_direction(u, v, cp, grid, f):
     return (sol[0::2], sol[1::2]), res_norm
 
 
-def _limit_force(w, cp, p):
-    """The weight (mu1 where w > 0, mu2 elsewhere) and the limit force mu sign(w)|w|^(2*-1)."""
-    mu = np.where(w > 0.0, cp.mu1, cp.mu2)
-    return mu, mu * _crit_force(w, p)
-
-
-def _limit_residual(w, cp, grid):
-    """The weight mu and the nodal residual K w - q mu f(w) of the limit equation."""
-    mu, force = _limit_force(w, cp, grid.params.two_star)
-    return mu, grid.apply_h1(w) - grid.weights * force
-
-
 def _limit_newton_direction(w, cp, grid):
     """Newton direction (a one-component state) for the limit equation, and the residual norm."""
     p = grid.params.two_star
@@ -282,58 +276,6 @@ def _limit_newton_direction(w, cp, grid):
     if not np.isfinite(sol).all():
         return None, math.inf
     return (sol,), float(np.linalg.norm(res))
-
-
-def _rescale_parts(w, cp, grid, floor_p, floor_m, iteration):
-    p = grid.params.two_star
-    wp = np.maximum(w, 0.0)
-    wm = np.minimum(w, 0.0)
-    ap = h1_form(wp, wp, grid)
-    bp = cp.mu1 * integrate(wp**p, grid)
-    am = h1_form(wm, wm, grid)
-    bm = cp.mu2 * integrate((-wm) ** p, grid)
-    if ap <= 0.0 or bp <= 0.0:
-        raise CollapseError("positive part collapsed", iteration=iteration, component="w+")
-    if am <= 0.0 or bm <= 0.0:
-        raise CollapseError("negative part collapsed", iteration=iteration, component="w-")
-    s = (ap / bp) ** (1.0 / (p - 2.0))
-    t = (am / bm) ** (1.0 / (p - 2.0))
-    # the norm floors apply to the rescaled (on-set) parts, not the raw split
-    if s * s * ap < floor_p:
-        raise CollapseError("positive part collapsed", iteration=iteration, component="w+")
-    if t * t * am < floor_m:
-        raise CollapseError("negative part collapsed", iteration=iteration, component="w-")
-    return s * wp + t * wm
-
-
-def _limit_tangent(w, cp, grid):
-    """Preconditioned gradient of the limit energy and its tangential part."""
-    p = grid.params.two_star
-    q = grid.weights
-    pos = w > 0.0
-    neg = w < 0.0
-    wp = np.maximum(w, 0.0)
-    wm = np.minimum(w, 0.0)
-    _mu, force = _limit_force(w, cp, p)
-    g = w - grid.solve_h1(q * force)
-    gf_p = grid.solve_h1(
-        np.where(pos, 2.0 * grid.apply_h1(wp), 0.0) - q * p * cp.mu1 * wp ** (p - 1.0)
-    )
-    gf_m = grid.solve_h1(
-        np.where(neg, 2.0 * grid.apply_h1(wm), 0.0) - q * p * cp.mu2 * _crit_force(wm, p)
-    )
-    g11 = h1_form(gf_p, gf_p, grid)
-    g12 = h1_form(gf_p, gf_m, grid)
-    g22 = h1_form(gf_m, gf_m, grid)
-    det = g11 * g22 - g12 * g12
-    r1 = h1_form(g, gf_p, grid)
-    r2 = h1_form(g, gf_m, grid)
-    if det > 1e-14 * max(g11 * g22, 1e-300):
-        c1 = (r1 * g22 - r2 * g12) / det
-        c2 = (r2 * g11 - r1 * g12) / det
-    else:
-        c1 = c2 = 0.0
-    return g, g - c1 * gf_p - c2 * gf_m
 
 
 # ------------------------------------------------------------- problems
@@ -393,13 +335,10 @@ class _Single:
         self.p = grid.params.two_star
         self.floor = COLLAPSE_FRACTION * sobolev_lower_bound(mu, grid.params.N)
 
-    def _norms(self, u):
-        return h1_form(u, u, self.grid), self.mu * integrate(np.abs(u) ** self.p, self.grid)
-
     def land(self, x, at, k):
         u = np.abs(x[0]) if self.positive else x[0]
         u = single_project(u, self.mu, self.grid) * u
-        a, b = self._norms(u)
+        a, b = component_norms(u, self.mu, self.grid)
         if a < self.floor:
             raise CollapseError("profile collapsed", iteration=k, component="u")
         return (u,), (a, b), 0.5 * a - b / self.p
@@ -407,7 +346,7 @@ class _Single:
     def evaluate(self, x, at):
         """Tangent gradient; the gradient, multiplier and norms for the result."""
         (u,), grid, q = x, self.grid, self.grid.weights
-        a, b = at if at is not None else self._norms(u)
+        a, b = at if at is not None else component_norms(u, self.mu, grid)
         force = self.mu * _crit_force(u, self.p)
         g = u - grid.solve_h1(q * force)
         gf = 2.0 * u - grid.solve_h1(q * self.p * force)
@@ -416,10 +355,10 @@ class _Single:
 
     def trial(self, x):
         u = np.abs(x[0]) if self.positive else x[0]
-        a, b = self._norms(u)
+        a, b = component_norms(u, self.mu, self.grid)
         if a <= 0.0 or b <= 0.0:
             return None
-        s = (a / b) ** (1.0 / (self.p - 2.0))
+        s = ray_scale(a, b, self.p)
         return (s * u,), None, 0.5 * s**2 * a - s**self.p * b / self.p
 
     def newton(self, x, ev):
@@ -442,8 +381,7 @@ class _Limit:
         return (w,), None, limit_energy(w, self.cp, self.grid)
 
     def evaluate(self, x, at):
-        _g, tg = _limit_tangent(x[0], self.cp, self.grid)
-        return (tg,), None
+        return (_limit_tangent(x[0], self.cp, self.grid),), None
 
     def trial(self, x):
         w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0, None)
@@ -623,17 +561,17 @@ def minimize_limit(
 ) -> LimitResult:
     """Minimize the sign-changing limit energy over profiles whose positive
     and negative parts each sit on their own Nehari set.  The returned w is
-    the final iterate rescaled once more; its tangent norm is taken there."""
+    the final iterate rescaled once more; its tangent norm is taken there.
+    Dependent constraint gradients raise DegenerateConstraintError."""
     w = np.asarray(w_init, dtype=float)
     if np.max(w) <= 0.0 or np.min(w) >= 0.0:
         raise DegenerateInputError("limit solve needs a sign-changing start")
     run = _descend(_Limit(cp, grid), (w,), opts)
     w = _rescale_parts(run.x[0], cp, grid, 0.0, 0.0, run.iterations - 1)
-    _g, tg = _limit_tangent(w, cp, grid)
     return LimitResult(
         w=w,
         energy=limit_energy(w, cp, grid),
-        grad_norm=_norm((tg,), grid),
+        grad_norm=_norm((_limit_tangent(w, cp, grid),), grid),
         iterations=run.iterations,
         converged=run.converged,
         residuals=limit_residuals(w, cp, grid),

@@ -275,13 +275,40 @@ def test_main_rejects_a_small_grid_override(tmp_path, capsys, grid):
     assert not out.exists()
 
 
-def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys):
+def _config_text(section, key, value):
     tree = config_to_tree(default_config())
-    tree["model"]["M"] = "4"
+    tree[section][key] = value
+    return json.dumps(tree)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(_config_text("model", "M", "4"), "need at least 16 grid cells",
+                     id="grid-below-16"),
+        pytest.param(None, "FileNotFoundError", id="missing-file"),
+        pytest.param("model: {N: 4}", "JSONDecodeError", id="not-json"),
+        pytest.param(json.dumps({"model": config_to_tree(default_config())["model"]}),
+                     "KeyError: 'coupling'", id="missing-key"),
+        pytest.param(_config_text("model", "M", "abc"), "invalid literal for int()",
+                     id="non-numeric-leaf"),
+    ],
+)
+def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys, text, message):
+    # every fault of the config file is an error message and status 2, no traceback
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(tree))
+    if text is not None:
+        path.write_text(text)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
-    assert "need at least 16 grid cells" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--grid", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 8" in capsys.readouterr().err
 
 
 def test_config_rejects_an_empty_output_directory(tmp_path, capsys):

@@ -195,3 +195,23 @@ def test_sweep_without_converged_rows_is_not_monotone(monkeypatch, caplog):
     assert [r.status for r in result.records] == ["not converged: max_iters exceeded"] * 6
     assert not result.monotonicity_ok
     assert "6 of 6 rows did not converge" in caplog.text
+
+
+def test_sweep_records_a_degenerate_limit_constraint_as_a_failed_row(monkeypatch):
+    # dependent constraint gradients of w+ and w- raise, as they do for the
+    # pair; the sweep keeps its pair rows and marks the limit row failed
+    from critsep import functional
+
+    real = functional._limit_constraint_gradients
+
+    def equal(w, cp, grid):
+        gf_p, _gf_m = real(w, cp, grid)
+        return gf_p, gf_p
+
+    monkeypatch.setattr(functional, "_limit_constraint_gradients", equal)
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=64))
+    result = sweep_lambda(SweepSchedule(lambdas=(-1.0, -3.0)), CP, grid, OPTS)
+    assert [r.status for r in result.records] == ["ok", "ok"]
+    assert result.limit_result is None
+    assert result.limit_record.status.startswith("failed: DegenerateConstraintError: ")
+    assert math.isnan(result.limit_record.energy)

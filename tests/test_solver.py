@@ -20,8 +20,10 @@ from critsep import (
     minimize_single,
     sobolev_constant,
 )
-from critsep.errors import CollapseError
+from critsep.errors import CollapseError, DegenerateConstraintError
 from critsep.functional import (
+    _limit_tangent,
+    _rescale_parts,
     energy_from_integrals,
     pair_inner,
     pair_integrals,
@@ -29,7 +31,7 @@ from critsep.functional import (
     sobolev_lower_bound,
     tangent_gradient_full,
 )
-from critsep.solver import _rescale_parts, solve_banded
+from critsep.solver import solve_banded
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=256)
 GRID = build_grid(PARAMS)
@@ -210,6 +212,23 @@ def test_minimize_limit_rejects_one_signed_start():
         minimize_limit(w, CP, GRID, OPTS)
 
 
+def test_minimize_limit_raises_on_dependent_constraint_gradients(monkeypatch):
+    # the limit's Gram system is guarded as the pair's: equal constraint
+    # gradients of w+ and w- raise instead of stepping along the gradient
+    from critsep import functional
+
+    real = functional._limit_constraint_gradients
+
+    def equal(w, cp, grid):
+        gf_p, _gf_m = real(w, cp, grid)
+        return gf_p, gf_p
+
+    monkeypatch.setattr(functional, "_limit_constraint_gradients", equal)
+    init = initial_guess("bumps", GRID, 0)
+    with pytest.raises(DegenerateConstraintError):
+        minimize_limit(init.u - init.v, CP, GRID, OPTS)
+
+
 def test_rescale_parts_collapse_detection():
     init = initial_guess("bumps", GRID, 0)
     w = init.u - init.v
@@ -297,8 +316,6 @@ def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
 ):
     # the returned w is the final iterate rescaled once more; its reported
     # tangent norm must be the one at that w, also after a max_iters cut
-    from critsep.solver import _limit_tangent
-
     grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
     alpha = 0.5 * grid.params.two_star
     cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=alpha, beta=alpha, lam=-1.0)
@@ -306,7 +323,7 @@ def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
     opts = SolveOptions(grad_tol=grad_tol, max_iters=max_iters)
     res = minimize_limit(init.u - init.v, cp, grid, opts)
     assert res.message == message
-    _g, tg = _limit_tangent(res.w, cp, grid)
+    tg = _limit_tangent(res.w, cp, grid)
     assert res.grad_norm == math.sqrt(max(h1_form(tg, tg, grid), 0.0))
 
 
