@@ -12,7 +12,7 @@ import numpy as np
 
 from . import functional, geometry, scalar, separation, solver
 from .functional import (
-    CouplingParams, PairState, energy, gradient, nehari_det_bound, nehari_matrix,
+    CouplingParams, PairState, energy, gradient, nehari_det, nehari_det_bound,
     pair_inner, residuals_from_integrals, sobolev_lower_bound,
 )
 from .geometry import ModelParams, build_grid, orbit_weight, sphere_area
@@ -173,8 +173,7 @@ def _check_nehari_projection():
         if (ints.a1 < FLOOR_RATIO * sobolev_lower_bound(cp.mu1, 4)
                 or ints.a2 < FLOOR_RATIO * sobolev_lower_bound(cp.mu2, 4)):
             issues.append("norm floor violated")
-        det = float(np.linalg.det(nehari_matrix(ints, cp, params)))
-        if det < DET_RATIO * nehari_det_bound(ints, cp, params):
+        if nehari_det(ints, cp, params) < DET_RATIO * nehari_det_bound(ints, cp, params):
             issues.append("determinant bound violated")
         base = energy(scaled, cp, grid)
         if rescaled_energy_peak(scaled, cp, grid, rng, 20) > base + 1e-10 * abs(base):

@@ -28,7 +28,11 @@ The pointwise forces are written once, in ``pair_forces``: one evaluation
 gives the powers, signs and forces of a pair, and the energy gradient, the
 two constraint gradients and the solver's Newton step all read from it.  A
 caller that needs several of them at one pair evaluates the kernel once and
-hands it to each.
+hands it to each.  The solver also hands it across iterations: the residual
+test of a Newton trial evaluates the kernel and the nodal residual at the
+trial pair, and when the trial is accepted both travel with it to the next
+iterate.  The limit problem's kernel, ``_limit_force`` (the weight and the
+force), and its residual ``_limit_residual`` are handed over the same way.
 
 The pair, the single component and the sign-changing limit problem share
 one one-component algebra, written once here: the norms (a, b) of a
@@ -72,6 +76,7 @@ __all__ = [
     "gradient",
     "limit_energy",
     "limit_residuals",
+    "nehari_det",
     "nehari_det_bound",
     "nehari_matrix",
     "nehari_project",
@@ -329,14 +334,26 @@ def _gram_multipliers(gram):
     return (r1 * g22 - r2 * g12) / det, (r2 * g11 - r1 * g12) / det
 
 
-def nehari_matrix(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> np.ndarray:
-    """The 2x2 scaling Hessian (a_ij) of a pair on the Nehari set."""
+def _nehari_entries(ints, cp, params):
+    """The entries (a11, a12, a22) of the scaling Hessian."""
     p = params.two_star
     lc = cp.lam * ints.coupling
     a11 = (2.0 - p) * ints.b1 + cp.alpha * (2.0 - cp.alpha) * lc
     a22 = (2.0 - p) * ints.b2 + cp.beta * (2.0 - cp.beta) * lc
     a12 = -cp.alpha * cp.beta * lc
+    return a11, a12, a22
+
+
+def nehari_matrix(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> np.ndarray:
+    """The 2x2 scaling Hessian (a_ij) of a pair on the Nehari set."""
+    a11, a12, a22 = _nehari_entries(ints, cp, params)
     return np.array([[a11, a12], [a12, a22]])
+
+
+def nehari_det(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> float:
+    """det(a_ij) = a11 a22 - a12^2 of the scaling Hessian, in closed form."""
+    a11, a12, a22 = _nehari_entries(ints, cp, params)
+    return a11 * a22 - a12 * a12
 
 
 def sobolev_lower_bound(mu: float, N: int) -> float:
@@ -481,10 +498,9 @@ def _limit_force(w, cp, p):
     return mu, mu * _crit_force(w, p)
 
 
-def _limit_residual(w, cp, grid):
-    """The weight mu and the nodal residual K w - q mu f(w) of the limit equation."""
-    mu, force = _limit_force(w, cp, grid.params.two_star)
-    return mu, grid.apply_h1(w) - grid.weights * force
+def _limit_residual(w, force, grid):
+    """The nodal residual K w - q force of the limit equation; ``force`` from ``_limit_force``."""
+    return grid.apply_h1(w) - grid.weights * force
 
 
 def _rescale_parts(w, cp, grid, floor_p, floor_m, iteration):
@@ -522,13 +538,15 @@ def _limit_constraint_gradients(w, cp, grid):
     return gf_p, gf_m
 
 
-def _limit_tangent(w, cp, grid):
+def _limit_tangent(w, cp, grid, force=None):
     """Tangential part of the preconditioned limit-energy gradient.
 
-    Raises DegenerateConstraintError, as the pair does, when the two
-    constraint gradients are numerically dependent.
+    ``force`` is the limit force at w, when the caller has it.  Raises
+    DegenerateConstraintError, as the pair does, when the two constraint
+    gradients are numerically dependent.
     """
-    _mu, force = _limit_force(w, cp, grid.params.two_star)
+    if force is None:
+        _mu, force = _limit_force(w, cp, grid.params.two_star)
     g = w - grid.solve_h1(grid.weights * force)
     gf_p, gf_m = _limit_constraint_gradients(w, cp, grid)
     c1, c2 = _gram_multipliers(h1_gram((g, gf_p, gf_m), grid))

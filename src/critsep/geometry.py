@@ -127,7 +127,9 @@ class ReducedGrid:
     H^1 form.  The tridiagonal H^1 operator is assembled once and cached
     (``h1_tridiagonal``), together with its L D L^T factor, which LAPACK's
     ``pttrf`` computes on the first ``solve_h1``; the grid also owns the
-    work array of the banded pair Newton matrix (``band_work``).
+    work array of the banded pair Newton matrix (``band_work``) and the
+    operator's off-diagonal in the matrix's interleaved ordering
+    (``interleaved_offdiagonal``).
     """
 
     params: ModelParams
@@ -138,6 +140,7 @@ class ReducedGrid:
     _tridiag: tuple = field(default=None, repr=False, compare=False)
     _ldl: tuple = field(default=None, repr=False, compare=False)
     _band: np.ndarray = field(default=None, repr=False, compare=False)
+    _inter_off: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -174,9 +177,21 @@ class ReducedGrid:
             self._band.fill(0.0)
         return self._band
 
+    def interleaved_offdiagonal(self) -> np.ndarray:
+        """The H^1 off-diagonal with each entry twice, read-only.
+
+        In the interleaved ordering (u_0, v_0, u_1, v_1, ...) of the pair
+        Newton matrix, u_i couples to u_(i+1) two places off the diagonal,
+        and so does v_i to v_(i+1); this is that band.  Built once.
+        """
+        if self._inter_off is None:
+            self._inter_off = np.repeat(self.h1_tridiagonal()[1], 2)
+            self._inter_off.flags.writeable = False
+        return self._inter_off
+
     def apply_h1(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the discrete H^1 operator."""
-        flux = self.midweights * np.diff(u) / self.h
+        flux = self.midweights * (u[1:] - u[:-1]) / self.h
         out = self.params.mass * self.weights * u
         out[:-1] -= flux
         out[1:] += flux
@@ -247,7 +262,7 @@ def h1_form(u1, u2, grid: ReducedGrid) -> float:
     """
     u1 = _check_length(u1, grid, "first profile")
     u2 = _check_length(u2, grid, "second profile")
-    return _h1_terms(u1, u2, np.diff(u1), np.diff(u2), grid)
+    return _h1_terms(u1, u2, u1[1:] - u1[:-1], u2[1:] - u2[:-1], grid)
 
 
 def h1_gram(profiles, grid: ReducedGrid) -> list:
@@ -257,7 +272,7 @@ def h1_gram(profiles, grid: ReducedGrid) -> list:
     h1_form value bit for bit.
     """
     profiles = [_check_length(x, grid, "profile") for x in profiles]
-    diffs = [np.diff(x) for x in profiles]
+    diffs = [x[1:] - x[:-1] for x in profiles]
     n = len(profiles)
     gram = [[0.0] * n for _ in range(n)]
     for i in range(n):

@@ -16,12 +16,17 @@ tangent gradient, i.e. the H^1-preconditioned energy gradient minus its part
 along the constraint gradients (``evaluate(x, at)``), lands a trial state
 (``trial(x)``), and may offer a Newton direction for the free critical
 equations (``newton(x, ev)``) with the residual its candidate must contract
-(``residual_norm(x)``).  The driver lands the iterate, stops when the
-tangent gradient is small, tries the Newton candidate and otherwise takes a
-Barzilai-Borwein step, backtracked until the Armijo condition holds for the
-energy of the landed trial, so accepted energies never increase.  The pair
-and single solves also require a small full gradient at convergence, which
-certifies a free critical point (the multiplier solve returns ~0).
+(``residual_norm(x, at)``).  The residual test evaluates the pointwise kernel
+and the nodal residual at the trial and adds both to the trial's ``at``, so
+an accepted Newton trial hands them to the next ``evaluate`` and ``newton``
+and each landed iterate is evaluated once.  The driver lands the iterate,
+stops when the tangent gradient is small, tries the Newton candidate and
+otherwise takes a Barzilai-Borwein step, backtracked until the Armijo
+condition holds for the energy of the landed trial, so accepted energies
+never increase.  The pair and single solves also require a small full
+gradient at convergence, which certifies a free critical point (the
+multiplier solve returns ~0); small means below 10 grad_tol or below the
+rounding floor of the discrete full gradient (``FULL_GRAD_FLOOR``).
 
 Inequalities that hold on the continuous Nehari set are monitored on every
 landed pair and summarized in the result: the energy identity
@@ -42,6 +47,7 @@ from .functional import (
     NehariResiduals,
     PairState,
     _crit_force,
+    _limit_force,
     _limit_residual,
     _limit_tangent,
     _rescale_parts,
@@ -50,8 +56,8 @@ from .functional import (
     energy_from_integrals,
     limit_energy,
     limit_residuals,
+    nehari_det,
     nehari_det_bound,
-    nehari_matrix,
     nehari_project,
     pair_forces,
     pair_integrals,
@@ -77,6 +83,13 @@ __all__ = [
 COLLAPSE_FRACTION = 0.1  # component is lost below this fraction of its norm floor
 NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)  # damped lengths of the pair Newton step
 RESIDUAL_WINDOW = 5  # the Newton residual test compares against this many past norms
+# The discrete full gradient u - K^{-1} q f(u) of a critical point is not 0
+# but the rounding of the H^1 solve, which grows with the grid.  Over the
+# single-component solves of every split N = 4..8 (mu 1 and 2.5, bumps and
+# random starts, M = 128, 512 and 2048, grad_tol down to 1e-13) it reached
+# 0.34 eps M^1.5 |x|_{H^1}; a full gradient below this multiple of that
+# scale does not demote a converged solve.
+FULL_GRAD_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -121,9 +134,9 @@ class NehariInvariantStats:
             self.min_bound_ratio_v, ints.a2 / sobolev_lower_bound(cp.mu2, params.N)
         )
         if ints.coupling > 0.0:
-            det = float(np.linalg.det(nehari_matrix(ints, cp, params)))
             self.min_det_ratio = min(
-                self.min_det_ratio, det / nehari_det_bound(ints, cp, params)
+                self.min_det_ratio,
+                nehari_det(ints, cp, params) / nehari_det_bound(ints, cp, params),
             )
 
 
@@ -211,7 +224,7 @@ def _pair_residual(u, v, f, grid):
     return grid.apply_h1(u) - q * f.force_u, grid.apply_h1(v) - q * f.force_v
 
 
-def _pair_newton_direction(u, v, cp, grid, f):
+def _pair_newton_direction(u, v, cp, grid, f, res=None):
     """Newton direction for the free critical equations of the pair.
 
     The Jacobian of (K u - q f_u, K v - q f_v) is a pentadiagonal matrix in
@@ -226,19 +239,20 @@ def _pair_newton_direction(u, v, cp, grid, f):
 
     ``f`` is the pointwise kernel ``pair_forces`` at (u, v): the forces and
     the first-derivative powers are read from it, and only the second
-    derivatives of the powers are computed here.
+    derivatives of the powers are computed here.  ``res`` is
+    ``_pair_residual`` at (u, v), when the caller has it.
     """
     p = grid.params.two_star
     q = grid.weights
     lam, al, be = cp.lam, cp.alpha, cp.beta
-    res_u, res_v = _pair_residual(u, v, f, grid)
+    res_u, res_v = res if res is not None else _pair_residual(u, v, f, grid)
     duu = cp.mu1 * (p - 1.0) * f.abs_u ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(u, al - 2.0) * f.v_b
     dvv = cp.mu2 * (p - 1.0) * f.abs_v ** (p - 2.0) + lam * be * (be - 1.0) * f.u_a * _safe_pow(v, be - 2.0)
     duv = lam * al * be * f.sign_u * f.sign_v * f.u_am1 * f.v_bm1
-    kdiag, koff = grid.h1_tridiagonal()
+    kdiag = grid.h1_tridiagonal()[0]
     # rows 2..6 of the gbsv layout hold the five bands; 0 and 1 the LU fill
     ab = grid.band_work()
-    inter_off = np.repeat(koff, 2)
+    inter_off = grid.interleaved_offdiagonal()
     ab[2, 2:] = inter_off
     ab[6, :-2] = inter_off
     ab[3, 1::2] = -q * duv
@@ -258,11 +272,16 @@ def _pair_newton_direction(u, v, cp, grid, f):
     return (sol[0::2], sol[1::2]), res_norm
 
 
-def _limit_newton_direction(w, cp, grid):
-    """Newton direction (a one-component state) for the limit equation, and the residual norm."""
+def _limit_newton_direction(w, cp, grid, mu, force, res=None):
+    """Newton direction (a one-component state) for the limit equation, and the residual norm.
+
+    ``mu`` and ``force`` are ``_limit_force`` at w, ``res`` is
+    ``_limit_residual`` there when the caller has it.
+    """
     p = grid.params.two_star
     q = grid.weights
-    mu, res = _limit_residual(w, cp, grid)
+    if res is None:
+        res = _limit_residual(w, force, grid)
     dww = mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
     kdiag, koff = grid.h1_tridiagonal()
     ab = np.zeros((3, grid.size))
@@ -293,36 +312,43 @@ class _Pair:
         self.floor_v = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
         self.stats = NehariInvariantStats()
 
-    def land(self, x, ints, k):
-        # an accepted trial arrives projected, with its integrals
-        if ints is None:
-            x, ints, value = self.trial(x)
+    def land(self, x, at, k):
+        # an accepted trial arrives projected, with at = (integrals, kernel,
+        # residual); the last two are None unless a Newton residual test
+        # evaluated them
+        if at is None:
+            x, at, value = self.trial(x)
         else:
-            value = energy_from_integrals(ints, self.cp, self.grid.params)
+            value = energy_from_integrals(at[0], self.cp, self.grid.params)
+        ints = at[0]
         if ints.a1 < self.floor_u or ints.a2 < self.floor_v:
             which = "u" if ints.a1 < self.floor_u else "v"
             raise CollapseError("a component collapsed during the solve", iteration=k, component=which)
         self.stats.update(ints, value, self.cp, self.grid.params)
-        return x, ints, value
+        return x, at, value
 
-    def evaluate(self, x, ints):
-        forces = pair_forces(PairState(*x), self.cp, self.grid)
+    def evaluate(self, x, at):
+        ints, forces, res = at
+        if forces is None:
+            forces = pair_forces(PairState(*x), self.cp, self.grid)
         tg, mult, g = tangent_gradient_full(PairState(*x), self.cp, self.grid, forces)
-        return (tg.u, tg.v), (forces, mult, (g.u, g.v), ints)
+        return (tg.u, tg.v), (forces, res, mult, (g.u, g.v), ints)
 
     def trial(self, x):
         u, v = (np.abs(c) for c in x) if self.positive else x
         s, t = nehari_project(PairState(u, v), self.cp, self.grid)
         pair = PairState(s * u, t * v)
         ints = pair_integrals(pair, self.cp, self.grid)
-        return (pair.u, pair.v), ints, energy_from_integrals(ints, self.cp, self.grid.params)
+        value = energy_from_integrals(ints, self.cp, self.grid.params)
+        return (pair.u, pair.v), (ints, None, None), value
 
     def newton(self, x, ev):
-        return _pair_newton_direction(x[0], x[1], self.cp, self.grid, ev[0])
+        return _pair_newton_direction(x[0], x[1], self.cp, self.grid, ev[0], ev[1])
 
-    def residual_norm(self, x):
+    def residual_norm(self, x, at):
         forces = pair_forces(PairState(*x), self.cp, self.grid)
-        return math.hypot(*map(np.linalg.norm, _pair_residual(*x, forces, self.grid)))
+        res = _pair_residual(*x, forces, self.grid)
+        return math.hypot(*map(np.linalg.norm, res)), (at[0], forces, res)
 
 
 class _Single:
@@ -373,25 +399,35 @@ class _Limit:
 
     def __init__(self, cp, grid):
         self.cp, self.grid = cp, grid
+        self.p = grid.params.two_star
         self.floor_p = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, grid.params.N)
         self.floor_m = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
 
     def land(self, x, at, k):
         w = _rescale_parts(x[0], self.cp, self.grid, self.floor_p, self.floor_m, k)
-        return (w,), None, limit_energy(w, self.cp, self.grid)
+        # at = (weight, force, residual) of an accepted Newton trial, which
+        # holds only where the second rescaling left the trial bit for bit
+        if at is not None and not np.array_equal(w, x[0]):
+            at = None
+        return (w,), at, limit_energy(w, self.cp, self.grid)
 
     def evaluate(self, x, at):
-        return (_limit_tangent(x[0], self.cp, self.grid),), None
+        (w,) = x
+        mu, force, res = at if at is not None else (*_limit_force(w, self.cp, self.p), None)
+        return (_limit_tangent(w, self.cp, self.grid, force),), (mu, force, res)
 
     def trial(self, x):
         w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0, None)
         return (w,), None, limit_energy(w, self.cp, self.grid)
 
     def newton(self, x, ev):
-        return _limit_newton_direction(x[0], self.cp, self.grid)
+        return _limit_newton_direction(x[0], self.cp, self.grid, *ev)
 
-    def residual_norm(self, x):
-        return float(np.linalg.norm(_limit_residual(x[0], self.cp, self.grid)[1]))
+    def residual_norm(self, x, at):
+        (w,) = x
+        mu, force = _limit_force(w, self.cp, self.p)
+        res = _limit_residual(w, force, self.grid)
+        return float(np.linalg.norm(res)), (mu, force, res)
 
 
 # --------------------------------------------------------------- driver
@@ -417,16 +453,18 @@ def _attempt(problem, x):
 
 
 def _newton_trial(problem, x, direction, value, res_ref):
-    """The first damped Newton trial that keeps the energy and contracts the residual."""
+    """The first damped Newton trial that keeps the energy and contracts the residual.
+
+    It is returned with what its residual test evaluated added to its ``at``.
+    """
     for length in problem.newton_steps:
         trial = _attempt(problem, tuple(c + length * d for c, d in zip(x, direction)))
         # energy ties at roundoff must not block the residual contraction
-        if (
-            trial is not None
-            and trial[2] <= value + 1e-12 * abs(value)
-            and problem.residual_norm(trial[0]) < res_ref
-        ):
-            return trial
+        if trial is not None and trial[2] <= value + 1e-12 * abs(value):
+            y, at, trial_value = trial
+            res_norm, at = problem.residual_norm(y, at)
+            if res_norm < res_ref:
+                return y, at, trial_value
     return None
 
 
@@ -435,7 +473,8 @@ def _descend(problem, x, opts):
 
     Each iterate is evaluated once: the evaluation feeds the convergence
     test, the Newton direction and the gradient step, what an accepted trial
-    computed is handed to the next landing, and a solve that stops inside
+    computed (its integrals and, from a Newton residual test, its kernel and
+    residual) is handed to the next landing, and a solve that stops inside
     the loop returns the evaluation it stopped at.
     """
     if not all(np.isfinite(c).all() for c in x):
@@ -500,11 +539,17 @@ def _descend(problem, x, opts):
 # ------------------------------------------------------------ public API
 
 
-def _solve_result(run, g, grid, opts, **fields):
-    """SolveResult of a pair or single run; a large full gradient demotes convergence."""
+def _solve_result(run, g, a, grid, opts, **fields):
+    """SolveResult of a pair or single run; a large full gradient demotes convergence.
+
+    Large means above 10 grad_tol and above the rounding floor
+    FULL_GRAD_FLOOR eps M^1.5 |x|_{H^1} of the discrete full gradient;
+    ``a`` is |x|^2_{H^1} of the final iterate.
+    """
     full_norm = _norm(g, grid)
     converged, message = run.converged, run.message
-    if converged and full_norm > 10.0 * opts.grad_tol:
+    floor = FULL_GRAD_FLOOR * np.finfo(float).eps * grid.params.M**1.5 * math.sqrt(a)
+    if converged and full_norm > max(10.0 * opts.grad_tol, floor):
         converged, message = False, "tangent gradient small but full gradient is not"
     return SolveResult(
         grad_norm=run.grad_norm,
@@ -527,9 +572,9 @@ def minimize_nehari(
     problem = _Pair(cp, grid, opts.positivity_enforced)
     x = (np.asarray(init.u, dtype=float), np.asarray(init.v, dtype=float))
     run = _descend(problem, x, opts)
-    _forces, mult, g, ints = run.ev
+    _forces, _res, mult, g, ints = run.ev
     return _solve_result(
-        run, g, grid, opts,
+        run, g, ints.a1 + ints.a2, grid, opts,
         pair=PairState(*run.x),
         energy=energy_from_integrals(ints, cp, grid.params),
         residuals=residuals_from_integrals(ints, cp),
@@ -547,7 +592,7 @@ def minimize_single(
     (u,) = run.x
     g, coef, a, b = run.ev
     return _solve_result(
-        run, g, grid, opts,
+        run, g, a, grid, opts,
         pair=PairState(u, np.zeros_like(u)),
         energy=0.5 * a - b / grid.params.two_star,
         residuals=NehariResiduals(f_val=a - b, h_val=0.0),

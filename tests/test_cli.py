@@ -112,6 +112,27 @@ def test_cmd_solve_deterministic(tmp_path):
     assert (tmp_path / "a" / "summary.json").read_bytes() == first_summary
 
 
+def test_cmd_solve_output_path_reaches_only_the_config_digest(tmp_path):
+    # the config digest covers output.dir, so one solve written to two
+    # directories differs in its config_sha256 lines and nowhere else
+    dirs = [tmp_path / "a", tmp_path / "elsewhere" / "b"]
+    digests = [config_digest(tiny_config(d)) for d in dirs]
+    assert digests[0] != digests[1]
+    for d in dirs:
+        assert cmd_solve(tiny_config(d)) == 0
+    names = sorted(os.listdir(dirs[0]))
+    assert names == sorted(os.listdir(dirs[1]))
+    data_files = [name for name in names if name != "manifest.json"]
+    assert data_files == ["profile.csv", "summary.json"]
+    for name in data_files:
+        first, second = ((d / name).read_text().splitlines() for d in dirs)
+        assert len(first) == len(second)
+        differ = [(x, y) for x, y in zip(first, second) if x != y]
+        assert len(differ) == 1
+        (x, y), = differ
+        assert "config_sha256" in x and x.replace(*digests) == y
+
+
 def test_cmd_sweep_outputs(tmp_path):
     cfg = tiny_config(tmp_path / "sweep")
     assert cmd_sweep(cfg) == 0

@@ -30,6 +30,7 @@ from critsep.checks import cosine_series
 from critsep.functional import (
     _constraint_gradients,
     check_exponents,
+    nehari_det,
     nehari_det_bound,
     nehari_matrix,
     pair_forces,
@@ -262,6 +263,16 @@ def test_nehari_bounds_and_determinant():
         assert ints.a2 >= 0.99 * sobolev_lower_bound(CP_WEAK.mu2, 4)
         det = float(np.linalg.det(nehari_matrix(ints, CP_WEAK, PARAMS)))
         assert det >= 0.99 * nehari_det_bound(ints, CP_WEAK, PARAMS)
+
+
+def test_nehari_det_is_the_determinant_of_nehari_matrix():
+    # the closed form a11 a22 - a12^2 against LAPACK's LU determinant
+    for lam in (-0.2, -1.0, -1e3):
+        cp = CouplingParams(mu1=1.0, mu2=2.5, alpha=2.0, beta=2.0, lam=lam)
+        for seed in (12, 13, 14):
+            ints = pair_integrals(smooth_pair(seed), cp, GRID)
+            ref = float(np.linalg.det(nehari_matrix(ints, cp, PARAMS)))
+            assert nehari_det(ints, cp, PARAMS) == pytest.approx(ref, rel=1e-12)
 
 
 def test_energy_lambda_monotonicity():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,16 +23,20 @@ from critsep import (
 )
 from critsep.errors import CollapseError, DegenerateConstraintError
 from critsep.functional import (
+    PairForces,
+    _limit_force,
+    _limit_residual,
     _limit_tangent,
     _rescale_parts,
     energy_from_integrals,
+    pair_forces,
     pair_inner,
     pair_integrals,
     residuals_from_integrals,
     sobolev_lower_bound,
     tangent_gradient_full,
 )
-from critsep.solver import solve_banded
+from critsep.solver import _pair_residual, solve_banded
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=256)
 GRID = build_grid(PARAMS)
@@ -266,15 +271,30 @@ def test_minimize_nehari_returns_the_evaluation_at_its_pair(N, m, n, lam, max_it
     assert res.multipliers == mult
 
 
+def _bitwise_equal(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _same_kernel(forces, res, x, cp, grid):
+    """Whether (forces, res) equal a fresh pair_forces and _pair_residual at x, bit for bit."""
+    fresh = pair_forces(PairState(*x), cp, grid)
+    return all(
+        _bitwise_equal(getattr(forces, f.name), getattr(fresh, f.name))
+        for f in dataclasses.fields(PairForces)
+    ) and all(map(_bitwise_equal, res, _pair_residual(*x, fresh, grid)))
+
+
 @pytest.mark.parametrize("newton", [True, False])
 def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypatch, newton):
     # only the start is projected at the top of an iteration; an accepted
     # trial lands as it is, with the integrals it computed, and these must
     # be those of the pair it is, after Newton steps and (with the Newton
-    # candidate switched off) Armijo steps
+    # candidate switched off) Armijo steps; an accepted Newton trial also
+    # brings the kernel and residual of its residual test, which must be
+    # those of the pair it is
     from critsep import solver
 
-    projections, attempts, landed = [], [], []
+    projections, attempts, landed, handed = [], [], [], []
     project, attempt, land = solver.nehari_project, solver._attempt, solver._Pair.land
 
     def counting_project(*args, **kwargs):
@@ -285,10 +305,13 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
         attempts.append(1)
         return attempt(problem, x)
 
-    def checked_land(problem, x, ints, k):
-        x, ints, value = land(problem, x, ints, k)
+    def checked_land(problem, x, at, k):
+        x, at, value = land(problem, x, at, k)
+        ints, forces, res = at
         landed.append(ints == pair_integrals(PairState(*x), problem.cp, problem.grid))
-        return x, ints, value
+        if forces is not None:
+            handed.append(_same_kernel(forces, res, x, problem.cp, problem.grid))
+        return x, at, value
 
     monkeypatch.setattr(solver, "nehari_project", counting_project)
     monkeypatch.setattr(solver, "_attempt", counting_attempt)
@@ -301,6 +324,100 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
     assert len(landed) == res.iterations
     assert all(landed)
     assert len(projections) == len(attempts) + 1
+    assert all(handed)
+    assert bool(handed) == newton
+
+
+@pytest.mark.parametrize("lam, max_iters", [(-1e3, 20000), (-1e3, 4), (-1e5, 40)])
+def test_minimize_nehari_evaluates_each_landed_pair_once(monkeypatch, lam, max_iters):
+    # the kernel is evaluated once per evaluation and once per residual
+    # test, except at a pair an accepted Newton trial brought along
+    from critsep import solver
+
+    calls = {"forces": 0, "evaluate": 0, "residual": 0, "accepted": 0}
+    forces, evaluate, residual_norm = solver.pair_forces, solver._Pair.evaluate, solver._Pair.residual_norm
+    newton_trial = solver._newton_trial
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counting_trial(*args):
+        trial = newton_trial(*args)
+        calls["accepted"] += trial is not None
+        return trial
+
+    monkeypatch.setattr(solver, "pair_forces", counted("forces", forces))
+    monkeypatch.setattr(solver._Pair, "evaluate", counted("evaluate", evaluate))
+    monkeypatch.setattr(solver._Pair, "residual_norm", counted("residual", residual_norm))
+    monkeypatch.setattr(solver, "_newton_trial", counting_trial)
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=lam)
+    opts = SolveOptions(grad_tol=1e-6, max_iters=max_iters)
+    res = minimize_nehari(initial_guess("bumps", GRID, 0), cp, GRID, opts)
+    assert calls["accepted"] > 0
+    assert calls["evaluate"] == res.iterations + (res.message == "max_iters exceeded")
+    assert calls["forces"] == calls["evaluate"] + calls["residual"] - calls["accepted"]
+
+
+def test_minimize_limit_hands_over_the_kernel_of_its_residual_test(monkeypatch):
+    # an accepted Newton trial of the limit brings the weight, force and
+    # residual of its residual test; they reach the landed profile only
+    # where they are bitwise those of it
+    from critsep import solver
+
+    handed = []
+    land = solver._Limit.land
+
+    def checked_land(problem, x, at, k):
+        x, at, value = land(problem, x, at, k)
+        if at is not None:
+            (w,) = x
+            mu, force = _limit_force(w, problem.cp, problem.p)
+            fresh = (mu, force, _limit_residual(w, force, problem.grid))
+            handed.append(all(map(_bitwise_equal, at, fresh)))
+        return x, at, value
+
+    monkeypatch.setattr(solver._Limit, "land", checked_land)
+    init = initial_guess("bumps", GRID, 0)
+    res = minimize_limit(init.u - init.v, CP, GRID, SolveOptions(grad_tol=1e-8, max_iters=200))
+    assert res.converged
+    assert handed and all(handed)
+
+
+def test_full_gradient_at_its_rounding_floor_does_not_demote_a_converged_solve():
+    # at grad_tol 1e-13 the full gradient of this critical point stops at
+    # the rounding of the H^1 solve, about 1.1e-12, above 10 grad_tol
+    grid = build_grid(ModelParams(N=4, m=3, n=2, M=128))
+    opts = SolveOptions(grad_tol=1e-13, max_iters=300)
+    res = minimize_single(initial_guess("bumps", grid, 0).u, 1.0, grid, opts)
+    assert res.grad_norm <= opts.grad_tol
+    assert res.full_grad_norm > 10.0 * opts.grad_tol
+    assert res.converged and res.message == "tangent gradient below tolerance"
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-1])
+def test_forced_non_critical_point_is_still_demoted(monkeypatch, offset):
+    # a tangent gradient forced to 0 stops the solve at its start; a start
+    # off the critical point by `offset` keeps a full gradient above the
+    # rounding floor (about 3e-12 here) and is demoted
+    from critsep import solver
+
+    grid = build_grid(ModelParams(N=4, m=3, n=2, M=128))
+    opts = SolveOptions(grad_tol=1e-13, max_iters=300)
+    u = minimize_single(initial_guess("bumps", grid, 0).u, 1.0, grid, opts).pair.u
+    evaluate = solver._Single.evaluate
+
+    def flat(problem, x, at):
+        tg, ev = evaluate(problem, x, at)
+        return (np.zeros_like(tg[0]),), ev
+
+    monkeypatch.setattr(solver._Single, "evaluate", flat)
+    res = minimize_single(u + offset * np.cos(4.0 * grid.theta), 1.0, grid, opts)
+    assert res.iterations == 1 and res.grad_norm == 0.0
+    assert not res.converged
+    assert res.message == "tangent gradient small but full gradient is not"
 
 
 @pytest.mark.parametrize(
