@@ -11,9 +11,8 @@ Subcommands:
     sobolev         print the embedding constant and its cross-check
 
 Config files are JSON trees whose numeric leaves are decimal strings (so
-emitted configs re-parse to identical values); booleans are "true"/"false".
-Data files are deterministic for a fixed config and seed; only the manifest
-carries timestamps.
+emitted configs re-parse to identical values).  Data files are deterministic
+for a fixed config; only the manifest carries timestamps.
 """
 
 import argparse
@@ -32,7 +31,7 @@ from .errors import BracketError, CollapseError, ConvergenceError, DomainError
 from .functional import CouplingParams, PairState, check_exponents
 from .geometry import ModelParams, build_grid, sobolev_constant
 from .separation import SweepSchedule, geometric_schedule, sweep_lambda
-from .solver import SolveOptions, initial_guess, minimize_nehari
+from .solver import ARMIJO_BACKTRACK, ARMIJO_SLOPE, SolveOptions, initial_guess, minimize_nehari
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -84,10 +83,6 @@ def _fnum(x) -> str:
     return repr(float(x))
 
 
-def _fbool(x) -> str:
-    return "true" if x else "false"
-
-
 def config_to_tree(cfg: RunConfig) -> dict:
     m, c, s = cfg.model, cfg.coupling, cfg.solver
     return {
@@ -99,23 +94,20 @@ def config_to_tree(cfg: RunConfig) -> dict:
             "beta": _fnum(c.beta),
             "lambda": _fnum(c.lam),
         },
-        "solver": {
-            "max_iters": str(s.max_iters),
-            "grad_tol": _fnum(s.grad_tol),
-            "armijo_slope": _fnum(s.armijo_slope),
-            "armijo_backtrack": _fnum(s.armijo_backtrack),
-            "positivity_enforced": _fbool(s.positivity_enforced),
-            "seed": str(s.seed),
-        },
+        "solver": {"max_iters": str(s.max_iters), "grad_tol": _fnum(s.grad_tol)},
         "sweep": {"lambdas": [_fnum(x) for x in cfg.sweep.lambdas]},
         "output": {"dir": cfg.out_dir, "format": cfg.fmt},
     }
 
 
-def _parse_bool(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise DomainError(f"expected 'true' or 'false', got {s!r}")
-    return s == "true"
+# Solver keys of older configs, now constants of the solver: each is accepted
+# at the one value the solver runs with, as (parser, value).  "seed" never
+# reached a result and is ignored at any value.
+_RETIRED_SOLVER_KEYS = {
+    "armijo_slope": (float, ARMIJO_SLOPE),
+    "armijo_backtrack": (float, ARMIJO_BACKTRACK),
+    "positivity_enforced": (str, "true"),
+}
 
 
 def config_from_tree(tree: dict) -> RunConfig:
@@ -123,6 +115,9 @@ def config_from_tree(tree: dict) -> RunConfig:
     c = tree["coupling"]
     s = tree["solver"]
     out = tree.get("output", {})
+    for key, (parse, value) in _RETIRED_SOLVER_KEYS.items():
+        if key in s and parse(s[key]) != value:
+            raise DomainError(f"solver.{key} is fixed at {value!r}, got {s[key]!r}")
     return RunConfig(
         model=ModelParams(N=int(m["N"]), m=int(m["m"]), n=int(m["n"]), M=int(m["M"])),
         coupling=CouplingParams(
@@ -132,14 +127,7 @@ def config_from_tree(tree: dict) -> RunConfig:
             beta=float(c["beta"]),
             lam=float(c["lambda"]),
         ),
-        solver=SolveOptions(
-            max_iters=int(s["max_iters"]),
-            grad_tol=float(s["grad_tol"]),
-            armijo_slope=float(s["armijo_slope"]),
-            armijo_backtrack=float(s["armijo_backtrack"]),
-            positivity_enforced=_parse_bool(s["positivity_enforced"]),
-            seed=int(s["seed"]),
-        ),
+        solver=SolveOptions(max_iters=int(s["max_iters"]), grad_tol=float(s["grad_tol"])),
         sweep=SweepSchedule(lambdas=tuple(float(x) for x in tree["sweep"]["lambdas"])),
         out_dir=out.get("dir", "out"),
         fmt=out.get("format", "csv"),
@@ -248,13 +236,22 @@ def _write_profile(writer, name, cfg, grid, u, v):
     return name + ".csv"
 
 
-def _load_profile_pair(path):
+def _load_profile_pair(path, grid):
+    """The (u, v) columns of a profile table; DomainError unless every cell
+    is a finite float and there is one row per node of grid."""
     with open(path) as fh:
         lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
-    names = lines[0].split(",")
-    data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
-    cols = {name: data[:, i] for i, name in enumerate(names)}
-    return PairState(u=cols["u"], v=cols["v"])
+    try:
+        names = lines[0].split(",")
+        data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
+        u, v = (data[:, names.index(name)] for name in ("u", "v"))
+    except (IndexError, ValueError) as exc:
+        raise DomainError(f"bad profile {path!r}: {type(exc).__name__}: {exc}") from exc
+    if len(u) != grid.size:
+        raise DomainError(f"profile {path!r} has {len(u)} rows, the grid has {grid.size} nodes")
+    if not np.isfinite(data).all():
+        raise DomainError(f"profile {path!r} holds a non-finite value")
+    return PairState(u=u, v=v)
 
 
 # ---------------------------------------------------------------- solve
@@ -271,7 +268,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         return 2
 
     grid = build_grid(cfg.model)
-    init = initial_guess("bumps", grid, cfg.solver.seed)
+    init = initial_guess("bumps", grid)
     writer = _RunWriter(cfg)
     try:
         res = minimize_nehari(init, cfg.coupling, grid, cfg.solver)
@@ -330,22 +327,18 @@ def _sweep_rows(records, limit_record) -> list:
 
 
 def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
+    grid = build_grid(cfg.model)
+    warm_name = "warmstart_profile.csv"
+    warm_path = os.path.join(cfg.out_dir, warm_name)
     try:
         check_exponents(cfg.coupling, cfg.model)
+        resumed = resume and os.path.exists(warm_path)
+        init = _load_profile_pair(warm_path, grid) if resumed else None
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    grid = build_grid(cfg.model)
     writer = _RunWriter(cfg)
-    init = None
-    resumed_from = None
-    warm_name = "warmstart_profile.csv"
-    warm_path = writer.path(warm_name)
-    if resume and os.path.exists(warm_path):
-        init = _load_profile_pair(warm_path)
-        resumed_from = warm_name
-
     result = sweep_lambda(cfg.sweep, cfg.coupling, grid, cfg.solver, init=init)
 
     rows = _sweep_rows(result.records, result.limit_record)
@@ -378,7 +371,7 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
             "config_sha256": config_digest(cfg),
         },
     )
-    writer.finish(extra={"resumed_from": resumed_from} if resumed_from else None)
+    writer.finish(extra={"resumed_from": warm_name} if resumed else None)
     print(f"sweep: {n_ok}/{len(result.records)} rows ok; "
           f"limit energy {result.limit_record.energy:.10g}")
     return 0 if n_ok >= 1 else 5
@@ -441,8 +434,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "grid", None) is not None:
         cfg = replace(cfg, model=replace(cfg.model, M=args.grid))
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
     return cfg
 
 
@@ -462,7 +453,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
         if solves:
-            p.add_argument("--seed", type=int, help="solver seed override")
             p.add_argument("--grid", type=int, help="grid size override (M)")
 
     p_solve = sub.add_parser("solve", help="single-lambda minimization")

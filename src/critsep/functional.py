@@ -109,7 +109,11 @@ class CouplingParams:
 
 
 def check_exponents(cp: CouplingParams, params: ModelParams) -> None:
-    """Require alpha + beta to match the critical exponent of the dimension."""
+    """Require alpha + beta to match the critical exponent of the dimension.
+
+    Only ``params.N`` and ``params.two_star`` are read, so the scalar
+    ``SyncInstance`` is checked here too.
+    """
     if abs(cp.alpha + cp.beta - params.two_star) > 1e-12:
         raise DomainError(
             f"alpha + beta = {cp.alpha + cp.beta!r} but 2* = {params.two_star!r} "
@@ -376,6 +380,10 @@ def single_project(u: np.ndarray, mu: float, grid: ReducedGrid) -> float:
     return ray_scale(a, b, grid.params.two_star)
 
 
+SCALING_TOL = 1e-12  # the scaling Newton stops at residuals below this fraction of their scale
+SCALING_MAX_ITER = 100  # and gives up after this many steps
+
+
 def _scaled_component(x, a, b, coupling_term, p):
     """Residual x^2 a - x^p b - coupling_term and its scale (all signs positive)."""
     quad, crit = x * x * a, x**p * b
@@ -390,11 +398,11 @@ def _scaled_residuals(s, t, ints, cp, p):
     return f, h, sc_f, sc_h, mixed
 
 
-def _scaling_newton(s, t, ints, cp, p, tol, max_iter):
+def _scaling_newton(s, t, ints, cp, p):
     """Damped Newton for the 2x2 scaling system; None when it stalls."""
     f, h, sc_f, sc_h, mixed = _scaled_residuals(s, t, ints, cp, p)
-    for _ in range(max_iter):
-        if abs(f) <= tol * sc_f and abs(h) <= tol * sc_h:
+    for _ in range(SCALING_MAX_ITER):
+        if abs(f) <= SCALING_TOL * sc_f and abs(h) <= SCALING_TOL * sc_h:
             return s, t
         fs = 2.0 * s * ints.a1 - p * s ** (p - 1.0) * ints.b1 - cp.lam * cp.alpha**2 * mixed / s
         ft = -cp.lam * cp.alpha * cp.beta * mixed / t
@@ -432,13 +440,7 @@ def _scaling_grid_start(ints, cp, p, n=48):
     return float(g[i]), float(g[j])
 
 
-def nehari_project(
-    pair: PairState,
-    cp: CouplingParams,
-    grid: ReducedGrid,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-):
+def nehari_project(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
     """Unique positive (s, t) with (su, tv) on the Nehari set.
 
     Newton on the 2x2 scaling system, started from the decoupled closed
@@ -460,16 +462,16 @@ def nehari_project(
     s0, t0 = ray_scale(ints.a1, ints.b1, p), ray_scale(ints.a2, ints.b2, p)
     if ints.coupling == 0.0:
         return s0, t0
-    root = _scaling_newton(s0, t0, ints, cp, p, tol, max_iter)
+    root = _scaling_newton(s0, t0, ints, cp, p)
     if root is None:
         s1, t1 = _scaling_grid_start(ints, cp, p)
-        root = _scaling_newton(s1, t1, ints, cp, p, tol, max_iter)
+        root = _scaling_newton(s1, t1, ints, cp, p)
     if root is None:
         f, h, *_ = _scaled_residuals(s0, t0, ints, cp, p)
         raise ConvergenceError(
             "Nehari scaling system did not converge",
             residual=math.hypot(f, h),
-            iterations=max_iter,
+            iterations=SCALING_MAX_ITER,
         )
     return root
 

@@ -37,6 +37,7 @@ __all__ = [
     "ModelParams",
     "ReducedGrid",
     "build_grid",
+    "critical_exponent",
     "h1_form",
     "h1_gram",
     "integrate",
@@ -66,6 +67,11 @@ def sobolev_constant(N: int) -> float:
     return math.pi * N * (N - 2) * (math.gamma(N / 2.0) / math.gamma(N)) ** (2.0 / N)
 
 
+def critical_exponent(N: int) -> float:
+    """Critical Sobolev exponent 2* = 2N/(N-2)."""
+    return 2.0 * N / (N - 2.0)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Dimension N, orbit split (m, n) with m + n = N + 1, and grid size M."""
@@ -89,8 +95,7 @@ class ModelParams:
 
     @property
     def two_star(self) -> float:
-        """Critical Sobolev exponent 2N/(N-2)."""
-        return 2.0 * self.N / (self.N - 2.0)
+        return critical_exponent(self.N)
 
     @property
     def mass(self) -> float:

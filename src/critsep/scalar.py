@@ -37,12 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError
+from .functional import CouplingParams, check_exponents
+from .geometry import critical_exponent
 
 # Grid points that the grid scans (sync_brute_cells, the maximum grid of
 # plane_critical_points) evaluate at once.  A float64 temporary of a block
 # then takes 128,000 bytes, below the 128 KiB from which the C allocator maps
 # fresh pages for each allocation, so the blocks of a scan reuse heap memory.
 BLOCK_POINTS = 16000
+BRUTE_SPAN = (1e-3, 1e3)  # the window of s and t that sync_brute_cells scans
+PLANE_NEWTON_STEPS = 80  # Newton steps of each start of plane_critical_points
+PLANE_DEDUP_REL = 1e-8  # relative distance below which two critical points are one
 
 __all__ = [
     "BoxReport",
@@ -74,18 +79,11 @@ class SyncInstance:
     N: int
 
     def __post_init__(self):
-        if self.mu1 <= 0 or self.mu2 <= 0:
-            raise DomainError("mu1, mu2 must be positive")
-        two_star = 2.0 * self.N / (self.N - 2.0)
-        for name, ex in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (1.0 < ex <= 2.0):
-                raise DomainError(f"{name} must lie in (1, 2], got {ex}")
-        if abs(self.alpha + self.beta - two_star) > 1e-12:
-            raise DomainError("alpha + beta must equal 2N/(N-2)")
+        check_exponents(CouplingParams(self.mu1, self.mu2, self.alpha, self.beta, self.lam), self)
 
     @property
     def two_star(self) -> float:
-        return 2.0 * self.N / (self.N - 2.0)
+        return critical_exponent(self.N)
 
 
 def sync_residuals(inst: SyncInstance, s, t):
@@ -165,28 +163,25 @@ def _concat_cells(parts):
 
 
 def sync_brute_cells(
-    inst: SyncInstance,
-    grid_points: int = 1000,
-    span=(1e-3, 1e3),
-    depth: int = 4,
-    refine: int = 8,
+    inst: SyncInstance, grid_points: int = 1000, depth: int = 4, refine: int = 8
 ) -> int:
     """Count grid cells where both residual surfaces change sign.
 
     A derivative-free existence witness, independent of the ratio
     reduction: a positive count flags a candidate root region, zero means
-    the two zero-level curves do not meet on the scanned window.  Flagged
-    cells are refined recursively, because near the emptiness threshold
-    the two curves run almost tangent and a single coarse cell can contain
-    both without them crossing.  No evaluation holds more than BLOCK_POINTS
-    grid points, unless two coarse rows or one refined cell alone exceed
-    it: the coarse grid is scanned in blocks of rows, adjacent blocks
-    sharing one row so that each cell lies in exactly one block, and each
-    level refines its cells in chunks of BLOCK_POINTS // (refine + 1)**2.
+    the two zero-level curves do not meet on the scanned window
+    BRUTE_SPAN^2.  Flagged cells are refined recursively, because near the
+    emptiness threshold the two curves run almost tangent and a single
+    coarse cell can contain both without them crossing.  No evaluation
+    holds more than BLOCK_POINTS grid points, unless two coarse rows or one
+    refined cell alone exceed it: the coarse grid is scanned in blocks of
+    rows, adjacent blocks sharing one row so that each cell lies in exactly
+    one block, and each level refines its cells in chunks of
+    BLOCK_POINTS // (refine + 1)**2.
     """
     if grid_points < 2:
         return 0
-    g = np.geomspace(span[0], span[1], grid_points)[None, :]
+    g = np.geomspace(*BRUTE_SPAN, grid_points)[None, :]
     rows = max(2, BLOCK_POINTS // grid_points)
     s0, s1, t0, t1 = _concat_cells(
         _witness_cells(inst, g[:, start:start + rows], g)
@@ -262,10 +257,7 @@ def sync_threshold(
 
 def fixed_point_free(mu: float, alpha: float, lam: float) -> bool:
     """True iff lam <= -mu/alpha, so (u, -u) cannot satisfy both residuals."""
-    if mu <= 0:
-        raise DomainError("mu must be positive")
-    if not (1.0 < alpha <= 2.0):
-        raise DomainError("alpha must lie in (1, 2]")
+    CouplingParams(mu, mu, alpha, alpha, lam)  # the symmetric coupling; checks mu and alpha
     return lam <= -mu / alpha
 
 
@@ -395,13 +387,7 @@ class CriticalPoint:
     kind: str   # 'max', 'min', 'saddle' or 'degenerate'
 
 
-def plane_critical_points(
-    c: PlaneCoeffs,
-    box: BoxReport = None,
-    starts: int = 200,
-    max_iter: int = 80,
-    dedup_rel: float = 1e-8,
-):
+def plane_critical_points(c: PlaneCoeffs, box: BoxReport = None, starts: int = 200):
     """Critical points of e inside the trapping box, with classification.
 
     Multi-start Newton from a starts x starts grid over the box; the
@@ -420,12 +406,13 @@ def plane_critical_points(
     limit = 0.25 * (box.R - box.r)
     # The step is a function of (s, t) alone.  A start that lands on its
     # state of one or two steps back alternates between its last two states
-    # from then on, so its state after max_iter steps is known and it is not
-    # stepped again.  A NaN start never compares equal and keeps stepping.
+    # from then on, so its state after PLANE_NEWTON_STEPS steps is known and
+    # it is not stepped again.  A NaN start never compares equal and keeps
+    # stepping.
     active = np.arange(s.size)
     back_s = np.full(s.size, np.nan)
     back_t = np.full(s.size, np.nan)
-    for k in range(1, max_iter + 1):
+    for k in range(1, PLANE_NEWTON_STEPS + 1):
         if active.size == 0:
             break
         sa, ta = s[active], t[active]
@@ -445,7 +432,7 @@ def plane_critical_points(
         settled = ((s_new == sa) & (t_new == ta)) | (
             (s_new == back_s[active]) & (t_new == back_t[active])
         )
-        if (max_iter - k) % 2:
+        if (PLANE_NEWTON_STEPS - k) % 2:
             s_new[settled] = sa[settled]
             t_new[settled] = ta[settled]
         s[active] = s_new
@@ -464,8 +451,8 @@ def plane_critical_points(
     found = []
     for cand in pts:
         if not any(
-            abs(cand[0] - q[0]) <= dedup_rel * max(1.0, abs(q[0]))
-            and abs(cand[1] - q[1]) <= dedup_rel * max(1.0, abs(q[1]))
+            abs(cand[0] - q[0]) <= PLANE_DEDUP_REL * max(1.0, abs(q[0]))
+            and abs(cand[1] - q[1]) <= PLANE_DEDUP_REL * max(1.0, abs(q[1]))
             for q in found
         ):
             found.append(cand)

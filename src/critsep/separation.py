@@ -87,7 +87,6 @@ class SweepRecord:
     overlap: float
     lambda_overlap: float
     interface_theta: float
-    max_pointwise_product: float
     solver_iters: int
     status: str = "ok"
 
@@ -222,7 +221,7 @@ def _failed_record(lam, exc):
     """The all-NaN row of a solve that raised."""
     nan = math.nan
     return SweepRecord(lam=lam, energy=nan, overlap=nan, lambda_overlap=nan,
-                       interface_theta=nan, max_pointwise_product=nan, solver_iters=0,
+                       interface_theta=nan, solver_iters=0,
                        status=f"failed: {type(exc).__name__}: {exc}")
 
 
@@ -234,7 +233,6 @@ def _record_from_result(lam, res, pair, cp, grid):
         overlap=overlap,
         lambda_overlap=-lam * overlap,
         interface_theta=_interface_or_nan(pair, grid),
-        max_pointwise_product=float(np.max(pair.u * pair.v)),
         solver_iters=res.iterations,
         status="ok" if res.converged else f"not converged: {res.message}",
     )
@@ -256,7 +254,7 @@ def sweep_lambda(
     decreased along the schedule (beyond a relative 1e-6).  The limit
     problem is started from u - v of the final pair.
     """
-    pair = init if init is not None else initial_guess("bumps", grid, opts.seed)
+    pair = init if init is not None else initial_guess("bumps", grid)
     records = []
     stats = []
     for lam in schedule.lambdas:
@@ -308,7 +306,6 @@ def sweep_lambda(
             overlap=0.0,
             lambda_overlap=0.0,
             interface_theta=_interface_or_nan(limit_res.w, grid),
-            max_pointwise_product=0.0,
             solver_iters=limit_res.iterations,
             status="ok" if limit_res.converged else f"not converged: {limit_res.message}",
         )

@@ -82,6 +82,8 @@ __all__ = [
 
 COLLAPSE_FRACTION = 0.1  # component is lost below this fraction of its norm floor
 NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)  # damped lengths of the pair Newton step
+ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the gradient step
+ARMIJO_BACKTRACK = 0.5  # step factor of each Armijo backtrack
 RESIDUAL_WINDOW = 5  # the Newton residual test compares against this many past norms
 # The discrete full gradient u - K^{-1} q f(u) of a critical point is not 0
 # but the rounding of the H^1 solve, which grows with the grid.  Over the
@@ -96,20 +98,12 @@ FULL_GRAD_FLOOR = 1.0
 class SolveOptions:
     max_iters: int = 20000
     grad_tol: float = 1e-6          # absolute, on the H^1 norm of the tangent gradient
-    armijo_slope: float = 1e-4
-    armijo_backtrack: float = 0.5
-    positivity_enforced: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise DomainError(f"max_iters must be at least 1, got {self.max_iters}")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise DomainError(f"grad_tol must be finite and positive, got {self.grad_tol}")
-        if not (0.0 < self.armijo_slope < 1.0):
-            raise DomainError(f"armijo slope fraction must be in (0,1), got {self.armijo_slope}")
-        if not (0.0 < self.armijo_backtrack < 1.0):
-            raise DomainError(f"backtrack factor must be in (0,1), got {self.armijo_backtrack}")
 
 
 @dataclass
@@ -301,13 +295,13 @@ def _limit_newton_direction(w, cp, grid, mu, force, res=None):
 
 
 class _Pair:
-    """The pair (u, v) on the invariant Nehari set."""
+    """The pair (u, v) on the invariant Nehari set; a trial lands (|u|, |v|)."""
 
     newton_steps = NEWTON_STEPS
     residual_window = RESIDUAL_WINDOW
 
-    def __init__(self, cp, grid, positive):
-        self.cp, self.grid, self.positive = cp, grid, positive
+    def __init__(self, cp, grid):
+        self.cp, self.grid = cp, grid
         self.floor_u = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, grid.params.N)
         self.floor_v = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
         self.stats = NehariInvariantStats()
@@ -335,7 +329,7 @@ class _Pair:
         return (tg.u, tg.v), (forces, res, mult, (g.u, g.v), ints)
 
     def trial(self, x):
-        u, v = (np.abs(c) for c in x) if self.positive else x
+        u, v = (np.abs(c) for c in x)
         s, t = nehari_project(PairState(u, v), self.cp, self.grid)
         pair = PairState(s * u, t * v)
         ints = pair_integrals(pair, self.cp, self.grid)
@@ -352,17 +346,17 @@ class _Pair:
 
 
 class _Single:
-    """One component u on the one-constraint Nehari set; no Newton candidate."""
+    """One component u on the one-constraint Nehari set, landed as |u|; no Newton candidate."""
 
     residual_window = 1
 
-    def __init__(self, mu, grid, positive):
-        self.mu, self.grid, self.positive = mu, grid, positive
+    def __init__(self, mu, grid):
+        self.mu, self.grid = mu, grid
         self.p = grid.params.two_star
         self.floor = COLLAPSE_FRACTION * sobolev_lower_bound(mu, grid.params.N)
 
     def land(self, x, at, k):
-        u = np.abs(x[0]) if self.positive else x[0]
+        u = np.abs(x[0])
         u = single_project(u, self.mu, self.grid) * u
         a, b = component_norms(u, self.mu, self.grid)
         if a < self.floor:
@@ -380,7 +374,7 @@ class _Single:
         return (g - coef * gf,), ((g,), coef, a, b)
 
     def trial(self, x):
-        u = np.abs(x[0]) if self.positive else x[0]
+        u = np.abs(x[0])
         a, b = component_norms(u, self.mu, self.grid)
         if a <= 0.0 or b <= 0.0:
             return None
@@ -521,11 +515,11 @@ def _descend(problem, x, opts):
         step = tau
         for _ in range(60):
             trial = _attempt(problem, tuple(c - step * d for c, d in zip(x, tg)))
-            if trial is not None and trial[2] <= value - opts.armijo_slope * step * tg_sq:
+            if trial is not None and trial[2] <= value - ARMIJO_SLOPE * step * tg_sq:
                 x, at, _ = trial
                 tau = step
                 break
-            step *= opts.armijo_backtrack
+            step *= ARMIJO_BACKTRACK
         else:
             message = "line search stalled"
             break
@@ -569,7 +563,7 @@ def minimize_nehari(
     if cp.lam >= 0.0:
         raise DomainError(f"competitive solve requires lambda < 0, got {cp.lam}")
     check_exponents(cp, grid.params)
-    problem = _Pair(cp, grid, opts.positivity_enforced)
+    problem = _Pair(cp, grid)
     x = (np.asarray(init.u, dtype=float), np.asarray(init.v, dtype=float))
     run = _descend(problem, x, opts)
     _forces, _res, mult, g, ints = run.ev
@@ -587,7 +581,7 @@ def minimize_single(
     u_init: np.ndarray, mu: float, grid: ReducedGrid, opts: SolveOptions
 ) -> SolveResult:
     """Single-component mode: minimize over the one-constraint Nehari set."""
-    problem = _Single(mu, grid, opts.positivity_enforced)
+    problem = _Single(mu, grid)
     run = _descend(problem, (np.asarray(u_init, dtype=float),), opts)
     (u,) = run.x
     g, coef, a, b = run.ev

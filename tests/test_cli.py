@@ -1,7 +1,9 @@
 import hashlib
 import json
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ def tiny_config(out_dir, M=64, lam=-1.0, lambdas=(-1.0, -3.0, -10.0, -30.0)):
     return RunConfig(
         model=ModelParams(N=4, m=2, n=3, M=M),
         coupling=CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=lam),
-        solver=SolveOptions(grad_tol=1e-6, max_iters=20000, seed=0),
+        solver=SolveOptions(grad_tol=1e-6, max_iters=20000),
         sweep=SweepSchedule(lambdas=lambdas),
         out_dir=str(out_dir),
     )
@@ -51,9 +53,28 @@ def test_config_round_trip():
     # all numeric leaves are decimal strings
     assert tree["coupling"]["mu1"] == "1.0"
     assert tree["model"]["N"] == "4"
-    assert tree["solver"]["positivity_enforced"] == "true"
+    assert tree["solver"] == {"max_iters": "20000", "grad_tol": "1e-06"}
     assert all(isinstance(x, str) for x in tree["sweep"]["lambdas"])
     assert config_from_tree(tree) == cfg
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_config_with_the_retired_solver_keys_loads_as_the_default(seed):
+    # the format of earlier versions: the retired keys at the values the
+    # solver runs with, and a seed that never reached a result
+    tree = config_to_tree(default_config())
+    tree["solver"].update(armijo_slope="0.0001", armijo_backtrack="0.5",
+                          positivity_enforced="true", seed=seed)
+    assert config_from_tree(tree) == default_config()
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = config_from_tree(json.loads(blocks[0]))
+    assert cfg.solver == default_config().solver
+    assert cfg.sweep.lambdas == (-1.0, -10.0, -100.0)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -177,6 +198,39 @@ def test_cmd_sweep_resume(tmp_path):
     assert cmd_sweep(cfg, resume=True) == 0
     manifest = json.loads((tmp_path / "sweep2" / "manifest.json").read_text())
     assert manifest["resumed_from"] == "warmstart_profile.csv"
+
+
+def _with_first_u_cell(table, value):
+    """The profile table with the u cell of its first data row set to value."""
+    lines = table.splitlines(keepends=True)
+    i = next(k for k, line in enumerate(lines) if line[0].isdigit())
+    theta, _u, rest = lines[i].split(",", 2)
+    lines[i] = f"{theta},{value},{rest}"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "M, cell, message",
+    [
+        pytest.param(128, None, "has 65 rows, the grid has 129 nodes", id="other-grid"),
+        pytest.param(64, "abc", "could not convert string to float", id="non-numeric-cell"),
+        pytest.param(64, "inf", "non-finite value", id="non-finite-cell"),
+    ],
+)
+def test_cmd_sweep_resume_refuses_a_foreign_warm_start(tmp_path, capsys, M, cell, message):
+    # a warm start that does not fit the grid is an error message and
+    # status 2 before anything is written, not a traceback
+    out = tmp_path / "sweep"
+    assert cmd_sweep(tiny_config(out, lambdas=(-1.0, -2.0))) == 0
+    warm = out / "warmstart_profile.csv"
+    if cell is not None:
+        warm.write_text(_with_first_u_cell(warm.read_text(), cell))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert cmd_sweep(tiny_config(out, M=M, lambdas=(-1.0, -2.0)), resume=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cmd_sync_threshold(tmp_path):
@@ -313,6 +367,10 @@ def _config_text(section, key, value):
                      "KeyError: 'coupling'", id="missing-key"),
         pytest.param(_config_text("model", "M", "abc"), "invalid literal for int()",
                      id="non-numeric-leaf"),
+        pytest.param(_config_text("solver", "positivity_enforced", "false"),
+                     "solver.positivity_enforced is fixed at 'true'", id="signed-iterates"),
+        pytest.param(_config_text("solver", "armijo_slope", "0.3"),
+                     "solver.armijo_slope is fixed at 0.0001", id="armijo-slope"),
     ],
 )
 def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys, text, message):
@@ -325,11 +383,15 @@ def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys, text, 
     assert err.startswith("error: ") and message in err
 
 
-def test_subcommands_reject_flags_they_do_not_read(capsys):
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "--grid", "8"], id="verify-grid"),
+    pytest.param(["solve", "--seed", "1"], id="solve-seed"),
+])
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--grid", "8"])
+        main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments: --grid 8" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_config_rejects_an_empty_output_directory(tmp_path, capsys):

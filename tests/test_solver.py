@@ -45,13 +45,6 @@ OPTS = SolveOptions(grad_tol=1e-6, max_iters=20000)
 S4 = sobolev_constant(4)
 
 
-def test_solve_options_validation():
-    with pytest.raises(DomainError):
-        SolveOptions(armijo_slope=1.5)
-    with pytest.raises(DomainError):
-        SolveOptions(armijo_backtrack=0.0)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
