@@ -222,7 +222,7 @@ def _check_refinement(levels=(128, 256, 512)):
     energies = []
     for M in levels:
         grid = build_grid(ModelParams(N=4, m=2, n=3, M=M))
-        res = solver.minimize_nehari(initial_guess("bumps", grid, 0), cp, grid, opts)
+        res = solver.minimize_nehari(initial_guess("bumps", grid), cp, grid, opts)
         if not res.converged:
             return False, f"solve at M={M} not converged: {res.message}"
         energies.append(res.energy)
@@ -251,7 +251,7 @@ def _soft_clambda_monotone():
 def _soft_interface_drift():
     grid = build_grid(ModelParams(N=4, m=2, n=3, M=96))
     opts = SolveOptions(grad_tol=1e-5)
-    init = initial_guess("bumps", grid, 0)
+    init = initial_guess("bumps", grid)
     thetas = []
     for mu2 in (1.0, 2.0, 4.0):
         cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=2.0, beta=2.0, lam=-1.0)

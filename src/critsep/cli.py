@@ -5,7 +5,7 @@ Subcommands:
     solve           minimize at a single coupling value, write the profile,
                     a JSON summary and a manifest
     sweep           lambda continuation with warm starts, write the record
-                    table, a plot-data copy, the limit profile and manifest
+                    table, the limit profile, the warm start and manifest
     sync-threshold  bracket the synchronized-solution emptiness threshold
     verify          run the invariant battery of `checks` and print its table
     sobolev         print the embedding constant and its cross-check
@@ -61,13 +61,10 @@ class RunConfig:
     solver: SolveOptions
     sweep: SweepSchedule
     out_dir: str = "out"
-    fmt: str = "csv"
 
     def __post_init__(self):
         if not self.out_dir:
             raise DomainError("output directory must be a non-empty path")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"output format must be 'csv' or 'json', got {self.fmt!r}")
 
 
 def default_config() -> RunConfig:
@@ -96,17 +93,18 @@ def config_to_tree(cfg: RunConfig) -> dict:
         },
         "solver": {"max_iters": str(s.max_iters), "grad_tol": _fnum(s.grad_tol)},
         "sweep": {"lambdas": [_fnum(x) for x in cfg.sweep.lambdas]},
-        "output": {"dir": cfg.out_dir, "format": cfg.fmt},
+        "output": {"dir": cfg.out_dir},
     }
 
 
-# Solver keys of older configs, now constants of the solver: each is accepted
-# at the one value the solver runs with, as (parser, value).  "seed" never
-# reached a result and is ignored at any value.
-_RETIRED_SOLVER_KEYS = {
-    "armijo_slope": (float, ARMIJO_SLOPE),
-    "armijo_backtrack": (float, ARMIJO_BACKTRACK),
-    "positivity_enforced": (str, "true"),
+# Keys of older configs whose value is now fixed: each is accepted at the one
+# value the program runs with, as (section, key) -> (parser, value).
+# "solver.seed" never reached a result and is ignored at any value.
+_RETIRED_KEYS = {
+    ("solver", "armijo_slope"): (float, ARMIJO_SLOPE),
+    ("solver", "armijo_backtrack"): (float, ARMIJO_BACKTRACK),
+    ("solver", "positivity_enforced"): (str, "true"),
+    ("output", "format"): (str, "csv"),
 }
 
 
@@ -115,9 +113,10 @@ def config_from_tree(tree: dict) -> RunConfig:
     c = tree["coupling"]
     s = tree["solver"]
     out = tree.get("output", {})
-    for key, (parse, value) in _RETIRED_SOLVER_KEYS.items():
-        if key in s and parse(s[key]) != value:
-            raise DomainError(f"solver.{key} is fixed at {value!r}, got {s[key]!r}")
+    for (section, key), (parse, value) in _RETIRED_KEYS.items():
+        leaves = tree.get(section, {})
+        if key in leaves and parse(leaves[key]) != value:
+            raise DomainError(f"{section}.{key} is fixed at {value!r}, got {leaves[key]!r}")
     return RunConfig(
         model=ModelParams(N=int(m["N"]), m=int(m["m"]), n=int(m["n"]), M=int(m["M"])),
         coupling=CouplingParams(
@@ -130,7 +129,6 @@ def config_from_tree(tree: dict) -> RunConfig:
         solver=SolveOptions(max_iters=int(s["max_iters"]), grad_tol=float(s["grad_tol"])),
         sweep=SweepSchedule(lambdas=tuple(float(x) for x in tree["sweep"]["lambdas"])),
         out_dir=out.get("dir", "out"),
-        fmt=out.get("format", "csv"),
     )
 
 
@@ -218,14 +216,9 @@ def _grid_text(params: ModelParams) -> tuple:
 
 
 def _write_profile(writer, name, cfg, grid, u, v):
-    """Profile table (theta, u, v, weight) on grid in the configured format."""
+    """Profile table (theta, u, v, weight) on grid, as name.csv."""
     u = np.asarray(u, dtype=float).tolist()
     v = np.asarray(v, dtype=float).tolist()
-    if cfg.fmt == "json":
-        lists = {"theta": grid.theta.tolist(), "u": u, "v": v,
-                 "weight": grid.weights.tolist()}
-        writer.write_json(name + ".json", lists)
-        return name + ".json"
     theta, weight = _grid_text(grid.params)
     # repr of a Python float is the shortest round-trip form, as
     # repr(float(x)) of a numpy scalar; the u and v strings are made as the
@@ -233,7 +226,6 @@ def _write_profile(writer, name, cfg, grid, u, v):
     rows = "\n".join(map(",".join, zip(theta, map(repr, u), map(repr, v), weight)))
     writer.write_text(name + ".csv",
                       _meta_lines(cfg, name) + "theta,u,v,weight\n" + rows + "\n")
-    return name + ".csv"
 
 
 def _load_profile_pair(path, grid):
@@ -258,21 +250,14 @@ def _load_profile_pair(path, grid):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    if cfg.coupling.lam >= 0.0:
-        print("error: competitive solve requires lambda < 0", file=sys.stderr)
-        return 2
+    grid = build_grid(cfg.model)
     try:
-        check_exponents(cfg.coupling, cfg.model)
+        res = minimize_nehari(initial_guess("bumps", grid), cfg.coupling, grid, cfg.solver)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    grid = build_grid(cfg.model)
-    init = initial_guess("bumps", grid)
-    writer = _RunWriter(cfg)
-    try:
-        res = minimize_nehari(init, cfg.coupling, grid, cfg.solver)
     except (CollapseError, ConvergenceError) as exc:
+        writer = _RunWriter(cfg)
         writer.write_json(
             "summary.json",
             {"status": f"failed: {type(exc).__name__}", "detail": str(exc)},
@@ -281,6 +266,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 4
 
+    writer = _RunWriter(cfg)
     _write_profile(writer, "profile", cfg, grid, res.pair.u, res.pair.v)
     summary = {
         "energy": res.energy,
@@ -311,7 +297,7 @@ SWEEP_COLUMNS = ("lambda", "energy", "overlap", "lambda_overlap",
 
 
 def _sweep_rows(records, limit_record) -> list:
-    """The cells of each sweep row, as strings shared by the CSV and JSON outputs."""
+    """The CSV cells of each sweep row, the limit row last."""
     return [
         [
             repr(float(r.lam)),
@@ -342,16 +328,8 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
     result = sweep_lambda(cfg.sweep, cfg.coupling, grid, cfg.solver, init=init)
 
     rows = _sweep_rows(result.records, result.limit_record)
-    if cfg.fmt == "json":
-        rows = [dict(zip(SWEEP_COLUMNS, row)) for row in rows]
-        writer.write_json("sweep.json", rows)
-        writer.write_json("plotdata.json", rows)
-    else:
-        table = "".join(",".join(row) + "\n" for row in [SWEEP_COLUMNS, *rows])
-        meta = _meta_lines(cfg, "sweep")
-        writer.write_text("sweep.csv", meta + table)
-        # plot-data copy: same table, for direct consumption by plotting tools
-        writer.write_text("plotdata.csv", meta + table)
+    table = "".join(",".join(row) + "\n" for row in [SWEEP_COLUMNS, *rows])
+    writer.write_text("sweep.csv", _meta_lines(cfg, "sweep") + table)
 
     if result.limit_result is not None:
         w = result.limit_result.w

@@ -69,6 +69,8 @@ def sobolev_constant(N: int) -> float:
 
 def critical_exponent(N: int) -> float:
     """Critical Sobolev exponent 2* = 2N/(N-2)."""
+    if N < 3:
+        raise DomainError(f"critical exponent needs N >= 3, got {N}")
     return 2.0 * N / (N - 2.0)
 
 

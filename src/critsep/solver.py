@@ -626,34 +626,15 @@ def _smooth_bump(x):
     return out
 
 
-def initial_guess(kind: str, grid: ReducedGrid, seed: int = 0) -> PairState:
-    """Deterministic starting pairs: 'bumps', 'constants_split' or 'random'.
+def initial_guess(kind: str, grid: ReducedGrid) -> PairState:
+    """The deterministic starting pair of the given kind; only 'bumps' exists.
 
     'bumps' places disjointly supported caps near the two ends of the arc,
-    so the overlap integral of the pair is exactly zero.  'random' suits the
-    single and limit solves only: its two positive profiles overlap
-    everywhere, and the pair solve raises ConvergenceError from them.
+    so the overlap integral of the pair is exactly zero.
     """
-    theta = grid.theta
-    if kind == "bumps":
-        width = 0.35 * HALF_PI
-        u = _smooth_bump(theta / width)
-        v = _smooth_bump((HALF_PI - theta) / width)
-    elif kind == "constants_split":
-        u = 0.5 * (1.0 - np.tanh((theta - 0.5 * HALF_PI) / (0.15 * HALF_PI)))
-        v = 0.5 * (1.0 + np.tanh((theta - 0.5 * HALF_PI) / (0.15 * HALF_PI)))
-    elif kind == "random":
-        rng = np.random.default_rng(seed)
-
-        def smooth_positive():
-            coef = rng.normal(0.0, 0.4, size=6)
-            acc = np.zeros_like(theta)
-            for j, cj in enumerate(coef, start=1):
-                acc += cj * np.cos(2.0 * j * theta) / j
-            return np.exp(acc)
-
-        u = smooth_positive()
-        v = smooth_positive()
-    else:
+    if kind != "bumps":
         raise DomainError(f"unknown initial guess kind {kind!r}")
+    width = 0.35 * HALF_PI
+    u = _smooth_bump(grid.theta / width)
+    v = _smooth_bump((HALF_PI - grid.theta) / width)
     return PairState(u=u, v=v)

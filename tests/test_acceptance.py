@@ -61,7 +61,7 @@ def level_solves(grid2048):
     out = {}
     for lam in (-1.0, -10.0, -1e3):
         cp = replace(CP4, lam=lam)
-        out[lam] = minimize_nehari(initial_guess("bumps", grid2048, 0), cp, grid2048, OPTS)
+        out[lam] = minimize_nehari(initial_guess("bumps", grid2048), cp, grid2048, OPTS)
     return out
 
 
@@ -89,7 +89,7 @@ def test_criterion_2_single_equation_level():
     errors = {}
     for M in (256, 512, 1024, 2048):
         grid = build_grid(ModelParams(N=4, m=2, n=3, M=M))
-        res = minimize_single(initial_guess("bumps", grid, 0).u, 1.0, grid, OPTS)
+        res = minimize_single(initial_guess("bumps", grid).u, 1.0, grid, OPTS)
         assert res.converged
         errors[M] = abs(res.energy - SINGLE_LEVEL) / SINGLE_LEVEL
     dt = time.time() - t0
@@ -177,7 +177,7 @@ def test_criterion_5_interface_geometry(grid2048, sweep2048):
     params5 = ModelParams(N=5, m=3, n=3, M=512)
     grid5 = build_grid(params5)
     cp5 = CouplingParams(mu1=1.0, mu2=1.0, alpha=5.0 / 3.0, beta=5.0 / 3.0, lam=-1.0)
-    init5 = initial_guess("bumps", grid5, 0)
+    init5 = initial_guess("bumps", grid5)
     res5 = minimize_limit(init5.u - init5.v, cp5, grid5, OPTS)
     theta5 = interface_locate(res5.w, grid5)
     ok_n5 = res5.converged and abs(theta5 - math.pi / 4.0) <= grid5.h

@@ -61,10 +61,11 @@ def test_config_round_trip():
 @pytest.mark.parametrize("seed", ["0", "7"])
 def test_config_with_the_retired_solver_keys_loads_as_the_default(seed):
     # the format of earlier versions: the retired keys at the values the
-    # solver runs with, and a seed that never reached a result
+    # program runs with, and a seed that never reached a result
     tree = config_to_tree(default_config())
     tree["solver"].update(armijo_slope="0.0001", armijo_backtrack="0.5",
                           positivity_enforced="true", seed=seed)
+    tree["output"]["format"] = "csv"
     assert config_from_tree(tree) == default_config()
 
 
@@ -168,11 +169,15 @@ def test_cmd_sweep_outputs(tmp_path):
     assert len(rows) == 1 + len(cfg.sweep.lambdas) + 1  # header + rows + limit
     assert rows[-1].startswith("-inf,")
     assert all(r.split(",")[6].startswith("ok") for r in rows[1:])
-    assert (out / "plotdata.csv").read_text() == table
-    assert (out / "limit_profile.csv").exists()
-    assert (out / "warmstart_profile.csv").exists()
+    # each table once, in CSV
+    assert sorted(os.listdir(out)) == [
+        "limit_profile.csv", "manifest.json", "sweep.csv",
+        "sweep_summary.json", "warmstart_profile.csv",
+    ]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert "sweep.csv" in manifest["files"]
+    assert sorted(manifest["files"]) == [
+        "limit_profile.csv", "sweep.csv", "sweep_summary.json", "warmstart_profile.csv",
+    ]
 
 
 def test_cmd_sweep_default_schedule_row_count(tmp_path):
@@ -280,18 +285,6 @@ def test_main_verify_inject(capsys, monkeypatch):
     assert "sobolev_dual_formula" in capsys.readouterr().err
 
 
-def test_json_output_format(tmp_path):
-    cfg = tiny_config(tmp_path / "jsonrun")
-    cfg = RunConfig(
-        model=cfg.model, coupling=cfg.coupling, solver=cfg.solver,
-        sweep=cfg.sweep, out_dir=cfg.out_dir, fmt="json",
-    )
-    assert cmd_solve(cfg) == 0
-    data = json.loads((tmp_path / "jsonrun" / "profile.json").read_text())
-    assert set(data) == {"theta", "u", "v", "weight"}
-    assert len(data["theta"]) == cfg.model.M + 1
-
-
 def _expected_profile_csv(cfg, grid, u, v):
     rows = [",".join(repr(float(x)) for x in vals)
             for vals in zip(grid.theta, u, v, grid.weights)]
@@ -311,14 +304,6 @@ def test_profile_writer_matches_per_row_repr(tmp_path):
     v = np.array(edge[::-1] + list(rng.standard_normal(n - len(edge))))
     _write_profile(_RunWriter(cfg), "profile", cfg, grid, u, v)
     assert (tmp_path / "profile.csv").read_text() == _expected_profile_csv(cfg, grid, u, v)
-
-    cfg = replace(cfg, fmt="json")
-    _write_profile(_RunWriter(cfg), "profile", cfg, grid, u, v)
-    lists = {k: [float(x) for x in col]
-             for k, col in zip(("theta", "u", "v", "weight"),
-                               (grid.theta, u, v, grid.weights))}
-    expected = json.dumps(lists, indent=2, sort_keys=True) + "\n"
-    assert (tmp_path / "profile.json").read_text() == expected
 
 
 def test_profile_grid_columns_follow_the_split_not_only_M(tmp_path):
@@ -371,6 +356,8 @@ def _config_text(section, key, value):
                      "solver.positivity_enforced is fixed at 'true'", id="signed-iterates"),
         pytest.param(_config_text("solver", "armijo_slope", "0.3"),
                      "solver.armijo_slope is fixed at 0.0001", id="armijo-slope"),
+        pytest.param(_config_text("output", "format", "json"),
+                     "output.format is fixed at 'csv'", id="json-output"),
     ],
 )
 def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys, text, message):
@@ -381,6 +368,7 @@ def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys, text, 
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,16 +387,3 @@ def test_config_rejects_an_empty_output_directory(tmp_path, capsys):
         replace(default_config(), out_dir="")
     assert main(["solve", "--out", ""]) == 2
     assert "output directory" in capsys.readouterr().err
-
-
-def test_cmd_sweep_json_rows_equal_the_csv_cells(tmp_path):
-    cfg = tiny_config(tmp_path / "csv")
-    assert cmd_sweep(cfg) == 0
-    assert cmd_sweep(replace(cfg, out_dir=str(tmp_path / "json"), fmt="json")) == 0
-    lines = [l for l in (tmp_path / "csv" / "sweep.csv").read_text().splitlines()
-             if l and not l.startswith("#")]
-    header = lines[0].split(",")
-    cells = [dict(zip(header, l.split(","))) for l in lines[1:]]
-    rows = json.loads((tmp_path / "json" / "sweep.json").read_text())
-    assert rows == cells
-    assert json.loads((tmp_path / "json" / "plotdata.json").read_text()) == rows

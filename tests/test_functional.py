@@ -102,7 +102,7 @@ def test_residuals_constant_solution():
 
 
 def test_residuals_disjoint_supports_reduce_to_single():
-    pair = initial_guess("bumps", GRID, 0)
+    pair = initial_guess("bumps", GRID)
     ints = pair_integrals(pair, CP, GRID)
     assert ints.coupling == 0.0
     res = residuals(pair, CP, GRID)
@@ -168,7 +168,7 @@ def test_gradient_swap_equivariance():
 
 
 def test_nehari_project_disjoint_closed_form():
-    pair = initial_guess("bumps", GRID, 0)
+    pair = initial_guess("bumps", GRID)
     s, t = nehari_project(pair, CP, GRID)
     s_ref = single_project(pair.u, CP.mu1, GRID)
     t_ref = single_project(pair.v, CP.mu2, GRID)
@@ -284,7 +284,7 @@ def test_energy_lambda_monotonicity():
 
 
 def test_limit_energy_examples():
-    pair = initial_guess("bumps", GRID, 0)
+    pair = initial_guess("bumps", GRID)
     # nonnegative profile: limit energy is the single-component energy
     w = pair.u
     expected = 0.5 * h1_form(w, w, GRID) - 0.25 * integrate(w**4, GRID)
@@ -302,7 +302,7 @@ def test_limit_energy_examples():
 
 
 def test_limit_residuals_split():
-    pair = initial_guess("bumps", GRID, 0)
+    pair = initial_guess("bumps", GRID)
     w = pair.u - pair.v
     rp, rm = limit_residuals(w, CP, GRID)
     assert rp == pytest.approx(
@@ -425,7 +425,7 @@ def _kernel_pairs(grid):
     """Overlapping positive, disjoint (exact zeros) and sign-changing pairs."""
     rng = np.random.default_rng(grid.params.N * 10 + grid.params.m)
     p = [cosine_series(grid, rng) for _ in range(6)]
-    bumps = initial_guess("bumps", grid, 0)
+    bumps = initial_guess("bumps", grid)
     return [
         PairState(np.exp(p[0]), np.exp(p[1])),
         bumps,

@@ -34,6 +34,11 @@ def test_sync_instance_validation():
         SyncInstance(mu1=-1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0, N=4)
     with pytest.raises(DomainError):
         SyncInstance(mu1=1.0, mu2=1.0, alpha=1.5, beta=2.0, lam=-1.0, N=4)
+    # 2* = 2N/(N-2) has no value at N = 2
+    with pytest.raises(DomainError):
+        SyncInstance(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0, N=2)
+    with pytest.raises(DomainError):
+        sync_threshold(1.0, 1.0, 2.0, 2.0, N=2)
 
 
 def test_sync_solve_diagonal_branch():

@@ -49,7 +49,9 @@ def test_interface_locate_synthetic_root():
 
 
 def test_interface_locate_pair_input():
-    pair = initial_guess("constants_split", GRID, 0)
+    # complementary tanh profiles that cross at the middle of the arc
+    split = np.tanh((GRID.theta - math.pi / 4.0) / (0.15 * math.pi / 2.0))
+    pair = PairState(u=0.5 * (1.0 - split), v=0.5 * (1.0 + split))
     theta0 = interface_locate(pair, GRID)
     assert theta0 == pytest.approx(math.pi / 4.0, abs=2 * GRID.h)
 
@@ -64,7 +66,7 @@ def test_interface_locate_topology_errors():
 
 
 def test_verify_tori_limit_minimizer():
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     res = minimize_limit(init.u - init.v, CP, GRID, OPTS)
     report = verify_tori(res.w, GRID)
     assert report.passed
@@ -141,7 +143,7 @@ def test_interface_drift_with_mu2_is_logged_not_asserted():
     thetas = []
     for mu2 in (1.0, 2.0, 4.0):
         cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=2.0, beta=2.0, lam=-1.0)
-        init = initial_guess("bumps", GRID, 0)
+        init = initial_guess("bumps", GRID)
         res = minimize_limit(init.u - init.v, cp, GRID, OPTS)
         assert res.converged
         thetas.append(interface_locate(res.w, GRID))

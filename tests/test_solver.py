@@ -21,6 +21,7 @@ from critsep import (
     minimize_single,
     sobolev_constant,
 )
+from critsep.checks import cosine_series
 from critsep.errors import CollapseError, DegenerateConstraintError
 from critsep.functional import (
     PairForces,
@@ -64,27 +65,21 @@ def test_solve_options_reject_settings_without_a_solve(kwargs):
 
 
 def test_initial_guess_bumps_disjoint():
-    pair = initial_guess("bumps", GRID, 0)
+    pair = initial_guess("bumps", GRID)
     ints = pair_integrals(pair, CP, GRID)
     assert ints.coupling == 0.0
     assert ints.a1 > 0 and ints.a2 > 0
 
 
 def test_initial_guess_determinism_and_kinds():
-    a = initial_guess("random", GRID, 42)
-    b = initial_guess("random", GRID, 42)
-    c = initial_guess("random", GRID, 43)
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-    assert not np.array_equal(a.u, c.u)
-    split = initial_guess("constants_split", GRID, 0)
-    assert h1_form(split.u, split.u, GRID) > 0
-    assert h1_form(split.v, split.v, GRID) > 0
-    with pytest.raises(DomainError):
-        initial_guess("nope", GRID, 0)
+    # "bumps" is the only start; the retired kinds are unknown like any other
+    for kind in ("nope", "random", "constants_split"):
+        with pytest.raises(DomainError):
+            initial_guess(kind, GRID)
 
 
 def test_minimize_single_finds_constant_level():
-    res = minimize_single(initial_guess("bumps", GRID, 0).u, 1.0, GRID, OPTS)
+    res = minimize_single(initial_guess("bumps", GRID).u, 1.0, GRID, OPTS)
     assert res.converged
     assert res.energy == pytest.approx(0.25 * S4 * S4, rel=1e-10)
     # the minimizer is the constant profile sqrt(2)
@@ -93,7 +88,7 @@ def test_minimize_single_finds_constant_level():
 
 
 def test_minimize_nehari_level_bracket():
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     res = minimize_nehari(init, CP, GRID, OPTS)
     assert res.converged
     # strictly above the unattained decoupled level, below the limit level
@@ -108,20 +103,22 @@ def test_minimize_nehari_level_bracket():
 def test_minimize_nehari_requires_negative_lambda():
     cp0 = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=0.0)
     with pytest.raises(DomainError):
-        minimize_nehari(initial_guess("bumps", GRID, 0), cp0, GRID, OPTS)
+        minimize_nehari(initial_guess("bumps", GRID), cp0, GRID, OPTS)
 
 
 def test_minimize_nehari_cannot_start_from_random():
-    # both random profiles are positive everywhere, so no scaling of the
-    # pair lands on the Nehari set; the start suits single and limit solves
+    # both smooth random profiles are positive everywhere, so no scaling of
+    # the pair lands on the Nehari set
     grid = build_grid(ModelParams(N=4, m=2, n=3, M=128))
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1e3)
+    rng = np.random.default_rng(0)
+    init = PairState(np.exp(cosine_series(grid, rng)), np.exp(cosine_series(grid, rng)))
     with pytest.raises(ConvergenceError):
-        minimize_nehari(initial_guess("random", grid, 0), cp, grid, OPTS)
+        minimize_nehari(init, cp, grid, OPTS)
 
 
 def test_monotone_descent_trace():
-    res = minimize_nehari(initial_guess("bumps", GRID, 0), CP, GRID, OPTS)
+    res = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, OPTS)
     trace = res.energy_trace
     diffs = np.diff(trace)
     assert np.all(diffs <= 1e-12 * np.abs(trace[:-1]))
@@ -130,7 +127,7 @@ def test_monotone_descent_trace():
 
 def test_decoupled_limit_matches_single_solves():
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1e-4)
-    res = minimize_nehari(initial_guess("bumps", GRID, 0), cp, GRID, OPTS)
+    res = minimize_nehari(initial_guess("bumps", GRID), cp, GRID, OPTS)
     assert res.converged
     # each component approaches the constant single-equation solution
     assert res.energy == pytest.approx(0.5 * S4 * S4, rel=1e-3)
@@ -142,19 +139,19 @@ def test_reflection_invariance():
     # mirror the geometry, swap (m,n), (mu1,mu2), (alpha,beta) and the
     # components: energies agree to roundoff-level tolerance
     cp = CouplingParams(mu1=1.0, mu2=2.0, alpha=2.0, beta=2.0, lam=-1.0)
-    res = minimize_nehari(initial_guess("bumps", GRID, 0), cp, GRID, OPTS)
+    res = minimize_nehari(initial_guess("bumps", GRID), cp, GRID, OPTS)
 
     params_r = ModelParams(N=4, m=3, n=2, M=256)
     grid_r = build_grid(params_r)
     cp_r = CouplingParams(mu1=2.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0)
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     init_r = PairState(u=init.v[::-1].copy(), v=init.u[::-1].copy())
     res_r = minimize_nehari(init_r, cp_r, grid_r, OPTS)
     assert res_r.energy == pytest.approx(res.energy, rel=1e-8)
 
 
 def test_swap_equivariance_symmetric_coupling():
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     swapped = PairState(u=-init.v, v=-init.u)
     res = minimize_nehari(init, CP, GRID, OPTS)
     res_s = minimize_nehari(swapped, CP, GRID, OPTS)
@@ -162,7 +159,7 @@ def test_swap_equivariance_symmetric_coupling():
 
 
 def test_invariant_stats_along_solve():
-    res = minimize_nehari(initial_guess("bumps", GRID, 0), CP, GRID, OPTS)
+    res = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, OPTS)
     st = res.stats
     assert st.count == res.iterations
     assert st.max_energy_identity_dev <= 1e-8
@@ -172,7 +169,7 @@ def test_invariant_stats_along_solve():
 
 
 def test_minimize_limit_bounds_and_interface():
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     res = minimize_limit(init.u - init.v, CP, GRID, OPTS)
     assert res.converged
     wp = np.maximum(res.w, 0.0)
@@ -193,7 +190,7 @@ def test_minimize_limit_symmetric_instance():
     params = ModelParams(N=5, m=3, n=3, M=128)
     grid = build_grid(params)
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=5.0 / 3.0, beta=5.0 / 3.0, lam=-1.0)
-    init = initial_guess("bumps", grid, 0)
+    init = initial_guess("bumps", grid)
     res = minimize_limit(init.u - init.v, cp, grid, OPTS)
     assert res.converged
     theta0 = interface_locate(res.w, grid)
@@ -205,7 +202,7 @@ def test_minimize_limit_symmetric_instance():
 
 
 def test_minimize_limit_rejects_one_signed_start():
-    w = np.abs(initial_guess("bumps", GRID, 0).u) + 0.1
+    w = np.abs(initial_guess("bumps", GRID).u) + 0.1
     with pytest.raises(DegenerateInputError):
         minimize_limit(w, CP, GRID, OPTS)
 
@@ -222,13 +219,13 @@ def test_minimize_limit_raises_on_dependent_constraint_gradients(monkeypatch):
         return gf_p, gf_p
 
     monkeypatch.setattr(functional, "_limit_constraint_gradients", equal)
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     with pytest.raises(DegenerateConstraintError):
         minimize_limit(init.u - init.v, CP, GRID, OPTS)
 
 
 def test_rescale_parts_collapse_detection():
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     w = init.u - init.v
     # forcing an absurdly high floor must trip the collapse guard
     with pytest.raises(CollapseError):
@@ -253,7 +250,7 @@ def test_minimize_nehari_returns_the_evaluation_at_its_pair(N, m, n, lam, max_it
     alpha = 0.5 * grid.params.two_star
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=alpha, beta=alpha, lam=lam)
     opts = SolveOptions(grad_tol=1e-6, max_iters=max_iters)
-    res = minimize_nehari(initial_guess("bumps", grid, 0), cp, grid, opts)
+    res = minimize_nehari(initial_guess("bumps", grid), cp, grid, opts)
     assert res.message == message
     ints = pair_integrals(res.pair, cp, grid)
     tg, mult, g = tangent_gradient_full(res.pair, cp, grid)
@@ -312,7 +309,7 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
     if not newton:
         monkeypatch.setattr(solver, "_pair_newton_direction", lambda *args: (None, math.inf))
     opts = SolveOptions(grad_tol=1e-6, max_iters=30)
-    res = minimize_nehari(initial_guess("bumps", GRID, 0), CP, GRID, opts)
+    res = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, opts)
     assert res.converged == newton
     assert len(landed) == res.iterations
     assert all(landed)
@@ -348,7 +345,7 @@ def test_minimize_nehari_evaluates_each_landed_pair_once(monkeypatch, lam, max_i
     monkeypatch.setattr(solver, "_newton_trial", counting_trial)
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=lam)
     opts = SolveOptions(grad_tol=1e-6, max_iters=max_iters)
-    res = minimize_nehari(initial_guess("bumps", GRID, 0), cp, GRID, opts)
+    res = minimize_nehari(initial_guess("bumps", GRID), cp, GRID, opts)
     assert calls["accepted"] > 0
     assert calls["evaluate"] == res.iterations + (res.message == "max_iters exceeded")
     assert calls["forces"] == calls["evaluate"] + calls["residual"] - calls["accepted"]
@@ -373,7 +370,7 @@ def test_minimize_limit_hands_over_the_kernel_of_its_residual_test(monkeypatch):
         return x, at, value
 
     monkeypatch.setattr(solver._Limit, "land", checked_land)
-    init = initial_guess("bumps", GRID, 0)
+    init = initial_guess("bumps", GRID)
     res = minimize_limit(init.u - init.v, CP, GRID, SolveOptions(grad_tol=1e-8, max_iters=200))
     assert res.converged
     assert handed and all(handed)
@@ -384,7 +381,7 @@ def test_full_gradient_at_its_rounding_floor_does_not_demote_a_converged_solve()
     # the rounding of the H^1 solve, about 1.1e-12, above 10 grad_tol
     grid = build_grid(ModelParams(N=4, m=3, n=2, M=128))
     opts = SolveOptions(grad_tol=1e-13, max_iters=300)
-    res = minimize_single(initial_guess("bumps", grid, 0).u, 1.0, grid, opts)
+    res = minimize_single(initial_guess("bumps", grid).u, 1.0, grid, opts)
     assert res.grad_norm <= opts.grad_tol
     assert res.full_grad_norm > 10.0 * opts.grad_tol
     assert res.converged and res.message == "tangent gradient below tolerance"
@@ -399,7 +396,7 @@ def test_forced_non_critical_point_is_still_demoted(monkeypatch, offset):
 
     grid = build_grid(ModelParams(N=4, m=3, n=2, M=128))
     opts = SolveOptions(grad_tol=1e-13, max_iters=300)
-    u = minimize_single(initial_guess("bumps", grid, 0).u, 1.0, grid, opts).pair.u
+    u = minimize_single(initial_guess("bumps", grid).u, 1.0, grid, opts).pair.u
     evaluate = solver._Single.evaluate
 
     def flat(problem, x, at):
@@ -429,7 +426,7 @@ def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
     grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
     alpha = 0.5 * grid.params.two_star
     cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=alpha, beta=alpha, lam=-1.0)
-    init = initial_guess("bumps", grid, 0)
+    init = initial_guess("bumps", grid)
     opts = SolveOptions(grad_tol=grad_tol, max_iters=max_iters)
     res = minimize_limit(init.u - init.v, cp, grid, opts)
     assert res.message == message
@@ -442,7 +439,7 @@ def test_solve_energies_agree_with_the_recorded_levels():
     # N = 4 solves at M = 512 and the limit, against energies recorded when
     # the banded solves went through scipy's wrappers
     grid = build_grid(ModelParams(N=4, m=2, n=3, M=512))
-    init = initial_guess("bumps", grid, 0)
+    init = initial_guess("bumps", grid)
     recorded = {-1.0: 176.28821812129704, -10.0: 250.80088065537007, -1e3: 325.6975785909016}
     for lam, level in recorded.items():
         cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=lam)
@@ -493,7 +490,7 @@ def test_solve_banded_rejects_nonfinite_input(l_and_u, where, bad):
 
 def _nonfinite_start(kind, bad):
     grid = build_grid(ModelParams(N=4, m=2, n=3, M=64))
-    init = initial_guess("bumps", grid, 0)
+    init = initial_guess("bumps", grid)
     u = init.u.copy()
     u[5] = bad
     if kind == "pair":
