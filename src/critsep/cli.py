@@ -346,6 +346,8 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
             "limit_energy": result.limit_record.energy,
             "limit_status": result.limit_record.status,
             "monotonicity_ok": result.monotonicity_ok,
+            "predicted_starts": result.predicted_starts,
+            "predictor_fallbacks": result.predictor_fallbacks,
             "config_sha256": config_digest(cfg),
         },
     )

@@ -1,9 +1,10 @@
 """Continuation in the coupling strength and interface diagnostics.
 
-Driving lambda down a geometric schedule with warm starts traces the
-minimal-energy pair into the segregation regime: the overlap integral
-decays, (-lambda) * overlap tends to zero, and the pair approaches the
-positive/negative parts of a sign-changing minimizer of the limit problem.
+Driving lambda down a geometric schedule, each row started from a tangent
+prediction made at the row before, traces the minimal-energy pair into the
+segregation regime: the overlap integral decays, (-lambda) * overlap tends
+to zero, and the pair approaches the positive/negative parts of a
+sign-changing minimizer of the limit problem.
 The sweep records per-lambda diagnostics, finishes with the limit solve,
 and re-asserts the on-manifold invariants collected by the solver.
 
@@ -35,6 +36,7 @@ from .solver import (
     initial_guess,
     minimize_limit,
     minimize_nehari,
+    pair_tangent,
 )
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "ToriReport",
     "geometric_schedule",
     "interface_locate",
+    "predict_start",
     "sweep_lambda",
     "verify_tori",
 ]
@@ -99,6 +102,8 @@ class SweepResult:
     final_pair: PairState
     stats: list                  # per-lambda NehariInvariantStats
     monotonicity_ok: bool = True
+    predicted_starts: int = 0    # rows solved from a tangent prediction
+    predictor_fallbacks: int = 0  # rows after a converged row solved from its pair
 
 
 def interface_locate(profile, grid: ReducedGrid) -> float:
@@ -238,6 +243,32 @@ def _record_from_result(lam, res, pair, cp, grid):
     )
 
 
+def predict_start(pair: PairState, cp: CouplingParams, grid: ReducedGrid, lam_next: float):
+    """Tangent prediction of the pair at lam_next from a converged pair at cp.lam, or None.
+
+    One Euler step for ln x in the variable ln|lambda|: each node with x > 0
+    becomes x exp(lambda ln(lam_next/lambda) x'/x), with x' = dx/dlambda
+    from ``pair_tangent``; nodes where x = 0 stay 0.  In the segregated
+    regime each component decays exponentially, so ln x is close to linear
+    in ln|lambda| where x itself is not.  None when the tangent solve fails
+    or the prediction is not finite.
+    """
+    tangent = pair_tangent(pair, cp, grid)
+    if tangent is None:
+        return None
+    step = cp.lam * math.log(lam_next / cp.lam)
+    out = []
+    for x, dx in zip((pair.u, pair.v), tangent):
+        y = np.array(x, dtype=float)
+        live = y > 0.0
+        with np.errstate(over="ignore"):
+            y[live] *= np.exp(step * dx[live] / y[live])
+        if not np.isfinite(y).all():
+            return None
+        out.append(y)
+    return PairState(*out)
+
+
 def sweep_lambda(
     schedule: SweepSchedule,
     cp_base: CouplingParams,
@@ -245,30 +276,64 @@ def sweep_lambda(
     opts: SolveOptions,
     init: PairState = None,
 ) -> SweepResult:
-    """Warm-started continuation over the schedule, ending at the limit solve.
+    """Continuation over the schedule with predicted starts, ending at the limit solve.
 
-    Solver failures mark their record and the continuation proceeds from
-    the last good pair.  From the fourth row on, an ok row whose overlap
-    exceeds that of the previous ok row is marked "ok;overlap-increase".
-    ``monotonicity_ok`` holds when every row converged and no energy
-    decreased along the schedule (beyond a relative 1e-6).  The limit
-    problem is started from u - v of the final pair.
+    After a row that converged, the next row is solved from the start
+    ``predict_start`` makes from its pair.  When the prediction fails, or
+    the solve from it does not converge or raises, the row is solved from
+    that pair instead, and its ``solver_iters`` adds the iterations of a
+    discarded solve that returned.  After a row that did not converge the
+    next row starts from that row's pair; after a row whose solve raised,
+    which marks its record failed, from the last pair a solve returned (the
+    initial pair before any did).  ``predicted_starts`` counts the rows
+    solved from a prediction, ``predictor_fallbacks`` the rows after a
+    converged row that were solved from its pair.  From the fourth row on,
+    an ok row whose overlap exceeds that of the previous ok row is marked
+    "ok;overlap-increase".  ``monotonicity_ok`` holds when every row
+    converged and no energy decreased along the schedule (beyond a relative
+    1e-6).  The limit problem is started from u - v of the final pair.
     """
     pair = init if init is not None else initial_guess("bumps", grid)
+    lambdas = schedule.lambdas
     records = []
     stats = []
-    for lam in schedule.lambdas:
+    guess = None  # the predicted start of the next row, if any
+    predicted = fallbacks = 0
+    for k, lam in enumerate(lambdas):
         cp = replace(cp_base, lam=lam)
-        try:
-            res = minimize_nehari(pair, cp, grid, opts)
-            pair = res.pair
-            records.append(_record_from_result(lam, res, pair, cp, grid))
-            stats.append(res.stats)
-        except SOLVE_ERRORS as exc:
-            # keep partial results on solver failure
-            records.append(_failed_record(lam, exc))
-            stats.append(None)
-            log.warning("solve at lambda=%g failed: %s", lam, exc)
+        res, discarded = None, 0
+        start, guess = guess, None
+        if start is not None:
+            try:
+                res = minimize_nehari(start, cp, grid, opts)
+                why = res.message
+            except SOLVE_ERRORS as exc:
+                why = exc
+            if res is not None and res.converged:
+                predicted += 1
+            else:
+                log.info("solve at lambda=%g from the prediction failed (%s); "
+                         "solving from the previous pair", lam, why)
+                fallbacks += 1
+                discarded = res.iterations if res is not None else 0
+                res = None
+        if res is None:
+            try:
+                res = minimize_nehari(pair, cp, grid, opts)
+            except SOLVE_ERRORS as exc:
+                # keep partial results on solver failure
+                records.append(_failed_record(lam, exc))
+                stats.append(None)
+                log.warning("solve at lambda=%g failed: %s", lam, exc)
+                continue
+        pair = res.pair
+        record = _record_from_result(lam, res, pair, cp, grid)
+        record.solver_iters += discarded
+        records.append(record)
+        stats.append(res.stats)
+        if res.converged and k + 1 < len(lambdas):
+            guess = predict_start(pair, cp, grid, lambdas[k + 1])
+            fallbacks += guess is None
 
     # monotone only when every row converged and no energy decreased
     good = [r for r in records if r.status == "ok"]
@@ -320,4 +385,6 @@ def sweep_lambda(
         final_pair=pair,
         stats=stats,
         monotonicity_ok=monotonicity_ok,
+        predicted_starts=predicted,
+        predictor_fallbacks=fallbacks,
     )

@@ -6,7 +6,9 @@ component on its Nehari set, the level of the strict level gap (``_Single``,
 ``minimize_single``), and the sign-changing limit problem whose positive
 and negative parts sit on their own Nehari sets (``_Limit``,
 ``minimize_limit``).  The formulas they are built from live in ``functional``;
-this module keeps the driver, the problems and the two Newton directions.
+this module keeps the driver, the problems, the two Newton directions and
+the branch tangent of the pair (``pair_tangent``), which shares the pair's
+Newton matrix.
 
 A state is a tuple of per-component arrays.  A problem object lands a state
 on its constraint set and checks the norm floors (``land(x, at, k)`` returns
@@ -78,6 +80,7 @@ __all__ = [
     "minimize_limit",
     "minimize_nehari",
     "minimize_single",
+    "pair_tangent",
 ]
 
 COLLAPSE_FRACTION = 0.1  # component is lost below this fraction of its norm floor
@@ -218,30 +221,22 @@ def _pair_residual(u, v, f, grid):
     return grid.apply_h1(u) - q * f.force_u, grid.apply_h1(v) - q * f.force_v
 
 
-def _pair_newton_direction(u, v, cp, grid, f, res=None):
-    """Newton direction for the free critical equations of the pair.
+def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
+    """Solve J (du, dv) = (rhs_u, rhs_v) for the Jacobian J of the free critical equations.
 
-    The Jacobian of (K u - q f_u, K v - q f_v) is a pentadiagonal matrix in
-    the interleaved ordering (u_0, v_0, u_1, v_1, ...); one banded solve
-    gives the step.  Used as an accelerator once the descent is in the
-    right basin: the first-order scheme alone needs O(|lambda|) iterations
-    because the coupling term dominates the curvature in the overlap
-    region.  The driver damps the step: it tries the lengths NEWTON_STEPS
-    in turn, because in the thin interface layer of strong coupling the
-    full step overshoots.  Returns the direction and the residual norm at
-    (u, v).
-
-    ``f`` is the pointwise kernel ``pair_forces`` at (u, v): the forces and
-    the first-derivative powers are read from it, and only the second
-    derivatives of the powers are computed here.  ``res`` is
-    ``_pair_residual`` at (u, v), when the caller has it.
+    J is the derivative of (K u - q f_u, K v - q f_v) in (u, v), a
+    pentadiagonal matrix in the interleaved ordering (u_0, v_0, u_1, v_1,
+    ...); one banded solve gives the solution, or None when J is singular or
+    the solution is not finite.  ``f`` is the pointwise kernel
+    ``pair_forces`` at (u, v): the forces and the first-derivative powers are
+    read from it, and only the second derivatives of the powers are computed
+    here.
     """
     p = grid.params.two_star
     q = grid.weights
     lam, al, be = cp.lam, cp.alpha, cp.beta
-    res_u, res_v = res if res is not None else _pair_residual(u, v, f, grid)
-    duu = cp.mu1 * (p - 1.0) * f.abs_u ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(u, al - 2.0) * f.v_b
-    dvv = cp.mu2 * (p - 1.0) * f.abs_v ** (p - 2.0) + lam * be * (be - 1.0) * f.u_a * _safe_pow(v, be - 2.0)
+    duu = cp.mu1 * (p - 1.0) * f.abs_u ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(f.abs_u, al - 2.0) * f.v_b
+    dvv = cp.mu2 * (p - 1.0) * f.abs_v ** (p - 2.0) + lam * be * (be - 1.0) * f.u_a * _safe_pow(f.abs_v, be - 2.0)
     duv = lam * al * be * f.sign_u * f.sign_v * f.u_am1 * f.v_bm1
     kdiag = grid.h1_tridiagonal()[0]
     # rows 2..6 of the gbsv layout hold the five bands; 0 and 1 the LU fill
@@ -254,16 +249,49 @@ def _pair_newton_direction(u, v, cp, grid, f, res=None):
     ab[4, 0::2] = kdiag - q * duu
     ab[4, 1::2] = kdiag - q * dvv
     rhs = np.empty(2 * grid.size)
-    rhs[0::2] = -res_u
-    rhs[1::2] = -res_v
+    rhs[0::2] = rhs_u
+    rhs[1::2] = rhs_v
     try:
         sol = solve_banded((2, 2), ab, rhs)
     except np.linalg.LinAlgError:
-        return None, math.inf
+        return None
     if not np.isfinite(sol).all():
+        return None
+    return sol[0::2], sol[1::2]
+
+
+def _pair_newton_direction(u, v, cp, grid, f, res=None):
+    """Newton direction for the free critical equations of the pair.
+
+    Used as an accelerator once the descent is in the right basin: the
+    first-order scheme alone needs O(|lambda|) iterations because the
+    coupling term dominates the curvature in the overlap region.  The driver
+    damps the step: it tries the lengths NEWTON_STEPS in turn, because in
+    the thin interface layer of strong coupling the full step overshoots.
+    Returns the direction and the residual norm at (u, v).
+
+    ``f`` is ``pair_forces`` at (u, v), ``res`` is ``_pair_residual`` there
+    when the caller has it.
+    """
+    res_u, res_v = res if res is not None else _pair_residual(u, v, f, grid)
+    direction = _pair_jacobian_solve(cp, grid, f, -res_u, -res_v)
+    if direction is None:
         return None, math.inf
-    res_norm = math.hypot(np.linalg.norm(res_u), np.linalg.norm(res_v))
-    return (sol[0::2], sol[1::2]), res_norm
+    return direction, math.hypot(np.linalg.norm(res_u), np.linalg.norm(res_v))
+
+
+def pair_tangent(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
+    """The branch tangent d(u, v)/d lambda at a free critical point of the pair, or None.
+
+    With f_u = mu1 crit_u + lambda mixed_u, the lambda-derivative of
+    K u - q f_u = 0 and K v - q f_v = 0 along the branch is
+    J (du, dv) = q (mixed_u, mixed_v), with the Newton matrix J of the
+    point: one banded solve.  None when J is singular or the tangent is not
+    finite.
+    """
+    f = pair_forces(pair, cp, grid)
+    q = grid.weights
+    return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v)
 
 
 def _limit_newton_direction(w, cp, grid, mu, force, res=None):

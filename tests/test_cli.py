@@ -178,6 +178,11 @@ def test_cmd_sweep_outputs(tmp_path):
     assert sorted(manifest["files"]) == [
         "limit_profile.csv", "sweep.csv", "sweep_summary.json", "warmstart_profile.csv",
     ]
+    # every row converged, so each of the three after the first started
+    # from a tangent prediction
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["rows_ok"] == 4
+    assert (summary["predicted_starts"], summary["predictor_fallbacks"]) == (3, 0)
 
 
 def test_cmd_sweep_default_schedule_row_count(tmp_path):

@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from critsep import (
+    ConvergenceError,
     CouplingParams,
     DomainError,
     ModelParams,
@@ -17,9 +19,11 @@ from critsep import (
     initial_guess,
     interface_locate,
     minimize_limit,
+    minimize_nehari,
     sweep_lambda,
     verify_tori,
 )
+from critsep.separation import predict_start
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=128)
 GRID = build_grid(PARAMS)
@@ -124,6 +128,10 @@ def test_deep_sweep_converges_to_minus_1e9():
     failed = [(r.lam, r.status) for r in result.records if r.status != "ok"]
     assert failed == []
     assert result.limit_record.status == "ok"
+    # the tangent-predicted starts take 164 iterations over the 44 rows; the
+    # previous row's pair as the start took 267
+    assert result.predicted_starts == 43
+    assert sum(r.solver_iters for r in result.records) <= 190
 
 
 def test_sweep_partial_failure_marks_rows():
@@ -155,8 +163,6 @@ def test_interface_drift_with_mu2_is_logged_not_asserted():
 def test_sweep_marks_overlap_increase_after_the_monotonicity_check(monkeypatch):
     # rows from the fourth on whose overlap exceeds the previous ok row's are
     # marked; the energy check before the marking still sees every ok row
-    from dataclasses import replace
-
     from critsep import separation
 
     overlaps = iter([6.0, 7.0, 4.0, 4.5, 3.0, 3.2])
@@ -180,8 +186,6 @@ def test_sweep_marks_overlap_increase_after_the_monotonicity_check(monkeypatch):
 def test_sweep_without_converged_rows_is_not_monotone(monkeypatch, caplog):
     # rows that did not converge establish no monotonicity: with every solve
     # cut at 2 iterations no row converges, and the flag must read false
-    from dataclasses import replace
-
     from critsep import separation
 
     real = separation.minimize_nehari
@@ -216,3 +220,82 @@ def test_sweep_records_a_degenerate_limit_constraint_as_a_failed_row(monkeypatch
     assert result.limit_result is None
     assert result.limit_record.status.startswith("failed: DegenerateConstraintError: ")
     assert math.isnan(result.limit_record.energy)
+
+
+def _recording_solves(monkeypatch, wrap=None):
+    """Patch the sweep's pair solve to record [start, result] of each call;
+    ``wrap(solve, init, cp, grid, opts)`` may stand in for the solve."""
+    from critsep import separation
+
+    real = separation.minimize_nehari
+    calls = []
+
+    def recorded(init, cp, grid, opts):
+        calls.append([init, None])
+        res = real(init, cp, grid, opts) if wrap is None else wrap(real, init, cp, grid, opts)
+        calls[-1][1] = res
+        return res
+
+    monkeypatch.setattr(separation, "minimize_nehari", recorded)
+    return calls
+
+
+def test_predict_start_keeps_zero_nodes_zero():
+    pair = minimize_nehari(initial_guess("bumps", GRID), replace(CP, lam=-10.0), GRID, OPTS).pair
+    u = pair.u.copy()
+    u[40:45] = 0.0
+    guess = predict_start(PairState(u, pair.v), replace(CP, lam=-10.0), GRID, -12.0)
+    assert np.all(guess.u[40:45] == 0.0)
+    assert np.all(guess.u[u > 0.0] > 0.0) and np.all(guess.v > 0.0)
+    assert np.isfinite(guess.u).all() and np.isfinite(guess.v).all()
+
+
+@pytest.mark.parametrize("tangent", [None, math.nan, -1e300], ids=["failed-solve", "nan", "overflow"])
+def test_failed_prediction_falls_back_to_the_previous_pair(monkeypatch, tangent):
+    from critsep import separation
+
+    def broken(pair, cp, grid):
+        return None if tangent is None else (np.full(grid.size, tangent),) * 2
+
+    monkeypatch.setattr(separation, "pair_tangent", broken)
+    lam_cp = replace(CP, lam=-1.0)
+    pair = minimize_nehari(initial_guess("bumps", GRID), lam_cp, GRID, OPTS).pair
+    assert predict_start(pair, lam_cp, GRID, -3.0) is None
+    calls = _recording_solves(monkeypatch)
+    result = sweep_lambda(geometric_schedule(-1.0, -100.0, 4), CP, GRID, OPTS)
+    assert all(r.status == "ok" for r in result.records)
+    assert (result.predicted_starts, result.predictor_fallbacks) == (0, 3)
+    for (start, _), (_, res) in zip(calls[1:], calls):
+        assert start is res.pair
+
+
+def test_rows_after_an_unconverged_or_raised_row_start_from_the_last_returned_pair(monkeypatch):
+    # every solve at lambdas[1] stops after 2 iterations and every solve at
+    # lambdas[3] raises, whatever its start
+    lambdas = geometric_schedule(-1.0, -100.0, 6).lambdas
+
+    def wrap(solve, init, cp, grid, opts):
+        if cp.lam == lambdas[1]:
+            return solve(init, cp, grid, replace(opts, max_iters=2))
+        if cp.lam == lambdas[3]:
+            raise ConvergenceError("scripted failure")
+        return solve(init, cp, grid, opts)
+
+    calls = _recording_solves(monkeypatch, wrap)
+    result = sweep_lambda(SweepSchedule(lambdas=lambdas), CP, GRID, OPTS)
+    assert [r.status.split(":")[0] for r in result.records] == [
+        "ok", "not converged", "ok", "failed", "ok", "ok",
+    ]
+    (_, r0), (s1, r1), (s1b, r1b), (s2, r2), (s3, _), (s3b, _), (s4, r4), (s5, _) = calls
+    # row 1 is solved from the prediction and, when that does not converge,
+    # again from row 0's pair; the row reports the second solve and both
+    # solves' iterations
+    assert s1 is not r0.pair and s1b is r0.pair
+    assert result.records[1].solver_iters == r1.iterations + r1b.iterations == 4
+    # row 1 did not converge: row 2 starts from its pair
+    assert s2 is r1b.pair
+    # row 3 raises from the prediction and from row 2's pair; row 4 starts
+    # from row 2's pair and row 5 from a prediction again
+    assert s3 is not r2.pair and s3b is r2.pair and s4 is r2.pair
+    assert s5 is not r4.pair
+    assert (result.predicted_starts, result.predictor_fallbacks) == (1, 2)

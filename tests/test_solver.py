@@ -37,7 +37,7 @@ from critsep.functional import (
     sobolev_lower_bound,
     tangent_gradient_full,
 )
-from critsep.solver import _pair_residual, solve_banded
+from critsep.solver import _pair_residual, pair_tangent, solve_banded
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=256)
 GRID = build_grid(PARAMS)
@@ -507,3 +507,34 @@ def test_nonfinite_start_raises_a_typed_error(kind, bad):
     solve, args = _nonfinite_start(kind, bad)
     with pytest.raises(DegenerateInputError, match="finite"):
         solve(*args)
+
+
+@pytest.mark.parametrize("N, m, n", [(4, 2, 3), (5, 3, 3)])
+def test_pair_tangent_matches_central_differences_of_converged_solves(N, m, n):
+    # d(u, v)/d lambda from one solve with the Newton matrix, against
+    # (x(lambda + h) - x(lambda - h)) / 2h of solves warm-started at lambda
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
+    a = grid.params.two_star / 2.0
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=a, beta=a, lam=-10.0)
+    opts = SolveOptions(grad_tol=1e-11)
+    base = minimize_nehari(initial_guess("bumps", grid), cp, grid, opts)
+    assert base.converged
+    h = 1e-3
+    plus, minus = (minimize_nehari(base.pair, dataclasses.replace(cp, lam=cp.lam + d), grid, opts)
+                   for d in (h, -h))
+    assert plus.converged and minus.converged
+    tangent = pair_tangent(base.pair, cp, grid)
+    for dx, xp, xm in zip(tangent, (plus.pair.u, plus.pair.v), (minus.pair.u, minus.pair.v)):
+        fd = (xp - xm) / (2.0 * h)
+        assert np.max(np.abs(dx - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_pair_tangent_reports_a_singular_newton_matrix(monkeypatch):
+    from critsep import solver
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    pair = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, OPTS).pair
+    monkeypatch.setattr(solver, "solve_banded", singular)
+    assert pair_tangent(pair, CP, GRID) is None
