@@ -366,7 +366,10 @@ def cmd_sync_threshold(cfg: RunConfig, width: float = 1e-6) -> int:
         bracket = scalar.sync_threshold(
             c.mu1, c.mu2, c.alpha, c.beta, cfg.model.N, width=width
         )
-    except (BracketError, DomainError) as exc:
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BracketError as exc:
         print(f"threshold search failed: {exc}", file=sys.stderr)
         return 6
     writer = _RunWriter(cfg)
@@ -454,27 +457,22 @@ def main(argv=None) -> int:
     p_sob.add_argument("--dim", type=int, default=4)
 
     args = parser.parse_args(argv)
-
-    if args.command in ("solve", "sweep", "sync-threshold"):
-        try:
-            cfg = _load_or_default(args)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if args.command == "verify":
+        return cmd_verify(include_soft=not args.skip_soft)
+    try:
+        if args.command == "sobolev":
+            s, dev = sobolev_constant(args.dim), checks.sobolev_dual_dev(args.dim)
+            print(f"S({args.dim}) = {s!r}  dual-form dev {dev:.2e}")
+            return 0
+        cfg = _load_or_default(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.command == "solve":
         return cmd_solve(cfg)
     if args.command == "sweep":
         return cmd_sweep(cfg, resume=args.resume)
-    if args.command == "sync-threshold":
-        return cmd_sync_threshold(cfg, width=args.width)
-    if args.command == "verify":
-        return cmd_verify(include_soft=not args.skip_soft)
-    if args.command == "sobolev":
-        n = args.dim
-        print(f"S({n}) = {sobolev_constant(n)!r}  "
-              f"dual-form dev {checks.sobolev_dual_dev(n):.2e}")
-        return 0
-    return 2
+    return cmd_sync_threshold(cfg, width=args.width)
 
 
 if __name__ == "__main__":

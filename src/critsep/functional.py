@@ -31,8 +31,7 @@ caller that needs several of them at one pair evaluates the kernel once and
 hands it to each.  The solver also hands it across iterations: the residual
 test of a Newton trial evaluates the kernel and the nodal residual at the
 trial pair, and when the trial is accepted both travel with it to the next
-iterate.  The limit problem's kernel, ``_limit_force`` (the weight and the
-force), and its residual ``_limit_residual`` are handed over the same way.
+iterate.
 
 The pair, the single component and the sign-changing limit problem share
 one one-component algebra, written once here: the norms (a, b) of a
@@ -101,6 +100,8 @@ class CouplingParams:
     lam: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu1, self.mu2, self.lam))):
+            raise DomainError(f"mu1, mu2, lambda must be finite, got {self.mu1}, {self.mu2}, {self.lam}")
         if self.mu1 <= 0 or self.mu2 <= 0:
             raise DomainError(f"mu1, mu2 must be positive, got {self.mu1}, {self.mu2}")
         for name, ex in (("alpha", self.alpha), ("beta", self.beta)):

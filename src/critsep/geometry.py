@@ -26,7 +26,7 @@ to the +-1 checkerboard mode and corrupt constrained minimization.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
@@ -124,19 +124,17 @@ def orbit_weight(theta, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReducedGrid:
-    """Uniform arc grid with normalized orbit-weight quadrature.
+    """Uniform arc grid with normalized orbit-weight quadrature: a value that
+    ``build_grid`` makes whole, with fixed fields and read-only arrays.
 
     ``weights`` are the nodal quadrature weights (trapezoid in the orbit
     weight, rescaled to sum exactly to |S^N|); ``midweights`` sample the
     orbit weight at cell midpoints and drive the stiffness part of the
-    H^1 form.  The tridiagonal H^1 operator is assembled once and cached
-    (``h1_tridiagonal``), together with its L D L^T factor, which LAPACK's
-    ``pttrf`` computes on the first ``solve_h1``; the grid also owns the
-    work array of the banded pair Newton matrix (``band_work``) and the
-    operator's off-diagonal in the matrix's interleaved ordering
-    (``interleaved_offdiagonal``).
+    H^1 form.  ``k_diag`` and ``k_off`` are the bands of the tridiagonal
+    H^1 operator K, where every banded matrix on K starts, and ``ldl`` is
+    K's L D L^T factor (LAPACK ``pttrf``), which ``solve_h1`` reuses.
     """
 
     params: ModelParams
@@ -144,57 +142,13 @@ class ReducedGrid:
     weights: np.ndarray
     midweights: np.ndarray
     h: float
-    _tridiag: tuple = field(default=None, repr=False, compare=False)
-    _ldl: tuple = field(default=None, repr=False, compare=False)
-    _band: np.ndarray = field(default=None, repr=False, compare=False)
-    _inter_off: np.ndarray = field(default=None, repr=False, compare=False)
+    k_diag: np.ndarray
+    k_off: np.ndarray
+    ldl: tuple
 
     @property
     def size(self) -> int:
         return self.theta.size
-
-    def h1_tridiagonal(self) -> tuple:
-        """Diagonal and off-diagonal of the discrete H^1 operator, read-only.
-
-        Assembled once: the mass term first, then the stiffness of each cell
-        added to its two end nodes.  Every banded matrix built on the
-        operator (the H^1 solve and the Newton matrices of the solver)
-        starts from these two arrays.
-        """
-        if self._tridiag is None:
-            wm = self.midweights / self.h
-            diag = self.params.mass * self.weights
-            diag[:-1] += wm
-            diag[1:] += wm
-            off = -wm
-            diag.flags.writeable = off.flags.writeable = False
-            self._tridiag = diag, off
-        return self._tridiag
-
-    def band_work(self) -> np.ndarray:
-        """The zeroed (7, 2 * size) Fortran-order work array of the pair Newton matrix.
-
-        The layout is LAPACK's ``gbsv`` band storage for two sub- and two
-        superdiagonals, which ``gbsv`` overwrites with its LU factor; the
-        array is reused across calls and zeroed on each.
-        """
-        if self._band is None:
-            self._band = np.zeros((7, 2 * self.size), order="F")
-        else:
-            self._band.fill(0.0)
-        return self._band
-
-    def interleaved_offdiagonal(self) -> np.ndarray:
-        """The H^1 off-diagonal with each entry twice, read-only.
-
-        In the interleaved ordering (u_0, v_0, u_1, v_1, ...) of the pair
-        Newton matrix, u_i couples to u_(i+1) two places off the diagonal,
-        and so does v_i to v_(i+1); this is that band.  Built once.
-        """
-        if self._inter_off is None:
-            self._inter_off = np.repeat(self.h1_tridiagonal()[1], 2)
-            self._inter_off.flags.writeable = False
-        return self._inter_off
 
     def apply_h1(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product with the discrete H^1 operator."""
@@ -212,12 +166,7 @@ class ReducedGrid:
         rhs = _check_length(rhs, self, "right-hand side")
         if not np.isfinite(rhs).all():
             raise ValueError("right-hand side must not contain infs or NaNs")
-        if self._ldl is None:
-            d, e, info = lapack.dpttrf(*self.h1_tridiagonal())
-            if info != 0:
-                raise np.linalg.LinAlgError(f"H^1 operator not positive definite ({info})")
-            self._ldl = d, e
-        x, info = lapack.dpttrs(*self._ldl, rhs)
+        x, info = lapack.dpttrs(*self.ldl, rhs)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of pttrs")
         return x
@@ -236,7 +185,19 @@ def build_grid(params: ModelParams) -> ReducedGrid:
     q[-1] *= 0.5
     q *= sphere_area(params.N) / q.sum()
     mid = orbit_weight(0.5 * (theta[:-1] + theta[1:]), params)
-    return ReducedGrid(params=params, theta=theta, weights=q, midweights=mid, h=h)
+    # K: the mass term first, then each cell's stiffness at its two end nodes
+    wm = mid / h
+    k_diag = params.mass * q
+    k_diag[:-1] += wm
+    k_diag[1:] += wm
+    k_off = -wm
+    d, e, info = lapack.dpttrf(k_diag, k_off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"H^1 operator not positive definite ({info})")
+    for a in (theta, q, mid, k_diag, k_off, d, e):
+        a.flags.writeable = False
+    return ReducedGrid(params=params, theta=theta, weights=q, midweights=mid, h=h,
+                       k_diag=k_diag, k_off=k_off, ldl=(d, e))
 
 
 def _check_length(values: np.ndarray, grid: ReducedGrid, name: str) -> np.ndarray:

@@ -227,12 +227,15 @@ def sync_threshold(
     """Bisect on lambda for emptiness of the synchronized system.
 
     Scans geometrically for an empty point, then refines the bracket down
-    to the requested width.  Emptiness is decided exactly by the ratio
+    to the requested width, which must be finite and positive, or until
+    its ends are adjacent floats.  Emptiness is decided exactly by the ratio
     reduction: a positive solution exists iff k_lo < k_max, that is iff
     F > 0 somewhere on (0, k_max] with the endpoint k_max included.  The
     bracket therefore holds lam* = -(mu1^alpha mu2^beta /
     (alpha^alpha beta^beta))^{1/2*} up to rounding.
     """
+    if not (math.isfinite(width) and width > 0.0):
+        raise DomainError(f"bracket width must be finite and positive, got {width}")
 
     def empty(lam):
         inst = SyncInstance(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam, N=N)
@@ -246,12 +249,10 @@ def sync_threshold(
         lo *= 4.0
         if lo < -1e6:
             raise BracketError("solutions persist down to lambda = -1e6")
-    while hi - lo > width:
+    mid = 0.5 * (hi + lo)
+    while hi - lo > width and lo < mid < hi:
+        lo, hi = (mid, hi) if empty(mid) else (lo, mid)
         mid = 0.5 * (hi + lo)
-        if empty(mid):
-            lo = mid
-        else:
-            hi = mid
     return ThresholdBracket(lam_empty=lo, lam_nonempty=hi, width=hi - lo)
 
 

@@ -69,6 +69,8 @@ class SweepSchedule:
         object.__setattr__(self, "lambdas", lam)
         if len(lam) == 0:
             raise DomainError("schedule must contain at least one value")
+        if not all(map(math.isfinite, lam)):
+            raise DomainError("all schedule values must be finite")
         if any(x >= 0.0 for x in lam):
             raise DomainError("all schedule values must be negative")
         if any(b >= a for a, b in zip(lam, lam[1:])):

@@ -8,7 +8,8 @@ and negative parts sit on their own Nehari sets (``_Limit``,
 ``minimize_limit``).  The formulas they are built from live in ``functional``;
 this module keeps the driver, the problems, the two Newton directions and
 the branch tangent of the pair (``pair_tangent``), which shares the pair's
-Newton matrix.
+Newton matrix, and that matrix's storage: one work array a pair solve,
+refilled at each Newton step.
 
 A state is a tuple of per-component arrays.  A problem object lands a state
 on its constraint set and checks the norm floors (``land(x, at, k)`` returns
@@ -18,17 +19,19 @@ tangent gradient, i.e. the H^1-preconditioned energy gradient minus its part
 along the constraint gradients (``evaluate(x, at)``), lands a trial state
 (``trial(x)``), and may offer a Newton direction for the free critical
 equations (``newton(x, ev)``) with the residual its candidate must contract
-(``residual_norm(x, at)``).  The residual test evaluates the pointwise kernel
-and the nodal residual at the trial and adds both to the trial's ``at``, so
-an accepted Newton trial hands them to the next ``evaluate`` and ``newton``
-and each landed iterate is evaluated once.  The driver lands the iterate,
-stops when the tangent gradient is small, tries the Newton candidate and
-otherwise takes a Barzilai-Borwein step, backtracked until the Armijo
-condition holds for the energy of the landed trial, so accepted energies
-never increase.  The pair and single solves also require a small full
-gradient at convergence, which certifies a free critical point (the
-multiplier solve returns ~0); small means below 10 grad_tol or below the
-rounding floor of the discrete full gradient (``FULL_GRAD_FLOOR``).
+(``residual_norm(x, at)``).  The pair's residual test evaluates the
+pointwise kernel and the nodal residual at the trial and adds both to the
+trial's ``at``, so an accepted Newton trial hands them to the next
+``evaluate`` and ``newton`` and each landed pair is evaluated once (the
+limit's landing rescales a trial again, so its test hands nothing over).
+``_descend`` lands the iterate, stops when the tangent gradient is small,
+tries the Newton candidate and otherwise takes a Barzilai-Borwein step,
+backtracked until the Armijo condition holds for the energy of the landed
+trial, so accepted energies never increase.  The pair and single solves
+also require a small full gradient at convergence, which certifies a free
+critical point (the multiplier solve returns ~0); small means below 10
+grad_tol or below the rounding floor of the discrete full gradient
+(``FULL_GRAD_FLOOR``).
 
 Inequalities that hold on the continuous Nehari set are monitored on every
 landed pair and summarized in the result: the energy identity
@@ -221,7 +224,7 @@ def _pair_residual(u, v, f, grid):
     return grid.apply_h1(u) - q * f.force_u, grid.apply_h1(v) - q * f.force_v
 
 
-def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
+def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v, ab):
     """Solve J (du, dv) = (rhs_u, rhs_v) for the Jacobian J of the free critical equations.
 
     J is the derivative of (K u - q f_u, K v - q f_v) in (u, v), a
@@ -230,7 +233,8 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
     the solution is not finite.  ``f`` is the pointwise kernel
     ``pair_forces`` at (u, v): the forces and the first-derivative powers are
     read from it, and only the second derivatives of the powers are computed
-    here.
+    here.  J is written into ``ab``, the (7, 2 * size) Fortran-order work
+    array of ``solve_banded``, which the solve overwrites with its LU factor.
     """
     p = grid.params.two_star
     q = grid.weights
@@ -238,16 +242,14 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
     duu = cp.mu1 * (p - 1.0) * f.abs_u ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(f.abs_u, al - 2.0) * f.v_b
     dvv = cp.mu2 * (p - 1.0) * f.abs_v ** (p - 2.0) + lam * be * (be - 1.0) * f.u_a * _safe_pow(f.abs_v, be - 2.0)
     duv = lam * al * be * f.sign_u * f.sign_v * f.u_am1 * f.v_bm1
-    kdiag = grid.h1_tridiagonal()[0]
-    # rows 2..6 of the gbsv layout hold the five bands; 0 and 1 the LU fill
-    ab = grid.band_work()
-    inter_off = grid.interleaved_offdiagonal()
-    ab[2, 2:] = inter_off
-    ab[6, :-2] = inter_off
-    ab[3, 1::2] = -q * duv
-    ab[5, 0:-1:2] = -q * duv
-    ab[4, 0::2] = kdiag - q * duu
-    ab[4, 1::2] = kdiag - q * dvv
+    # rows 2..6 of the gbsv layout hold the five bands, 0 and 1 the LU fill;
+    # u_i couples to u_(i+1), and v_i to v_(i+1), two places off the diagonal
+    ab.fill(0.0)
+    ab[2, 2::2] = ab[2, 3::2] = grid.k_off
+    ab[6, 0:-2:2] = ab[6, 1:-2:2] = grid.k_off
+    ab[3, 1::2] = ab[5, 0::2] = -q * duv
+    ab[4, 0::2] = grid.k_diag - q * duu
+    ab[4, 1::2] = grid.k_diag - q * dvv
     rhs = np.empty(2 * grid.size)
     rhs[0::2] = rhs_u
     rhs[1::2] = rhs_v
@@ -260,7 +262,7 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
     return sol[0::2], sol[1::2]
 
 
-def _pair_newton_direction(u, v, cp, grid, f, res=None):
+def _pair_newton_direction(u, v, cp, grid, f, ab, res=None):
     """Newton direction for the free critical equations of the pair.
 
     Used as an accelerator once the descent is in the right basin: the
@@ -270,11 +272,12 @@ def _pair_newton_direction(u, v, cp, grid, f, res=None):
     the thin interface layer of strong coupling the full step overshoots.
     Returns the direction and the residual norm at (u, v).
 
-    ``f`` is ``pair_forces`` at (u, v), ``res`` is ``_pair_residual`` there
-    when the caller has it.
+    ``f`` is ``pair_forces`` at (u, v), ``ab`` the work array of
+    ``_pair_jacobian_solve``, ``res`` ``_pair_residual`` at (u, v) when the
+    caller has it.
     """
     res_u, res_v = res if res is not None else _pair_residual(u, v, f, grid)
-    direction = _pair_jacobian_solve(cp, grid, f, -res_u, -res_v)
+    direction = _pair_jacobian_solve(cp, grid, f, -res_u, -res_v, ab)
     if direction is None:
         return None, math.inf
     return direction, math.hypot(np.linalg.norm(res_u), np.linalg.norm(res_v))
@@ -291,25 +294,23 @@ def pair_tangent(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
     """
     f = pair_forces(pair, cp, grid)
     q = grid.weights
-    return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v)
+    ab = np.empty((7, 2 * grid.size), order="F")
+    return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v, ab)
 
 
-def _limit_newton_direction(w, cp, grid, mu, force, res=None):
+def _limit_newton_direction(w, cp, grid, mu, force):
     """Newton direction (a one-component state) for the limit equation, and the residual norm.
 
-    ``mu`` and ``force`` are ``_limit_force`` at w, ``res`` is
-    ``_limit_residual`` there when the caller has it.
+    ``mu`` and ``force`` are ``_limit_force`` at w.
     """
     p = grid.params.two_star
     q = grid.weights
-    if res is None:
-        res = _limit_residual(w, force, grid)
+    res = _limit_residual(w, force, grid)
     dww = mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
-    kdiag, koff = grid.h1_tridiagonal()
     ab = np.zeros((3, grid.size))
-    ab[0, 1:] = koff
-    ab[1, :] = kdiag - q * dww
-    ab[2, :-1] = koff
+    ab[0, 1:] = grid.k_off
+    ab[1, :] = grid.k_diag - q * dww
+    ab[2, :-1] = grid.k_off
     try:
         sol = solve_banded((1, 1), ab, -res)
     except np.linalg.LinAlgError:
@@ -333,6 +334,7 @@ class _Pair:
         self.floor_u = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, grid.params.N)
         self.floor_v = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
         self.stats = NehariInvariantStats()
+        self.band = np.empty((7, 2 * grid.size), order="F")  # the Newton matrix of each step
 
     def land(self, x, at, k):
         # an accepted trial arrives projected, with at = (integrals, kernel,
@@ -365,7 +367,7 @@ class _Pair:
         return (pair.u, pair.v), (ints, None, None), value
 
     def newton(self, x, ev):
-        return _pair_newton_direction(x[0], x[1], self.cp, self.grid, ev[0], ev[1])
+        return _pair_newton_direction(x[0], x[1], self.cp, self.grid, ev[0], self.band, ev[1])
 
     def residual_norm(self, x, at):
         forces = pair_forces(PairState(*x), self.cp, self.grid)
@@ -427,16 +429,12 @@ class _Limit:
 
     def land(self, x, at, k):
         w = _rescale_parts(x[0], self.cp, self.grid, self.floor_p, self.floor_m, k)
-        # at = (weight, force, residual) of an accepted Newton trial, which
-        # holds only where the second rescaling left the trial bit for bit
-        if at is not None and not np.array_equal(w, x[0]):
-            at = None
-        return (w,), at, limit_energy(w, self.cp, self.grid)
+        return (w,), None, limit_energy(w, self.cp, self.grid)
 
     def evaluate(self, x, at):
         (w,) = x
-        mu, force, res = at if at is not None else (*_limit_force(w, self.cp, self.p), None)
-        return (_limit_tangent(w, self.cp, self.grid, force),), (mu, force, res)
+        mu, force = _limit_force(w, self.cp, self.p)
+        return (_limit_tangent(w, self.cp, self.grid, force),), (mu, force)
 
     def trial(self, x):
         w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0, None)
@@ -447,9 +445,8 @@ class _Limit:
 
     def residual_norm(self, x, at):
         (w,) = x
-        mu, force = _limit_force(w, self.cp, self.p)
-        res = _limit_residual(w, force, self.grid)
-        return float(np.linalg.norm(res)), (mu, force, res)
+        _mu, force = _limit_force(w, self.cp, self.p)
+        return float(np.linalg.norm(_limit_residual(w, force, self.grid))), at
 
 
 # --------------------------------------------------------------- driver

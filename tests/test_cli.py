@@ -284,6 +284,21 @@ def test_main_sobolev_smoke(capsys):
     assert "S(4)" in capsys.readouterr().out
 
 
+def test_main_sobolev_reports_a_dimension_below_three(capsys):
+    assert main(["sobolev", "--dim", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs N >= 3" in err
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "nan"])
+def test_main_sync_threshold_reports_a_bad_width(tmp_path, capsys, width):
+    out = tmp_path / "sync"
+    assert main(["sync-threshold", "--width", width, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "width must be finite and positive" in err
+    assert not out.exists()
+
+
 def test_main_verify_inject(capsys, monkeypatch):
     _bad_sobolev(monkeypatch)
     assert main(["verify", "--skip-soft"]) == 1
@@ -363,6 +378,14 @@ def _config_text(section, key, value):
                      "solver.armijo_slope is fixed at 0.0001", id="armijo-slope"),
         pytest.param(_config_text("output", "format", "json"),
                      "output.format is fixed at 'csv'", id="json-output"),
+        pytest.param(_config_text("coupling", "mu1", "nan"), "must be finite", id="mu1-nan"),
+        pytest.param(_config_text("coupling", "mu1", "inf"), "must be finite", id="mu1-inf"),
+        pytest.param(_config_text("coupling", "lambda", "-inf"), "must be finite",
+                     id="lambda-minus-inf"),
+        pytest.param(_config_text("sweep", "lambdas", ["-1.0", "nan"]),
+                     "schedule values must be finite", id="schedule-nan"),
+        pytest.param(_config_text("sweep", "lambdas", ["-1.0", "-inf"]),
+                     "schedule values must be finite", id="schedule-minus-inf"),
     ],
 )
 def test_main_reports_a_domain_error_in_the_config_file(tmp_path, capsys, text, message):

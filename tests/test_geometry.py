@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,21 @@ def test_h1_solve_rejects_nonfinite_input(bad):
     rhs[7] = bad
     with pytest.raises(ValueError):
         grid.solve_h1(rhs)
+
+
+def test_grid_is_a_read_only_value():
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=64))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.k_diag = np.zeros(grid.size)
+    for name in ("theta", "weights", "midweights", "k_diag", "k_off"):
+        with pytest.raises(ValueError):
+            getattr(grid, name)[0] = 1.0
+    # the operator is the one apply_h1 applies
+    x = np.random.default_rng(3).normal(size=grid.size)
+    band = grid.k_diag * x
+    band[:-1] += grid.k_off * x[1:]
+    band[1:] += grid.k_off * x[:-1]
+    assert np.allclose(band, grid.apply_h1(x), rtol=1e-13, atol=1e-13 * np.abs(band).max())
 
 
 def test_sobolev_constant_values():

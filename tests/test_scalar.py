@@ -39,6 +39,9 @@ def test_sync_instance_validation():
         SyncInstance(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0, N=2)
     with pytest.raises(DomainError):
         sync_threshold(1.0, 1.0, 2.0, 2.0, N=2)
+    for width in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="width must be finite and positive"):
+            sync_threshold(1.0, 1.0, 2.0, 2.0, 4, width=width)
 
 
 def test_sync_solve_diagonal_branch():
@@ -112,6 +115,14 @@ def test_sync_threshold_scale_covariance():
     base = sync_threshold(1.0, 1.0, 2.0, 2.0, 4, width=1e-8)
     scaled = sync_threshold(4.0, 4.0, 2.0, 2.0, 4, width=1e-8)
     assert scaled.value == pytest.approx(4.0 * base.value, abs=1e-6)
+
+
+def test_sync_threshold_stops_at_adjacent_floats():
+    # the ends become adjacent floats long before they are 1e-20 apart; the
+    # bisection stops there, within rounding of the closed form -0.5
+    bracket = sync_threshold(1.0, 1.0, 2.0, 2.0, 4, width=1e-20)
+    assert bracket.lam_nonempty == np.nextafter(bracket.lam_empty, 0.0)
+    assert max(abs(bracket.lam_empty + 0.5), abs(bracket.lam_nonempty + 0.5)) < 1.2e-16
 
 
 @pytest.mark.parametrize("mu1, mu2", [(1.0, 1.0), (1.0, 2.0), (1.0, 100.0), (3.0, 0.5), (4.0, 4.0)])

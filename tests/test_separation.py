@@ -38,6 +38,9 @@ def test_schedule_validation():
         SweepSchedule(lambdas=(-1.0, 0.5))
     with pytest.raises(DomainError):
         SweepSchedule(lambdas=(-2.0, -1.0))
+    for bad in ((-1.0, math.nan), (-1.0, -math.inf), (math.nan,)):
+        with pytest.raises(DomainError, match="must be finite"):
+            SweepSchedule(lambdas=bad)
     sched = geometric_schedule(-1.0, -100.0, 5)
     assert len(sched.lambdas) == 5
     assert sched.lambdas[0] == pytest.approx(-1.0)

@@ -25,8 +25,6 @@ from critsep.checks import cosine_series
 from critsep.errors import CollapseError, DegenerateConstraintError
 from critsep.functional import (
     PairForces,
-    _limit_force,
-    _limit_residual,
     _limit_tangent,
     _rescale_parts,
     energy_from_integrals,
@@ -349,31 +347,6 @@ def test_minimize_nehari_evaluates_each_landed_pair_once(monkeypatch, lam, max_i
     assert calls["accepted"] > 0
     assert calls["evaluate"] == res.iterations + (res.message == "max_iters exceeded")
     assert calls["forces"] == calls["evaluate"] + calls["residual"] - calls["accepted"]
-
-
-def test_minimize_limit_hands_over_the_kernel_of_its_residual_test(monkeypatch):
-    # an accepted Newton trial of the limit brings the weight, force and
-    # residual of its residual test; they reach the landed profile only
-    # where they are bitwise those of it
-    from critsep import solver
-
-    handed = []
-    land = solver._Limit.land
-
-    def checked_land(problem, x, at, k):
-        x, at, value = land(problem, x, at, k)
-        if at is not None:
-            (w,) = x
-            mu, force = _limit_force(w, problem.cp, problem.p)
-            fresh = (mu, force, _limit_residual(w, force, problem.grid))
-            handed.append(all(map(_bitwise_equal, at, fresh)))
-        return x, at, value
-
-    monkeypatch.setattr(solver._Limit, "land", checked_land)
-    init = initial_guess("bumps", GRID)
-    res = minimize_limit(init.u - init.v, CP, GRID, SolveOptions(grad_tol=1e-8, max_iters=200))
-    assert res.converged
-    assert handed and all(handed)
 
 
 def test_full_gradient_at_its_rounding_floor_does_not_demote_a_converged_solve():
