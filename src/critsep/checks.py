@@ -11,8 +11,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import functional, geometry, scalar, separation, solver
+from .errors import ConvergenceError
 from .functional import (
-    CouplingParams, PairState, energy, gradient, nehari_det, nehari_det_bound,
+    CouplingParams, PairIntegrals, PairState, energy, gradient, nehari_det, nehari_det_bound,
     pair_inner, residuals_from_integrals, sobolev_lower_bound,
 )
 from .geometry import ModelParams, build_grid, orbit_weight, sphere_area
@@ -20,13 +21,16 @@ from .separation import geometric_schedule
 from .solver import SolveOptions, initial_guess
 
 __all__ = ["CheckResult", "cosine_series", "gradient_fd_dev", "invariant_flags", "quadrature_dev",
-           "rescaled_energy_peak", "run_checks", "sobolev_dual_dev"]
+           "rescaled_energy_peak", "run_checks", "scaling_residual_dev", "sobolev_dual_dev"]
 
 # Nehari invariant thresholds: relative deviation of the Nehari identities,
-# and the fractions of the norm floor and of the determinant bound kept
+# the fractions of the norm floor and of the determinant bound kept, the
+# relative residual of a scaling and the overlap's gap to the window's edge
 NEHARI_TOL = 1e-8
 FLOOR_RATIO = 0.99
 DET_RATIO = 0.99
+SCALING_RES_TOL = 1e-12
+EDGE_GAP = 1e-6
 
 
 @dataclass
@@ -80,6 +84,15 @@ def rescaled_energy_peak(pair, cp, grid, rng, count) -> float:
         s, t = np.exp(rng.normal(0.0, 0.7, size=2))
         peak = max(peak, energy(PairState(s * pair.u, t * pair.v), cp, grid))
     return peak
+
+
+def scaling_residual_dev(ints, cp, p, s, t):
+    """Largest Nehari residual of (su, tv) over its scale s^2 a + s^p b + |coupling term|."""
+    sc = PairIntegrals(s * s * ints.a1, s**p * ints.b1, t * t * ints.a2, t**p * ints.b2,
+                       s**cp.alpha * t**cp.beta * ints.coupling)
+    res, lc = residuals_from_integrals(sc, cp), -cp.lam * sc.coupling
+    return np.maximum(abs(res.f_val) / (sc.a1 + sc.b1 + cp.alpha * lc),
+                      abs(res.h_val) / (sc.a2 + sc.b2 + cp.beta * lc))
 
 
 def invariant_flags(stats) -> dict:
@@ -178,6 +191,26 @@ def _check_nehari_projection():
         base = energy(scaled, cp, grid)
         if rescaled_energy_peak(scaled, cp, grid, rng, 20) > base + 1e-10 * abs(base):
             issues.append("scaled energy exceeds on-manifold value")
+    # With alpha = beta = 2 the window is open exactly when 2|lambda| c < sqrt(b1 b2), here for
+    # the last projected pair.  Just inside, the scaling's residuals vanish.  Just outside, there
+    # is none, and the residuals stay off zero on f = 0: t = k s, s^2 = a1/(b1 - 2|lambda| c k^2).
+    edge = math.sqrt(ints.b1 * ints.b2) / (-2.0 * cp.lam)
+    inside, outside = (replace(ints, coupling=edge * (1.0 + g)) for g in (-EDGE_GAP, EDGE_GAP))
+    try:
+        s, t = functional.scaling_from_integrals(inside, cp, params)
+        if scaling_residual_dev(inside, cp, params.two_star, s, t) > SCALING_RES_TOL:
+            issues.append("residuals do not vanish just inside the ratio window")
+    except ConvergenceError:
+        issues.append("no scaling just inside the ratio window")
+    try:
+        functional.scaling_from_integrals(outside, cp, params)
+        issues.append("a scaling returned just outside the ratio window")
+    except ConvergenceError:
+        lc = -2.0 * cp.lam * outside.coupling
+        k = math.sqrt(outside.b1 / lc) * (1.0 - np.geomspace(1e-12, 1.0, 400)[:-1])
+        s = np.sqrt(outside.a1 / (outside.b1 - lc * k * k))
+        if scaling_residual_dev(outside, cp, params.two_star, s, k * s).min() <= SCALING_RES_TOL:
+            issues.append("residuals vanish just outside the ratio window")
     return not issues, "; ".join(sorted(set(issues))) or "projection invariants hold"
 
 

@@ -381,100 +381,66 @@ def single_project(u: np.ndarray, mu: float, grid: ReducedGrid) -> float:
     return ray_scale(a, b, grid.params.two_star)
 
 
-SCALING_TOL = 1e-12  # the scaling Newton stops at residuals below this fraction of their scale
-SCALING_MAX_ITER = 100  # and gives up after this many steps
+def ratio_window(cp, b1: float, b2: float, w1: float, w2: float):
+    """(k_lo, k_max) of the ratio reduction, or None when no positive solution exists.
+
+    For lam < 0, t = k s reduces 1 = b1 s^(2*-2) + lam w1 s^(alpha-2) t^beta,
+    1 = b2 t^(2*-2) + lam w2 s^alpha t^(beta-2) to s^(2*-2) = 1/(b1 + lam w1 k^beta)
+    and the root of F(k) = b2 k^(2*-2) - b1 - lam (w1 k^beta - w2 k^(beta-2)), which
+    increases strictly, so a unique solution exists exactly when k_lo < k_max, with
+    k_lo = (-lam w2/b2)^(1/alpha) and k_max = (-b1/(lam w1))^(1/beta).  ``cp`` gives
+    lam, alpha and beta; the synchronized system has b = (mu1, mu2), w = (alpha, beta).
+    """
+    if cp.lam >= 0.0:
+        raise DomainError("the ratio reduction needs lam < 0")
+    k_lo = (-cp.lam * w2 / b2) ** (1.0 / cp.alpha)
+    k_max = (-b1 / (cp.lam * w1)) ** (1.0 / cp.beta)
+    return (k_lo, k_max) if k_lo < k_max else None
 
 
-def _scaled_component(x, a, b, coupling_term, p):
-    """Residual x^2 a - x^p b - coupling_term and its scale (all signs positive)."""
-    quad, crit = x * x * a, x**p * b
-    return quad - crit - coupling_term, quad + crit - coupling_term
+def ratio_root(cp, b1: float, b2: float, w1: float, w2: float, p: float):
+    """The positive (s, t) of ``ratio_window``'s system, or None; bisects F to adjacent floats."""
+    window = ratio_window(cp, b1, b2, w1, w2)
+    if window is None:
+        return None
+    lam, beta = cp.lam, cp.beta
+    lo, hi = window
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if b2 * mid ** (p - 2.0) - b1 - lam * (w1 * mid**beta - w2 * mid ** (beta - 2.0)) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    base = b1 + lam * w1 * lo**beta
+    if not base > 0.0:
+        return None
+    s = base ** (-1.0 / (p - 2.0))
+    return s, lo * s
 
 
-def _scaled_residuals(s, t, ints, cp, p):
-    """Nehari residuals (f, h) of (su, tv), their scales and the mixed term; s, t may be arrays."""
-    mixed = s**cp.alpha * t**cp.beta * ints.coupling
-    f, sc_f = _scaled_component(s, ints.a1, ints.b1, cp.lam * cp.alpha * mixed, p)
-    h, sc_h = _scaled_component(t, ints.a2, ints.b2, cp.lam * cp.beta * mixed, p)
-    return f, h, sc_f, sc_h, mixed
-
-
-def _scaling_newton(s, t, ints, cp, p):
-    """Damped Newton for the 2x2 scaling system; None when it stalls."""
-    f, h, sc_f, sc_h, mixed = _scaled_residuals(s, t, ints, cp, p)
-    for _ in range(SCALING_MAX_ITER):
-        if abs(f) <= SCALING_TOL * sc_f and abs(h) <= SCALING_TOL * sc_h:
-            return s, t
-        fs = 2.0 * s * ints.a1 - p * s ** (p - 1.0) * ints.b1 - cp.lam * cp.alpha**2 * mixed / s
-        ft = -cp.lam * cp.alpha * cp.beta * mixed / t
-        hs = -cp.lam * cp.alpha * cp.beta * mixed / s
-        ht = 2.0 * t * ints.a2 - p * t ** (p - 1.0) * ints.b2 - cp.lam * cp.beta**2 * mixed / t
-        det = fs * ht - ft * hs
-        if det == 0.0 or not np.isfinite(det):
-            return None
-        ds = -(f * ht - h * ft) / det
-        dt = -(h * fs - f * hs) / det
-        step = 1.0
-        norm0 = math.hypot(f / sc_f, h / sc_h)
-        improved = False
-        while step > 1e-14:
-            s_new, t_new = s + step * ds, t + step * dt
-            if s_new > 0.0 and t_new > 0.0:
-                new = _scaled_residuals(s_new, t_new, ints, cp, p)
-                if math.hypot(new[0] / new[2], new[1] / new[3]) < norm0:
-                    s, t, (f, h, sc_f, sc_h, mixed) = s_new, t_new, new
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            return None
-    return None
-
-
-def _scaling_grid_start(ints, cp, p, n=48):
-    """Best (s, t) on a coarse log grid, by scale-relative residual."""
-    g = np.geomspace(1e-3, 1e3, n)
-    s, t = np.meshgrid(g, g, indexing="ij")
-    f, h, sc_f, sc_h, _ = _scaled_residuals(s, t, ints, cp, p)
-    score = np.hypot(f / sc_f, h / sc_h)
-    i, j = np.unravel_index(np.argmin(score), score.shape)
-    return float(g[i]), float(g[j])
+def scaling_from_integrals(ints: PairIntegrals, cp: CouplingParams, params: ModelParams):
+    """The scaling of ``nehari_project``, from the integrals of the pair."""
+    p = params.two_star
+    if ints.a1 <= 1e-300 or ints.b1 <= 1e-300 or ints.a2 <= 1e-300 or ints.b2 <= 1e-300:
+        raise DegenerateInputError("both components must be nonzero to project")
+    if ints.coupling == 0.0:
+        return ray_scale(ints.a1, ints.b1, p), ray_scale(ints.a2, ints.b2, p)
+    root = ratio_root(cp, ints.b1 / ints.a1, ints.b2 / ints.a2,
+                      cp.alpha * ints.coupling / ints.a1, cp.beta * ints.coupling / ints.a2, p)
+    if root is None:
+        raise ConvergenceError("no positive Nehari scaling exists for this pair")
+    return root
 
 
 def nehari_project(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
     """Unique positive (s, t) with (su, tv) on the Nehari set.
 
-    Newton on the 2x2 scaling system, started from the decoupled closed
-    form and damped to keep both factors positive; if that stalls, it is
-    restarted from the best point of a coarse logarithmic scan.  With zero
-    overlap the closed form is returned directly.  Raises ConvergenceError
-    when no root is reached: for strongly overlapping pairs at very
-    negative lambda the scaling system can genuinely have no positive
-    solution.  Whenever a root exists it is unique, because at any root
-    the scaling Hessian is negative definite (its determinant carries the
-    competition-strength lower bound), so all ray critical points are
-    strict maxima.
+    With zero overlap each component takes its ray scale.  Otherwise, for lambda < 0,
+    it is the ratio root with b = (b1/a1, b2/a2), w = (alpha c/a1, beta c/a2), which
+    exists exactly when k_lo < k_max (``ratio_window``); else ConvergenceError is raised.
     """
-    ints = pair_integrals(pair, cp, grid)
-    p = grid.params.two_star
-    tiny = 1e-300
-    if ints.a1 <= tiny or ints.b1 <= tiny or ints.a2 <= tiny or ints.b2 <= tiny:
-        raise DegenerateInputError("both components must be nonzero to project")
-    s0, t0 = ray_scale(ints.a1, ints.b1, p), ray_scale(ints.a2, ints.b2, p)
-    if ints.coupling == 0.0:
-        return s0, t0
-    root = _scaling_newton(s0, t0, ints, cp, p)
-    if root is None:
-        s1, t1 = _scaling_grid_start(ints, cp, p)
-        root = _scaling_newton(s1, t1, ints, cp, p)
-    if root is None:
-        f, h, *_ = _scaled_residuals(s0, t0, ints, cp, p)
-        raise ConvergenceError(
-            "Nehari scaling system did not converge",
-            residual=math.hypot(f, h),
-            iterations=SCALING_MAX_ITER,
-        )
-    return root
+    return scaling_from_integrals(pair_integrals(pair, cp, grid), cp, grid.params)
 
 
 # ------------------------------------------------------- limit functional

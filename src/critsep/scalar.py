@@ -6,18 +6,10 @@ Two families live here.  The synchronized-solution system
     1 = mu2 t^{2*-2} + lam * beta  * s^alpha     t^{beta-2}
 
 governs solutions proportional to a common profile.  For lam < 0 the ratio
-k = t/s reduces it to one equation in one unknown,
-
-    F(k) = mu2 k^{2*-2} - mu1 - lam * (alpha k^beta - beta k^{beta-2}) = 0,
-    s = (mu1 + lam * alpha * k^beta)^{-1/(2*-2)},   t = k s,
-
-where s is finite only below k_max = (-mu1/(lam*alpha))^{1/beta}.  F is
-strictly increasing (alpha, beta <= 2), negative up to
-k_lo = (-lam*beta/mu2)^{1/alpha}, and F(k_max) > 0 exactly when
-k_lo < k_max, the endpoint k_max included.  So the system has one positive
-solution if k_lo < k_max and none otherwise, and the emptiness threshold is
-lam* = -(mu1^alpha mu2^beta / (alpha^alpha beta^beta))^{1/2*}; for
-alpha = beta = 2 that is -sqrt(mu1 mu2)/2.  The diagonal branch s = t of
+k = t/s reduces it to ``functional.ratio_root`` with b = (mu1, mu2) and
+w = (alpha, beta): one positive solution exists exactly when k_lo < k_max, that
+is for lam above lam* = -(mu1^alpha mu2^beta / (alpha^alpha beta^beta))^{1/2*},
+which is -sqrt(mu1 mu2)/2 for alpha = beta = 2.  The diagonal branch s = t of
 mu1 = mu2, alpha = beta has s^{2*-2} = 1/(mu + lam*alpha).
 
 The second family is the two-variable comparison function
@@ -37,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .functional import CouplingParams, check_exponents
+from .functional import CouplingParams, check_exponents, ratio_root, ratio_window
 from .geometry import critical_exponent
 
 # Grid points that the grid scans (sync_brute_cells, the maximum grid of
@@ -96,49 +88,13 @@ def sync_residuals(inst: SyncInstance, s, t):
     return r1, r2
 
 
-def _ratio_window(inst: SyncInstance):
-    """(k_lo, k_max), between which the ratio t/s of a solution lies.
-
-    None when k_lo >= k_max, that is when the system has no positive
-    solution.  F < 0 on (0, k_lo] and F(k_max) > 0 otherwise.
-    """
-    if inst.lam >= 0.0:
-        raise DomainError("the ratio reduction needs lam < 0")
-    k_lo = (-inst.lam * inst.beta / inst.mu2) ** (1.0 / inst.alpha)
-    k_max = (-inst.mu1 / (inst.lam * inst.alpha)) ** (1.0 / inst.beta)
-    return (k_lo, k_max) if k_lo < k_max else None
-
-
 def sync_solve(inst: SyncInstance):
-    """The positive solution (s, t), as a list of at most one pair.
+    """The positive solution (s, t) by the ratio root, as a list of at most one pair.
 
-    Bisects the increasing ratio function F on (k_lo, k_max) down to
-    adjacent floats and maps the root k back to s and t.  An empty list
-    means that no positive solution exists (lam <= lam*).
+    An empty list means that no positive solution exists (lam <= lam*).
     """
-    window = _ratio_window(inst)
-    if window is None:
-        return []
-    p = inst.two_star
-
-    def ratio_fn(k):
-        return inst.mu2 * k ** (p - 2.0) - inst.mu1 - inst.lam * (
-            inst.alpha * k**inst.beta - inst.beta * k ** (inst.beta - 2.0)
-        )
-
-    lo, hi = window
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if ratio_fn(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
-    base = inst.mu1 + inst.lam * inst.alpha * lo**inst.beta
-    if not base > 0.0:
-        return []
-    s = base ** (-1.0 / (p - 2.0))
-    return [(float(s), float(lo * s))]
+    root = ratio_root(inst, inst.mu1, inst.mu2, inst.alpha, inst.beta, inst.two_star)
+    return [] if root is None else [(float(root[0]), float(root[1]))]
 
 
 def _mixed_sign_cells(sign_arr):
@@ -229,9 +185,7 @@ def sync_threshold(
     Scans geometrically for an empty point, then refines the bracket down
     to the requested width, which must be finite and positive, or until
     its ends are adjacent floats.  Emptiness is decided exactly by the ratio
-    reduction: a positive solution exists iff k_lo < k_max, that is iff
-    F > 0 somewhere on (0, k_max] with the endpoint k_max included.  The
-    bracket therefore holds lam* = -(mu1^alpha mu2^beta /
+    window (k_lo >= k_max), so the bracket holds lam* = -(mu1^alpha mu2^beta /
     (alpha^alpha beta^beta))^{1/2*} up to rounding.
     """
     if not (math.isfinite(width) and width > 0.0):
@@ -239,7 +193,7 @@ def sync_threshold(
 
     def empty(lam):
         inst = SyncInstance(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam, N=N)
-        return _ratio_window(inst) is None
+        return ratio_window(inst, inst.mu1, inst.mu2, inst.alpha, inst.beta) is None
 
     hi = -1e-6
     if empty(hi):

@@ -506,6 +506,8 @@ def _descend(problem, x, opts):
 
     for k in range(opts.max_iters):
         x, at, value = problem.land(x, at, k)
+        if not math.isfinite(value):  # an integral of the landed iterate overflowed
+            raise ConvergenceError("the landed iterate overflows: its energy is not finite")
         trace.append(value)
         tg, ev = problem.evaluate(x, at)
         tg_sq = _inner(tg, tg, grid)

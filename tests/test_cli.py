@@ -122,6 +122,24 @@ def test_cmd_solve_rejects_nonnegative_lambda(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()  # validated before any compute
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_pair_that_overflows_on_landing_fails_typed(tmp_path, capsys):
+    # mu2 = 1e-300 scales v by about 1e150, so int |t v|^4 overflows: the
+    # solve and every sweep row, the limit row too, fail instead of crashing
+    base = tiny_config(tmp_path / "solve", M=16, lambdas=(-1.0, -10.0))
+    cfg = replace(base, coupling=replace(base.coupling, mu2=1e-300))
+    assert cmd_solve(cfg) == 4
+    assert "solve failed:" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+    assert summary["status"] == "failed: ConvergenceError"
+    cfg = replace(cfg, out_dir=str(tmp_path / "sweep"))
+    assert cmd_sweep(cfg) == 5
+    rows = [l for l in (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+            if l and not l.startswith("#")][1:]
+    assert len(rows) == 3
+    assert all(r.split(",")[6].startswith("failed: ConvergenceError") for r in rows)
+
+
 def test_cmd_solve_deterministic(tmp_path):
     cfg = tiny_config(tmp_path / "a")
     assert cmd_solve(cfg) == 0

@@ -26,8 +26,9 @@ from critsep import (
     sobolev_constant,
     tangent_gradient,
 )
-from critsep.checks import cosine_series
+from critsep.checks import cosine_series, scaling_residual_dev
 from critsep.functional import (
+    PairIntegrals,
     _constraint_gradients,
     check_exponents,
     nehari_det,
@@ -36,6 +37,7 @@ from critsep.functional import (
     pair_forces,
     pair_inner,
     pair_integrals,
+    scaling_from_integrals,
     sobolev_lower_bound,
     tangent_gradient_full,
 )
@@ -211,6 +213,55 @@ def test_nehari_project_degenerate_and_nonexistent():
     ones = np.ones(GRID.size)
     with pytest.raises(ConvergenceError):
         nehari_project(PairState(ones, ones), CP, GRID)
+
+
+# Integrals of three projections of a cold N = 4, M = 512 solve at
+# lambda = -1e4 from the bumps start that have a positive scaling, which the
+# Newton-and-grid-scan projection missed, with the s the ratio root gives
+MISSED_ROOTS = [
+    ((796.1919318814687, 762.3714517649491, 1139.0767519783778, 1104.320854644096,
+      0.045301297421840914), 9.5356),
+    ((807.6882139000816, 784.5968667684233, 1154.1019136757577, 1130.1345889351578,
+      0.045206808067149086), 5.3155),
+    ((817.5824130030823, 802.80935834686, 1164.9989195228059, 1149.826080106226,
+      0.04779855458931167), 14.9327),
+]
+
+
+@pytest.mark.parametrize("values, s_ref", MISSED_ROOTS)
+def test_nehari_scaling_finds_the_roots_a_scan_missed(values, s_ref):
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1e4)
+    ints = PairIntegrals(*values)
+    s, t = scaling_from_integrals(ints, cp, PARAMS)
+    assert s > 0.0 and t > 0.0
+    assert s == pytest.approx(s_ref, rel=1e-4)
+    assert scaling_residual_dev(ints, cp, PARAMS.two_star, s, t) <= 1e-12
+
+
+@pytest.mark.parametrize("N, m, alpha", [(4, 2, 2.0), (5, 3, 5.0 / 3.0), (6, 3, 1.5), (6, 3, 1.2)])
+def test_nehari_scaling_exists_exactly_when_the_ratio_window_is_open(N, m, alpha):
+    # k_lo = (-lam beta c/b2)^(1/alpha) and k_max = (b1/(-lam alpha c))^(1/beta)
+    params = ModelParams(N=N, m=m, n=N + 1 - m, M=16)
+    beta = params.two_star - alpha
+    rng = np.random.default_rng(N * 10 + m)
+    found = 0
+    for _ in range(300):
+        a1, b1, a2, b2 = 100.0 * np.exp(rng.normal(0.0, 1.0, size=4))
+        c = float(np.exp(rng.normal(3.0, 2.0)))
+        cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=alpha, beta=beta,
+                            lam=-float(np.exp(rng.normal(0.0, 2.0))))
+        ints = PairIntegrals(a1, b1, a2, b2, c)
+        k_lo = (-cp.lam * beta * c / b2) ** (1.0 / alpha)
+        k_max = (b1 / (-cp.lam * alpha * c)) ** (1.0 / beta)
+        if k_lo < k_max:
+            s, t = scaling_from_integrals(ints, cp, params)
+            assert s > 0.0 and t > 0.0
+            assert scaling_residual_dev(ints, cp, params.two_star, s, t) <= 1e-12
+            found += 1
+        else:
+            with pytest.raises(ConvergenceError, match="no positive Nehari scaling"):
+                scaling_from_integrals(ints, cp, params)
+    assert 50 <= found <= 250
 
 
 def test_single_project_examples():

@@ -25,14 +25,25 @@ def _load_layers():
 
 
 LAYERS = _load_layers()
+# Layers whose critsep object is deleted while bench/tracing.py, which
+# changes only together with the benchmark, still lists them.  The tracer
+# skips a missing layer; each one here must stay gone.
+RETIRED = {"functional.scaling_grid_start"}
 
 
-@pytest.mark.parametrize("name", sorted(LAYERS))
-def test_traced_layer_exists(name):
+def _target(name):
     mod, attr, cls = LAYERS[name]
     owner = importlib.import_module(f"critsep.{mod}")
     if cls:
-        target = vars(vars(owner)[cls]).get(attr)
-    else:
-        target = getattr(owner, attr, None)
-    assert callable(target), name
+        return vars(vars(owner)[cls]).get(attr)
+    return getattr(owner, attr, None)
+
+
+@pytest.mark.parametrize("name", sorted(set(LAYERS) - RETIRED))
+def test_traced_layer_exists(name):
+    assert callable(_target(name)), name
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED & set(LAYERS)))
+def test_retired_layer_is_gone(name):
+    assert _target(name) is None, name
