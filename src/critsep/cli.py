@@ -27,11 +27,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import checks, scalar
-from .errors import BracketError, CollapseError, ConvergenceError, DomainError
+from .errors import BracketError, DomainError
 from .functional import CouplingParams, PairState, check_exponents
 from .geometry import ModelParams, build_grid, sobolev_constant
 from .separation import SweepSchedule, geometric_schedule, sweep_lambda
-from .solver import ARMIJO_BACKTRACK, ARMIJO_SLOPE, SolveOptions, initial_guess, minimize_nehari
+from .solver import (ARMIJO_BACKTRACK, ARMIJO_SLOPE, SOLVE_ERRORS, SolveOptions, initial_guess,
+                     minimize_nehari)
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -256,7 +257,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CollapseError, ConvergenceError) as exc:
+    except SOLVE_ERRORS as exc:
         writer = _RunWriter(cfg)
         writer.write_json(
             "summary.json",

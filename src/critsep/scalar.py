@@ -20,7 +20,9 @@ with positive coefficients, p > 2, alpha + beta = p and (1, 1) critical,
 which forces 2 a_i - p b_i + d * (alpha or beta) = 0.  A box [r, R]^2 with
 inward-crossing gradient on the boundary traps all critical points, and
 when every critical point is a strict local maximum the only one is (1, 1).
-Both facts are checked numerically on verification grids.
+Since d > 0, e_s increases in t and e_t in s, so every edge of the box takes
+its extreme gradient at the corner (r, r) or (R, R), where the box is decided
+exactly; the critical points come from a multi-start Newton over the box.
 """
 
 import math
@@ -40,6 +42,7 @@ BLOCK_POINTS = 16000
 BRUTE_SPAN = (1e-3, 1e3)  # the window of s and t that sync_brute_cells scans
 PLANE_NEWTON_STEPS = 80  # Newton steps of each start of plane_critical_points
 PLANE_DEDUP_REL = 1e-8  # relative distance below which two critical points are one
+BOX_STEPS = range(1, 20)  # plane_box tries r = 2^-k and R = 2^k inside (1e-6, 1e6)
 
 __all__ = [
     "BoxReport",
@@ -230,7 +233,7 @@ class PlaneCoeffs:
     beta: float
 
     def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2", "d"):
+        for name in ("a1", "a2", "d", "b1", "b2"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive")
         if self.p <= 2.0:
@@ -248,9 +251,7 @@ class PlaneCoeffs:
 
 
 def plane_coeffs(a1: float, a2: float, d: float, p: float, alpha: float, beta: float) -> PlaneCoeffs:
-    """Complete (a1, a2, d) to coefficients with (1, 1) critical."""
-    if a1 <= 0 or a2 <= 0 or d <= 0:
-        raise DomainError("a1, a2, d must be positive")
+    """Complete (a1, a2, d) to coefficients with (1, 1) critical; PlaneCoeffs checks them."""
     b1 = (2.0 * a1 + d * alpha) / p
     b2 = (2.0 * a2 + d * beta) / p
     return PlaneCoeffs(a1=a1, a2=a2, b1=b1, b2=b2, d=d, p=p, alpha=alpha, beta=beta)
@@ -287,52 +288,32 @@ def plane_hess(c: PlaneCoeffs, s, t):
 class BoxReport:
     r: float
     R: float
-    delta: float
+    delta: float  # the smallest inward gradient on the inner edges
     ok: bool
-    detail: str = ""
 
 
-def verify_box(c: PlaneCoeffs, r: float, R: float, edge_points: int = 1000) -> BoxReport:
-    """Check the four boundary inequalities of the trapping box on a grid."""
-    rng = np.linspace(r, R, edge_points)
-    es_r, _ = plane_grad(c, r, rng)
-    es_R, _ = plane_grad(c, R, rng)
-    _, et_r = plane_grad(c, rng, r)
-    _, et_R = plane_grad(c, rng, R)
-    delta = float(min(es_r.min(), et_r.min()))
-    outward_ok = bool(es_R.max() <= -1.0 and et_R.max() <= -1.0)
-    ok = delta > 0.0 and outward_ok
-    detail = []
-    if delta <= 0.0:
-        detail.append(f"inner edges not inward: min gradient {delta:.3g}")
-    if not outward_ok:
-        detail.append(
-            f"outer edges not steep enough: max gradient {max(es_R.max(), et_R.max()):.3g}"
-        )
-    return BoxReport(r=r, R=R, delta=delta, ok=ok, detail="; ".join(detail))
+def _inner_gap(c: PlaneCoeffs, r: float) -> float:
+    return float(min(plane_grad(c, r, r)))
 
 
-def plane_box(c: PlaneCoeffs, edge_points: int = 1000) -> BoxReport:
-    """Search a trapping box [r, R]^2 with r < 1 < R and verify it on a grid."""
-    r = 0.5
-    for _ in range(40):
-        if r < 1e-6:
-            break
-        R = 2.0
-        for _ in range(40):
-            if R > 1e6:
-                break
-            rep = verify_box(c, r, R, edge_points)
-            if rep.ok:
-                return rep
-            if "inner" in rep.detail:
-                # the inner-edge minimum sits at t = r, so only a smaller
-                # r can fix it; growing R cannot
-                break
-            R *= 2.0
-        r *= 0.5
-    return BoxReport(r=math.nan, R=math.nan, delta=math.nan, ok=False,
-                     detail="no admissible box found in the search range")
+def _outer_peak(c: PlaneCoeffs, R: float) -> float:
+    return float(max(plane_grad(c, R, R)))
+
+
+def verify_box(c: PlaneCoeffs, r: float, R: float) -> BoxReport:
+    """Decide the four boundary inequalities of the trapping box [r, R]^2 at its
+    corners (r, r) and (R, R), where each edge takes its extreme gradient."""
+    delta = _inner_gap(c, r)
+    return BoxReport(r=r, R=R, delta=delta, ok=delta > 0.0 and _outer_peak(c, R) <= -1.0)
+
+
+def plane_box(c: PlaneCoeffs) -> BoxReport:
+    """The trapping box [r, R]^2 with r the first 2^-k and R the first 2^k (k in
+    BOX_STEPS) that pass their test: the inner test reads r alone and the outer
+    test R alone.  A bound that no k passes is nan."""
+    r = next((2.0**-k for k in BOX_STEPS if _inner_gap(c, 2.0**-k) > 0.0), math.nan)
+    R = next((2.0**k for k in BOX_STEPS if _outer_peak(c, 2.0**k) <= -1.0), math.nan)
+    return verify_box(c, r, R)
 
 
 @dataclass(frozen=True)

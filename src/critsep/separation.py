@@ -20,17 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    CollapseError,
-    ConvergenceError,
-    DegenerateConstraintError,
-    DegenerateInputError,
-    DomainError,
-    TopologyError,
-)
+from .errors import DomainError, TopologyError
 from .functional import CouplingParams, PairState, coupling_integral
 from .geometry import ReducedGrid
 from .solver import (
+    SOLVE_ERRORS,
     LimitResult,
     SolveOptions,
     initial_guess,
@@ -54,8 +48,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SIGN_DEADBAND = 1e-12  # relative; nodes this far below the peak count as zero
-# a solve that raises one of these fails its row and the sweep goes on
-SOLVE_ERRORS = (CollapseError, ConvergenceError, DegenerateInputError, DegenerateConstraintError)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ refilled at each Newton step.
 
 A state is a tuple of per-component arrays.  A problem object lands a state
 on its constraint set and checks the norm floors (``land(x, at, k)`` returns
-the landed state, what was computed there and the energy; the pair takes an
-accepted trial, handed over with its integrals, as it is), evaluates the
-tangent gradient, i.e. the H^1-preconditioned energy gradient minus its part
-along the constraint gradients (``evaluate(x, at)``), lands a trial state
-(``trial(x)``), and may offer a Newton direction for the free critical
-equations (``newton(x, ev)``) with the residual its candidate must contract
-(``residual_norm(x, at)``).  The pair's residual test evaluates the
+the landed state, what was computed there and the energy; the pair and the
+single component take an accepted trial, handed over with its integrals, as
+it is), evaluates the tangent gradient, i.e. the H^1-preconditioned energy
+gradient minus its part along the constraint gradients (``evaluate(x, at)``),
+lands a trial state (``trial(x)``), and may offer a Newton direction for the
+free critical equations (``newton(x, ev)``) with the residual its candidate
+must contract (``residual_norm(x, at)``).  The pair's residual test evaluates the
 pointwise kernel and the nodal residual at the trial and adds both to the
 trial's ``at``, so an accepted Newton trial hands them to the next
 ``evaluate`` and ``newton`` and each landed pair is evaluated once (the
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import CollapseError, ConvergenceError, DegenerateInputError, DomainError
+from .errors import (CollapseError, ConvergenceError, DegenerateConstraintError,
+                     DegenerateInputError, DomainError)
 from .functional import (
     CouplingParams,
     NehariResiduals,
@@ -68,7 +69,6 @@ from .functional import (
     pair_integrals,
     ray_scale,
     residuals_from_integrals,
-    single_project,
     sobolev_lower_bound,
     tangent_gradient_full,
 )
@@ -86,6 +86,8 @@ __all__ = [
     "pair_tangent",
 ]
 
+# a trial that raises one of these is not landed; a solve that does fails
+SOLVE_ERRORS = (CollapseError, ConvergenceError, DegenerateInputError, DegenerateConstraintError)
 COLLAPSE_FRACTION = 0.1  # component is lost below this fraction of its norm floor
 NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)  # damped lengths of the pair Newton step
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the gradient step
@@ -386,17 +388,15 @@ class _Single:
         self.floor = COLLAPSE_FRACTION * sobolev_lower_bound(mu, grid.params.N)
 
     def land(self, x, at, k):
-        u = np.abs(x[0])
-        u = single_project(u, self.mu, self.grid) * u
-        a, b = component_norms(u, self.mu, self.grid)
-        if a < self.floor:
+        # an accepted trial arrives scaled, with at = (a, b) of the scaled profile
+        x, at, value = self.trial(x) if at is None else (x, at, 0.5 * at[0] - at[1] / self.p)
+        if at[0] < self.floor:
             raise CollapseError("profile collapsed", iteration=k, component="u")
-        return (u,), (a, b), 0.5 * a - b / self.p
+        return x, at, value
 
     def evaluate(self, x, at):
         """Tangent gradient; the gradient, multiplier and norms for the result."""
-        (u,), grid, q = x, self.grid, self.grid.weights
-        a, b = at if at is not None else component_norms(u, self.mu, grid)
+        (u,), (a, b), grid, q = x, at, self.grid, self.grid.weights
         force = self.mu * _crit_force(u, self.p)
         g = u - grid.solve_h1(q * force)
         gf = 2.0 * u - grid.solve_h1(q * self.p * force)
@@ -407,9 +407,10 @@ class _Single:
         u = np.abs(x[0])
         a, b = component_norms(u, self.mu, self.grid)
         if a <= 0.0 or b <= 0.0:
-            return None
+            raise DegenerateInputError("cannot project the zero profile")
         s = ray_scale(a, b, self.p)
-        return (s * u,), None, 0.5 * s**2 * a - s**self.p * b / self.p
+        a, b = s**2 * a, s**self.p * b
+        return (s * u,), (a, b), 0.5 * a - b / self.p
 
     def newton(self, x, ev):
         return None, math.inf
@@ -467,7 +468,7 @@ def _attempt(problem, x):
     """The landed trial of x, or None when x cannot be landed."""
     try:
         return problem.trial(x)
-    except (CollapseError, ConvergenceError, DegenerateInputError):
+    except SOLVE_ERRORS:
         return None
 
 

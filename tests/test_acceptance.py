@@ -34,6 +34,8 @@ from critsep import scalar
 from critsep.checks import (
     cosine_series,
     gradient_fd_dev,
+    invariant_flags,
+    plane_suite,
     quadrature_dev,
     rescaled_energy_peak,
     sobolev_dual_dev,
@@ -204,19 +206,14 @@ def test_criterion_6_nehari_invariant_battery(grid2048, level_solves, sweep2048)
         base = energy(res.pair, cp, grid2048)
         if rescaled_energy_peak(res.pair, cp, grid2048, rng, 100) > base + 1e-9 * abs(base):
             max_prop_ok = False
-    ok = (
-        worst_dev <= 1e-8
-        and worst_bound >= 0.99
-        and worst_det >= 0.99
-        and max_prop_ok
-    )
+    flags_ok = all(all(invariant_flags(s).values()) for s in stats)
+    ok = flags_ok and max_prop_ok
     report(6, "Nehari invariant battery", ok,
            f"{iterates} iterates: identity dev {worst_dev:.2e}, "
            f"norm-floor ratio {worst_bound:.3f}, det ratio {worst_det:.3f}, "
            f"max property {max_prop_ok}")
-    assert worst_dev <= 1e-8
-    assert worst_bound >= 0.99
-    assert worst_det >= 0.99
+    for s in stats:
+        assert all(invariant_flags(s).values()), invariant_flags(s)
     assert max_prop_ok
 
 
@@ -254,48 +251,19 @@ def test_criterion_7_synchronized_threshold():
 
 def test_criterion_8_plane_function_suite():
     t0 = time.time()
-    canonical = scalar.plane_coeffs(1.0, 1.0, 1.0, 4.0, 2.0, 2.0)
-    points, global_ok = scalar.plane_critical_points(canonical)
-    ok_canonical = (
-        len(points) == 1
-        and abs(points[0].s - 1.0) < 1e-7
-        and abs(points[0].t - 1.0) < 1e-7
-        and points[0].kind == "max"
-        and global_ok
-    )
-    rng = np.random.default_rng(8)
-    n_checked = 0
-    ok_random = True
-    boxes_ok = scalar.plane_box(canonical).ok
-    for _ in range(50):
-        c = scalar.plane_coeffs(
-            float(rng.uniform(0.5, 2.0)),
-            float(rng.uniform(0.5, 2.0)),
-            float(rng.uniform(0.1, 1.0)),
-            4.0,
-            2.0,
-            2.0,
-        )
-        box = scalar.plane_box(c)
-        boxes_ok &= box.ok
-        pts, gmax = scalar.plane_critical_points(c, box, starts=60)
-        if all(p.kind == "max" for p in pts):
-            n_checked += 1
-            ok_random &= (
-                len(pts) == 1
-                and abs(pts[0].s - 1.0) < 1e-6
-                and abs(pts[0].t - 1.0) < 1e-6
-                and gmax
-            )
+    suite = plane_suite(50, seed=8)
     dt = time.time() - t0
-    ok = ok_canonical and ok_random and boxes_ok and n_checked >= 45 and dt < 60.0
+    ok_canonical = suite.canonical_dev < 1e-7 and suite.grid_max[0]
+    ok_random = suite.worst_dev < 1e-6 and all(suite.grid_max[1:])
+    boxes_ok = suite.boxes == 51
+    ok = ok_canonical and ok_random and boxes_ok and suite.all_max >= 45 and dt < 60.0
     report(8, "plane-function suite", ok,
-           f"canonical {ok_canonical}, {n_checked}/50 instances verified, "
+           f"canonical {ok_canonical}, {suite.all_max}/50 instances verified, "
            f"boxes {boxes_ok}, {dt:.1f}s")
     assert ok_canonical
     assert boxes_ok
     assert ok_random
-    assert n_checked >= 45
+    assert suite.all_max >= 45
     assert dt < 60.0
 
 

@@ -1,10 +1,11 @@
-"""The layer names of the traced benchmark run still name critsep objects.
+"""The benchmark's calls into critsep still resolve.
 
 ``bench/tracing.py`` wraps each entry of its ``LAYERS`` table by name: a
 module function, or a method found in the ``__dict__`` of a class.  A rename
 or a lost binding would leave a layer untraced, and only the benchmark's own
 smoke test would notice; this test loads the table by path and checks every
-entry.
+entry.  It runs the plane suite of ``bench/workloads.py`` once the same way,
+so that a change to the ``scalar`` signatures it calls fails here too.
 """
 
 import importlib
@@ -13,18 +14,18 @@ import os
 
 import pytest
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
-LAYERS = _load_layers()
+LAYERS = _load("tracing").LAYERS
 # Layers whose critsep object is deleted while bench/tracing.py, which
 # changes only together with the benchmark, still lists them.  The tracer
 # skips a missing layer; each one here must stay gone.
@@ -47,3 +48,9 @@ def test_traced_layer_exists(name):
 @pytest.mark.parametrize("name", sorted(RETIRED & set(LAYERS)))
 def test_retired_layer_is_gone(name):
     assert _target(name) is None, name
+
+
+def test_benchmark_plane_suite_runs():
+    op = _load("workloads")._plane_suite_op(1)
+    outcomes = op.check(op.call())
+    assert [(o.ok, o.wrong) for o in outcomes] == [(True, False)], outcomes
