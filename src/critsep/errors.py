@@ -20,19 +20,9 @@ class DegenerateConstraintError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """An iterative scheme failed to converge."""
 
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
 
 class CollapseError(RuntimeError):
     """A solution component collapsed to (numerical) zero during a solve."""
-
-    def __init__(self, message, iteration=None, component=None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.component = component
 
 
 class TopologyError(RuntimeError):

@@ -163,8 +163,8 @@ def coupling_integral(u: np.ndarray, v: np.ndarray, cp: CouplingParams, grid: Re
 
 
 def ray_scale(a: float, b: float, p: float) -> float:
-    """The s > 0 with s^2 a = s^p b, which puts s x on its one-component Nehari set."""
-    return (a / b) ** (1.0 / (p - 2.0))
+    """The s > 0 with s^2 a = s^p b, which puts s x on its one-component Nehari set (inf on overflow)."""
+    return float(np.float64(a / b) ** (1.0 / (p - 2.0)))
 
 
 def pair_integrals(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairIntegrals:
@@ -362,8 +362,8 @@ def nehari_det(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> 
 
 
 def sobolev_lower_bound(mu: float, N: int) -> float:
-    """mu^{-(N-2)/2} S^{N/2}: floor for the squared H^1 norm on the Nehari set."""
-    return mu ** (-(N - 2) / 2.0) * sobolev_constant(N) ** (N / 2.0)
+    """mu^{-(N-2)/2} S^{N/2}: floor for the squared H^1 norm on the Nehari set (inf on overflow)."""
+    return float(np.float64(mu) ** (-(N - 2) / 2.0)) * sobolev_constant(N) ** (N / 2.0)
 
 
 def nehari_det_bound(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> float:
@@ -398,20 +398,26 @@ def ratio_window(cp, b1: float, b2: float, w1: float, w2: float):
     return (k_lo, k_max) if k_lo < k_max else None
 
 
+def bisect(high, lo: float, hi: float, width: float = 0.0):
+    """(lo, hi) halved to ``width`` or adjacent floats; a midpoint x replaces hi if ``high(x)``, else lo."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi and hi - lo > width:
+        if high(mid):
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return lo, hi
+
+
 def ratio_root(cp, b1: float, b2: float, w1: float, w2: float, p: float):
     """The positive (s, t) of ``ratio_window``'s system, or None; bisects F to adjacent floats."""
     window = ratio_window(cp, b1, b2, w1, w2)
     if window is None:
         return None
     lam, beta = cp.lam, cp.beta
-    lo, hi = window
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if b2 * mid ** (p - 2.0) - b1 - lam * (w1 * mid**beta - w2 * mid ** (beta - 2.0)) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
+    e_b, e_w = p - 2.0, beta - 2.0
+    lo, _hi = bisect(lambda k: b2 * k**e_b - b1 - lam * (w1 * k**beta - w2 * k**e_w) > 0.0, *window)
     base = b1 + lam * w1 * lo**beta
     if not base > 0.0:
         return None
@@ -472,7 +478,7 @@ def _limit_residual(w, force, grid):
     return grid.apply_h1(w) - grid.weights * force
 
 
-def _rescale_parts(w, cp, grid, floor_p, floor_m, iteration):
+def _rescale_parts(w, cp, grid, floor_p, floor_m):
     """w+ and w- each scaled onto its Nehari set; CollapseError when a part is lost."""
     p = grid.params.two_star
     wp = np.maximum(w, 0.0)
@@ -480,15 +486,15 @@ def _rescale_parts(w, cp, grid, floor_p, floor_m, iteration):
     ap, bp = component_norms(wp, cp.mu1, grid)
     am, bm = component_norms(wm, cp.mu2, grid)
     if ap <= 0.0 or bp <= 0.0:
-        raise CollapseError("positive part collapsed", iteration=iteration, component="w+")
+        raise CollapseError("positive part collapsed")
     if am <= 0.0 or bm <= 0.0:
-        raise CollapseError("negative part collapsed", iteration=iteration, component="w-")
+        raise CollapseError("negative part collapsed")
     s, t = ray_scale(ap, bp, p), ray_scale(am, bm, p)
     # the norm floors apply to the rescaled (on-set) parts, not the raw split
     if s * s * ap < floor_p:
-        raise CollapseError("positive part collapsed", iteration=iteration, component="w+")
+        raise CollapseError("positive part collapsed")
     if t * t * am < floor_m:
-        raise CollapseError("negative part collapsed", iteration=iteration, component="w-")
+        raise CollapseError("negative part collapsed")
     return s * wp + t * wm
 
 

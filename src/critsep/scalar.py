@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .functional import CouplingParams, check_exponents, ratio_root, ratio_window
+from .functional import CouplingParams, bisect, check_exponents, ratio_root, ratio_window
 from .geometry import critical_exponent
 
 # Grid points that the grid scans (sync_brute_cells, the maximum grid of
@@ -194,22 +194,19 @@ def sync_threshold(
     if not (math.isfinite(width) and width > 0.0):
         raise DomainError(f"bracket width must be finite and positive, got {width}")
 
-    def empty(lam):
+    def solvable(lam):
         inst = SyncInstance(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam, N=N)
-        return ratio_window(inst, inst.mu1, inst.mu2, inst.alpha, inst.beta) is None
+        return ratio_window(inst, inst.mu1, inst.mu2, inst.alpha, inst.beta) is not None
 
     hi = -1e-6
-    if empty(hi):
+    if not solvable(hi):
         raise BracketError("no solutions even at lambda = -1e-6")
     lo = -1.0
-    while not empty(lo):
+    while solvable(lo):
         lo *= 4.0
         if lo < -1e6:
             raise BracketError("solutions persist down to lambda = -1e6")
-    mid = 0.5 * (hi + lo)
-    while hi - lo > width and lo < mid < hi:
-        lo, hi = (mid, hi) if empty(mid) else (lo, mid)
-        mid = 0.5 * (hi + lo)
+    lo, hi = bisect(solvable, lo, hi, width)
     return ThresholdBracket(lam_empty=lo, lam_nonempty=hi, width=hi - lo)
 
 
@@ -233,6 +230,10 @@ class PlaneCoeffs:
     beta: float
 
     def __post_init__(self):
+        # b1 and b2 last: plane_coeffs derives them from the other fields
+        for name in ("a1", "a2", "d", "p", "alpha", "beta", "b1", "b2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("a1", "a2", "d", "b1", "b2"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive")

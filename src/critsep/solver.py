@@ -12,10 +12,11 @@ Newton matrix, and that matrix's storage: one work array a pair solve,
 refilled at each Newton step.
 
 A state is a tuple of per-component arrays.  A problem object lands a state
-on its constraint set and checks the norm floors (``land(x, at, k)`` returns
-the landed state, what was computed there and the energy; the pair and the
-single component take an accepted trial, handed over with its integrals, as
-it is), evaluates the tangent gradient, i.e. the H^1-preconditioned energy
+on its constraint set and checks the norm floors (``land(x, at, value)``
+returns the landed state, what was computed there and the energy; the start
+comes with ``at`` and ``value`` None, and the pair and the single component
+take an accepted trial, handed over with its integrals and energy, as it
+is), evaluates the tangent gradient, i.e. the H^1-preconditioned energy
 gradient minus its part along the constraint gradients (``evaluate(x, at)``),
 lands a trial state (``trial(x)``), and may offer a Newton direction for the
 free critical equations (``newton(x, ev)``) with the residual its candidate
@@ -196,23 +197,17 @@ def _safe_pow(x, e):
 
 
 def solve_banded(l_and_u, ab, rhs):
-    """Solve the banded system A x = rhs through LAPACK; ab and rhs are overwritten.
+    """Solve the banded system A x = rhs by LAPACK's ``gbsv``; ab and rhs are overwritten.
 
-    (1, 1): ``ab`` is (3, n) in the diagonal-ordered form of
-    ``scipy.linalg.solve_banded`` (``ab[1 + i - j, j] == A[i, j]``) and goes
-    to the tridiagonal ``gtsv``.  Otherwise ``ab`` is LAPACK's
-    (2l + u + 1, n) ``gbsv`` band storage in Fortran order
+    ``ab`` is the (2l + u + 1, n) band storage in Fortran order
     (``ab[l + u + i - j, j] == A[i, j]``, the first l rows zero for the fill
-    of the LU), factored in place.  Both eliminate with partial pivoting.
-    A non-finite matrix or right-hand side raises ValueError, a singular
-    matrix LinAlgError.
+    of the LU), factored in place with partial pivoting.  A non-finite
+    matrix or right-hand side raises ValueError, a singular matrix
+    LinAlgError.
     """
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if l_and_u == (1, 1):
-        *_, x, info = lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1, 1)
-    else:
-        _lu, _piv, x, info = lapack.dgbsv(*l_and_u, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    _lu, _piv, x, info = lapack.dgbsv(*l_and_u, ab, rhs, overwrite_ab=1, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -300,26 +295,26 @@ def pair_tangent(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
     return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v, ab)
 
 
-def _limit_newton_direction(w, cp, grid, mu, force):
+def _limit_newton_direction(w, grid, mu, force):
     """Newton direction (a one-component state) for the limit equation, and the residual norm.
 
-    ``mu`` and ``force`` are ``_limit_force`` at w.
+    ``mu`` and ``force`` are ``_limit_force`` at w.  The Jacobian is
+    tridiagonal: one ``gtsv`` solve with partial pivoting, None when it is
+    singular or the solution is not finite.
     """
     p = grid.params.two_star
-    q = grid.weights
     res = _limit_residual(w, force, grid)
     dww = mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
-    ab = np.zeros((3, grid.size))
-    ab[0, 1:] = grid.k_off
-    ab[1, :] = grid.k_diag - q * dww
-    ab[2, :-1] = grid.k_off
-    try:
-        sol = solve_banded((1, 1), ab, -res)
-    except np.linalg.LinAlgError:
-        return None, math.inf
-    if not np.isfinite(sol).all():
+    *_, sol, info = lapack.dgtsv(grid.k_off, grid.k_diag - grid.weights * dww, grid.k_off, -res,
+                                 overwrite_d=1, overwrite_b=1)
+    if info != 0 or not np.isfinite(sol).all():
         return None, math.inf
     return (sol,), float(np.linalg.norm(res))
+
+
+def _collapse_floor(mu, N):
+    """The squared H^1 norm below which a landed component counts as lost."""
+    return COLLAPSE_FRACTION * sobolev_lower_bound(mu, N)
 
 
 # ------------------------------------------------------------- problems
@@ -333,23 +328,20 @@ class _Pair:
 
     def __init__(self, cp, grid):
         self.cp, self.grid = cp, grid
-        self.floor_u = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, grid.params.N)
-        self.floor_v = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
+        self.floor_u = _collapse_floor(cp.mu1, grid.params.N)
+        self.floor_v = _collapse_floor(cp.mu2, grid.params.N)
         self.stats = NehariInvariantStats()
         self.band = np.empty((7, 2 * grid.size), order="F")  # the Newton matrix of each step
 
-    def land(self, x, at, k):
+    def land(self, x, at, value):
         # an accepted trial arrives projected, with at = (integrals, kernel,
         # residual); the last two are None unless a Newton residual test
         # evaluated them
         if at is None:
             x, at, value = self.trial(x)
-        else:
-            value = energy_from_integrals(at[0], self.cp, self.grid.params)
         ints = at[0]
         if ints.a1 < self.floor_u or ints.a2 < self.floor_v:
-            which = "u" if ints.a1 < self.floor_u else "v"
-            raise CollapseError("a component collapsed during the solve", iteration=k, component=which)
+            raise CollapseError(f"component {'u' if ints.a1 < self.floor_u else 'v'} collapsed")
         self.stats.update(ints, value, self.cp, self.grid.params)
         return x, at, value
 
@@ -385,13 +377,14 @@ class _Single:
     def __init__(self, mu, grid):
         self.mu, self.grid = mu, grid
         self.p = grid.params.two_star
-        self.floor = COLLAPSE_FRACTION * sobolev_lower_bound(mu, grid.params.N)
+        self.floor = _collapse_floor(mu, grid.params.N)
 
-    def land(self, x, at, k):
+    def land(self, x, at, value):
         # an accepted trial arrives scaled, with at = (a, b) of the scaled profile
-        x, at, value = self.trial(x) if at is None else (x, at, 0.5 * at[0] - at[1] / self.p)
+        if at is None:
+            x, at, value = self.trial(x)
         if at[0] < self.floor:
-            raise CollapseError("profile collapsed", iteration=k, component="u")
+            raise CollapseError("component u collapsed")
         return x, at, value
 
     def evaluate(self, x, at):
@@ -408,8 +401,8 @@ class _Single:
         a, b = component_norms(u, self.mu, self.grid)
         if a <= 0.0 or b <= 0.0:
             raise DegenerateInputError("cannot project the zero profile")
-        s = ray_scale(a, b, self.p)
-        a, b = s**2 * a, s**self.p * b
+        s = np.float64(ray_scale(a, b, self.p))  # its powers overflow to inf, as arrays do
+        a, b = float(s**2 * a), float(s**self.p * b)
         return (s * u,), (a, b), 0.5 * a - b / self.p
 
     def newton(self, x, ev):
@@ -425,11 +418,11 @@ class _Limit:
     def __init__(self, cp, grid):
         self.cp, self.grid = cp, grid
         self.p = grid.params.two_star
-        self.floor_p = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu1, grid.params.N)
-        self.floor_m = COLLAPSE_FRACTION * sobolev_lower_bound(cp.mu2, grid.params.N)
+        self.floor_p = _collapse_floor(cp.mu1, grid.params.N)
+        self.floor_m = _collapse_floor(cp.mu2, grid.params.N)
 
-    def land(self, x, at, k):
-        w = _rescale_parts(x[0], self.cp, self.grid, self.floor_p, self.floor_m, k)
+    def land(self, x, at, value):
+        w = _rescale_parts(x[0], self.cp, self.grid, self.floor_p, self.floor_m)
         return (w,), None, limit_energy(w, self.cp, self.grid)
 
     def evaluate(self, x, at):
@@ -438,11 +431,11 @@ class _Limit:
         return (_limit_tangent(w, self.cp, self.grid, force),), (mu, force)
 
     def trial(self, x):
-        w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0, None)
+        w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0)
         return (w,), None, limit_energy(w, self.cp, self.grid)
 
     def newton(self, x, ev):
-        return _limit_newton_direction(x[0], self.cp, self.grid, *ev)
+        return _limit_newton_direction(x[0], self.grid, *ev)
 
     def residual_norm(self, x, at):
         (w,) = x
@@ -456,6 +449,7 @@ class _Limit:
 @dataclass
 class _Run:
     x: tuple          # the final iterate
+    energy: float     # its energy
     ev: object        # the problem's evaluation at x
     grad_norm: float  # H^1 norm of the tangent gradient at x
     iterations: int
@@ -501,12 +495,12 @@ def _descend(problem, x, opts):
         raise DegenerateInputError("initial profiles must be finite")
     grid = problem.grid
     trace = []
-    tau = prev = at = None  # BB length, previous (iterate, tangent), handed-over data
+    tau = prev = at = value = None  # BB length, previous (iterate, tangent), handed-over trial
     recent_res = deque(maxlen=problem.residual_window)
     converged, message = False, "max_iters exceeded"
 
     for k in range(opts.max_iters):
-        x, at, value = problem.land(x, at, k)
+        x, at, value = problem.land(x, at, value)
         if not math.isfinite(value):  # an integral of the landed iterate overflowed
             raise ConvergenceError("the landed iterate overflows: its energy is not finite")
         trace.append(value)
@@ -529,7 +523,7 @@ def _descend(problem, x, opts):
             recent_res.append(res_norm)
             trial = _newton_trial(problem, x, direction, value, 0.99 * max(recent_res))
             if trial is not None:
-                x, at, _ = trial
+                x, at, value = trial
                 continue
 
         if prev is not None:
@@ -544,7 +538,7 @@ def _descend(problem, x, opts):
         for _ in range(60):
             trial = _attempt(problem, tuple(c - step * d for c, d in zip(x, tg)))
             if trial is not None and trial[2] <= value - ARMIJO_SLOPE * step * tg_sq:
-                x, at, _ = trial
+                x, at, value = trial
                 tau = step
                 break
             step *= ARMIJO_BACKTRACK
@@ -555,7 +549,7 @@ def _descend(problem, x, opts):
         # the last step moved the iterate off the evaluated one
         tg, ev = problem.evaluate(x, at)
         tg_norm = _norm(tg, grid)
-    return _Run(x, ev, tg_norm, k + 1, converged, message, trace)
+    return _Run(x, value, ev, tg_norm, k + 1, converged, message, trace)
 
 
 # ------------------------------------------------------------ public API
@@ -598,7 +592,7 @@ def minimize_nehari(
     return _solve_result(
         run, g, ints.a1 + ints.a2, grid, opts,
         pair=PairState(*run.x),
-        energy=energy_from_integrals(ints, cp, grid.params),
+        energy=run.energy,
         residuals=residuals_from_integrals(ints, cp),
         multipliers=mult,
         stats=problem.stats,
@@ -616,7 +610,7 @@ def minimize_single(
     return _solve_result(
         run, g, a, grid, opts,
         pair=PairState(u, np.zeros_like(u)),
-        energy=0.5 * a - b / grid.params.two_star,
+        energy=run.energy,
         residuals=NehariResiduals(f_val=a - b, h_val=0.0),
         multipliers=(coef, 0.0),
         stats=NehariInvariantStats(),
@@ -634,7 +628,7 @@ def minimize_limit(
     if np.max(w) <= 0.0 or np.min(w) >= 0.0:
         raise DegenerateInputError("limit solve needs a sign-changing start")
     run = _descend(_Limit(cp, grid), (w,), opts)
-    w = _rescale_parts(run.x[0], cp, grid, 0.0, 0.0, run.iterations - 1)
+    w = _rescale_parts(run.x[0], cp, grid, 0.0, 0.0)
     return LimitResult(
         w=w,
         energy=limit_energy(w, cp, grid),

@@ -35,6 +35,7 @@ from critsep.cli import (
     save_config,
 )
 from critsep.errors import DomainError
+from critsep.solver import SOLVE_ERRORS
 
 
 def tiny_config(out_dir, M=64, lam=-1.0, lambdas=(-1.0, -3.0, -10.0, -30.0)):
@@ -141,6 +142,31 @@ def test_a_pair_that_overflows_on_landing_fails_typed(tmp_path, capsys):
         assert len(rows) == 3
         assert all(r.startswith(f"failed: {error}") for r in rows[:2])
         assert rows[2].startswith("failed: ConvergenceError")  # the limit row overflows
+    # above N = 4 the norm floor mu2^(-(N-2)/2) S^(N/2) of v overflows too
+    failures = tuple(f"failed: {e.__name__}" for e in SOLVE_ERRORS)
+    for N, m, n in ((5, 3, 3), (8, 4, 5)):
+        out = tmp_path / f"N{N}"
+        a = geometry.critical_exponent(N) / 2.0
+        cfg = replace(tiny_config(out / "solve", M=16, lambdas=(-1.0, -10.0)),
+                      model=ModelParams(N=N, m=m, n=n, M=16),
+                      coupling=CouplingParams(mu1=1.0, mu2=1e-300, alpha=a, beta=a, lam=-1.0))
+        assert cmd_solve(cfg) == 4
+        assert json.loads((out / "solve" / "summary.json").read_text())["status"] in failures
+        assert cmd_sweep(replace(cfg, out_dir=str(out / "sweep"))) == 5
+        rows = [l.split(",")[6] for l in (out / "sweep" / "sweep.csv")
+                .read_text().splitlines() if l and not l.startswith("#")][1:]
+        assert len(rows) == 3 and all(r.startswith(failures) for r in rows)
+
+
+def test_a_collapsed_component_fails_typed(tmp_path, capsys, monkeypatch):
+    # a floor above every point of the Nehari set trips the pair's guard
+    from critsep import solver
+
+    monkeypatch.setattr(solver, "COLLAPSE_FRACTION", 1e6)
+    assert cmd_solve(tiny_config(tmp_path, M=16)) == 4
+    assert "component u collapsed" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary == {"status": "failed: CollapseError", "detail": "component u collapsed"}
 
 
 def test_cmd_solve_deterministic(tmp_path):

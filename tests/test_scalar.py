@@ -199,6 +199,12 @@ def test_plane_coeffs_validation():
         plane_coeffs(-1.0, 1.0, 1.0, 4.0, 2.0, 2.0)
     with pytest.raises(DomainError):
         PlaneCoeffs(a1=1, a2=1, b1=5.0, b2=1.0, d=1.0, p=4.0, alpha=2.0, beta=2.0)
+    # a non-finite field passes every comparison with NaN: it is named instead
+    args = dict(a1=1.0, a2=1.0, d=1.0, p=4.0, alpha=2.0, beta=2.0)
+    for name in args:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"^{name} must be finite"):
+                plane_coeffs(**{**args, name: bad})
 
 
 def test_plane_box_canonical_and_finer_grid():

@@ -85,6 +85,27 @@ def test_minimize_single_finds_constant_level():
     assert abs(res.residuals.f_val) <= 1e-6 * h1_form(res.pair.u, res.pair.u, GRID)
 
 
+def test_minimize_single_collapse_guard(monkeypatch):
+    # a floor above every point of the Nehari set trips the guard at the start
+    from critsep import solver
+
+    monkeypatch.setattr(solver, "COLLAPSE_FRACTION", 1e6)
+    with pytest.raises(CollapseError, match="component u collapsed"):
+        minimize_single(initial_guess("bumps", GRID).u, 1.0, GRID, OPTS)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("N, m, n", [(4, 2, 3), (8, 4, 5)])
+def test_minimize_single_that_overflows_fails_typed(N, m, n):
+    # mu = 1e-300 scales the profile past the floats: its ray scale or the
+    # powers of it overflow to inf, and the solve raises a solve error
+    from critsep.solver import SOLVE_ERRORS
+
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=64))
+    with pytest.raises(SOLVE_ERRORS):
+        minimize_single(initial_guess("bumps", grid).u, 1e-300, grid, OPTS)
+
+
 def test_minimize_nehari_level_bracket():
     init = initial_guess("bumps", GRID)
     res = minimize_nehari(init, CP, GRID, OPTS)
@@ -227,9 +248,9 @@ def test_rescale_parts_collapse_detection():
     w = init.u - init.v
     # forcing an absurdly high floor must trip the collapse guard
     with pytest.raises(CollapseError):
-        _rescale_parts(w, CP, GRID, 1e12, 0.0, 7)
+        _rescale_parts(w, CP, GRID, 1e12, 0.0)
     with pytest.raises(CollapseError):
-        _rescale_parts(np.where(w > 0, w, 0.0) - 0.0, CP, GRID, 0.0, 0.0, 3)
+        _rescale_parts(np.where(w > 0, w, 0.0) - 0.0, CP, GRID, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +314,8 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
         attempts.append(1)
         return attempt(problem, x)
 
-    def checked_land(problem, x, at, k):
-        x, at, value = land(problem, x, at, k)
+    def checked_land(problem, x, at, value):
+        x, at, value = land(problem, x, at, value)
         ints, forces, res = at
         landed.append(ints == pair_integrals(PairState(*x), problem.cp, problem.grid))
         if forces is not None:
@@ -430,15 +451,18 @@ def _banded_system(l_and_u, n, seed):
 
 
 def _lapack_layout(l_and_u, ab):
-    """ab as solve_banded takes it: (1, 1) as it is, else gbsv storage."""
-    if l_and_u == (1, 1):
-        return ab.copy()
+    """ab in the gbsv storage that solve_banded takes."""
     work = np.zeros((l_and_u[0] + ab.shape[0], ab.shape[1]), order="F")
     work[l_and_u[0]:] = ab
     return work
 
 
-@pytest.mark.parametrize("l_and_u", [(1, 1), (2, 2)])
+# the pentadiagonal layout of the pair's Newton matrix, under the test ids it
+# has always had; the limit's tridiagonal solve has its own test below
+PENTA = pytest.param((2, 2), id="l_and_u1")
+
+
+@pytest.mark.parametrize("l_and_u", [PENTA])
 def test_solve_banded_matches_scipy(l_and_u):
     from scipy.linalg import solve_banded as scipy_solve_banded
 
@@ -452,13 +476,37 @@ def test_solve_banded_matches_scipy(l_and_u):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["matrix", "rhs"])
-@pytest.mark.parametrize("l_and_u", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("l_and_u", [PENTA])
 def test_solve_banded_rejects_nonfinite_input(l_and_u, where, bad):
     ab, rhs = _banded_system(l_and_u, 41, 4)
     ab = _lapack_layout(l_and_u, ab)
     (ab if where == "matrix" else rhs)[..., 17] = bad
     with pytest.raises(ValueError):
         solve_banded(l_and_u, ab, rhs)
+
+
+@pytest.mark.parametrize("N, m, n, mu2", [(4, 2, 3, 1.0), (5, 3, 3, 2.5)])
+def test_limit_newton_direction_matches_scipy(N, m, n, mu2):
+    # the tridiagonal Newton matrix K - q mu (2*-1)|w|^(2*-2) of the limit
+    # equation, solved by scipy's banded solver on the same bands
+    from scipy.linalg import solve_banded as scipy_solve_banded
+
+    from critsep.functional import _limit_force, _limit_residual
+    from critsep.solver import _limit_newton_direction
+
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
+    p = grid.params.two_star
+    cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=p / 2.0, beta=p / 2.0, lam=-1.0)
+    init = initial_guess("bumps", grid)
+    w = init.u - 0.7 * init.v
+    mu, force = _limit_force(w, cp, p)
+    (direction,), res_norm = _limit_newton_direction(w, grid, mu, force)
+    res = _limit_residual(w, force, grid)
+    ab = np.zeros((3, grid.size))
+    ab[0, 1:] = ab[2, :-1] = grid.k_off
+    ab[1] = grid.k_diag - grid.weights * (mu * (p - 1.0) * np.abs(w) ** (p - 2.0))
+    assert np.array_equal(direction, scipy_solve_banded((1, 1), ab, -res))
+    assert res_norm == float(np.linalg.norm(res))
 
 
 def _nonfinite_start(kind, bad):
