@@ -28,7 +28,6 @@ from .functional import (
     nehari_project,
     residuals,
     single_project,
-    tangent_gradient,
 )
 from .geometry import (
     ModelParams,

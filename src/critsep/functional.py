@@ -35,14 +35,15 @@ iterate.
 
 The pair, the single component and the sign-changing limit problem share
 one one-component algebra, written once here: the norms (a, b) of a
-component, the ray scale (a/b)^(1/(2*-2)) onto its Nehari set and the 2x2
-Gram projection off two constraint gradients.  The limit problem, which puts
-w+ and w- each on its own Nehari set (the lambda -> -inf image of the pair),
-lives at the end of this module.
+component, the ray scale (a/b)^(1/(2*-2)) onto its Nehari set and the
+projection off one or two constraint gradients (``tangent_part``).  The
+limit problem, which puts w+ and w- each on its own Nehari set (the
+lambda -> -inf image of the pair), lives at the end of this module.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,7 @@ __all__ = [
     "residuals",
     "single_project",
     "sobolev_lower_bound",
-    "tangent_gradient",
+    "tangent_part",
 ]
 
 
@@ -122,8 +123,7 @@ def check_exponents(cp: CouplingParams, params: ModelParams) -> None:
         )
 
 
-@dataclass(frozen=True)
-class PairState:
+class PairState(NamedTuple):
     """A pair of arc profiles; the optimization variable."""
 
     u: np.ndarray
@@ -287,15 +287,39 @@ def _constraint_gradients(pair, cp, grid, forces=None):
     return PairState(gf_u, gf_v), PairState(gh_u, gh_v)
 
 
-def pair_inner(x: PairState, y: PairState, grid: ReducedGrid) -> float:
-    """H^1 inner product on pairs."""
-    return h1_form(x.u, y.u, grid) + h1_form(x.v, y.v, grid)
+def pair_inner(x, y, grid: ReducedGrid) -> float:
+    """H^1 inner product of two states (a pair, or a one-tuple of one component)."""
+    return sum(h1_form(a, b, grid) for a, b in zip(x, y))
 
 
-def tangent_gradient(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairState:
-    """Energy gradient minus its projection onto the constraint gradients."""
-    tg, _, _ = tangent_gradient_full(pair, cp, grid)
-    return tg
+def tangent_part(g, grads, grid: ReducedGrid):
+    """g minus its H^1 projection onto one or two constraint gradients, and the multipliers.
+
+    g and each of ``grads`` are states; the Gram matrix sums ``h1_gram`` over
+    the components.  DegenerateConstraintError when the constraint gradients
+    are numerically dependent.
+    """
+    grams = [h1_gram(parts, grid) for parts in zip(g, *grads)]
+    gram = [[sum(entries) for entries in zip(*rows)] for rows in zip(*grams)]
+    r, g11 = gram[0], gram[1][1]
+    if len(grads) == 1:
+        det = diag = g11
+    else:
+        g12, g22 = gram[1][2], gram[2][2]
+        det, diag = g11 * g22 - g12 * g12, g11 * g22
+    if det <= 1e-14 * max(diag, 1e-300):
+        raise DegenerateConstraintError("constraint gradients are numerically dependent; "
+                                        "the Nehari set is degenerate here (is lambda < 0?)")
+    if len(grads) == 1:
+        mult = (r[1] / g11,)
+    else:  # Cramer's rule
+        mult = ((r[1] * g22 - r[2] * g12) / det, (r[2] * g11 - r[1] * g12) / det)
+    tangent = []
+    for x, *directions in zip(g, *grads):
+        for c, d in zip(mult, directions):
+            x = x - c * d
+        tangent.append(x)
+    return tuple(tangent), mult
 
 
 def tangent_gradient_full(
@@ -303,40 +327,14 @@ def tangent_gradient_full(
 ):
     """Tangential gradient, the multiplier pair (s, t) and the full gradient.
 
-    The multipliers solve the 2x2 Gram system that splits dE into its
-    tangential part and s*df + t*dh; at a genuine constrained critical
-    point both are ~0.  The pointwise kernel is evaluated once (or taken
-    from ``forces``) and the Gram entries come from one differencing of
-    each component.
+    The multipliers split dE into its tangential part and s*df + t*dh
+    (``tangent_part``); at a genuine constrained critical point both are
+    ~0.  The pointwise kernel is evaluated once (or taken from ``forces``).
     """
     f = forces if forces is not None else pair_forces(pair, cp, grid)
     g = gradient(pair, cp, grid, f)
-    gf, gh = _constraint_gradients(pair, cp, grid, f)
-    gram_u = h1_gram((g.u, gf.u, gh.u), grid)
-    gram_v = h1_gram((g.v, gf.v, gh.v), grid)
-    s, t = _gram_multipliers(
-        [[x + y for x, y in zip(row_u, row_v)] for row_u, row_v in zip(gram_u, gram_v)]
-    )
-    tg = PairState(u=g.u - s * gf.u - t * gh.u, v=g.v - s * gf.v - t * gh.v)
-    return tg, (s, t), g
-
-
-def _gram_multipliers(gram):
-    """The (s, t) that make g - s*gf - t*gh orthogonal to gf and gh.
-
-    ``gram`` is the H^1 Gram matrix of (g, gf, gh); the 2x2 system is solved
-    by Cramer's rule.  Raises DegenerateConstraintError when gf and gh are
-    numerically dependent.
-    """
-    g11, g12, g22 = gram[1][1], gram[1][2], gram[2][2]
-    det = g11 * g22 - g12 * g12
-    if det <= 1e-14 * max(g11 * g22, 1e-300):
-        raise DegenerateConstraintError(
-            "constraint gradients are numerically dependent; "
-            "the Nehari set is degenerate here (is lambda < 0?)"
-        )
-    r1, r2 = gram[0][1], gram[0][2]
-    return (r1 * g22 - r2 * g12) / det, (r2 * g11 - r1 * g12) / det
+    tg, mult = tangent_part(g, _constraint_gradients(pair, cp, grid, f), grid)
+    return PairState(*tg), mult, g
 
 
 def _nehari_entries(ints, cp, params):
@@ -390,11 +388,12 @@ def ratio_window(cp, b1: float, b2: float, w1: float, w2: float):
     increases strictly, so a unique solution exists exactly when k_lo < k_max, with
     k_lo = (-lam w2/b2)^(1/alpha) and k_max = (-b1/(lam w1))^(1/beta).  ``cp`` gives
     lam, alpha and beta; the synchronized system has b = (mu1, mu2), w = (alpha, beta).
+    The powers are taken in float64, so they overflow to inf instead of raising.
     """
     if cp.lam >= 0.0:
         raise DomainError("the ratio reduction needs lam < 0")
-    k_lo = (-cp.lam * w2 / b2) ** (1.0 / cp.alpha)
-    k_max = (-b1 / (cp.lam * w1)) ** (1.0 / cp.beta)
+    k_lo = np.float64(-cp.lam * w2 / b2) ** (1.0 / cp.alpha)
+    k_max = np.float64(-b1 / (cp.lam * w1)) ** (1.0 / cp.beta)
     return (k_lo, k_max) if k_lo < k_max else None
 
 
@@ -411,7 +410,9 @@ def bisect(high, lo: float, hi: float, width: float = 0.0):
 
 
 def ratio_root(cp, b1: float, b2: float, w1: float, w2: float, p: float):
-    """The positive (s, t) of ``ratio_window``'s system, or None; bisects F to adjacent floats."""
+    """The positive (s, t) of ``ratio_window``'s system, or None; bisects F to adjacent floats.
+
+    ConvergenceError when s or t is not finite."""
     window = ratio_window(cp, b1, b2, w1, w2)
     if window is None:
         return None
@@ -422,7 +423,10 @@ def ratio_root(cp, b1: float, b2: float, w1: float, w2: float, p: float):
     if not base > 0.0:
         return None
     s = base ** (-1.0 / (p - 2.0))
-    return s, lo * s
+    t = lo * s
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise ConvergenceError(f"the ratio root overflows: (s, t) = ({s}, {t})")
+    return float(s), float(t)
 
 
 def scaling_from_integrals(ints: PairIntegrals, cp: CouplingParams, params: ModelParams):
@@ -499,7 +503,7 @@ def _rescale_parts(w, cp, grid, floor_p, floor_m):
 
 
 def _limit_constraint_gradients(w, cp, grid):
-    """Riesz gradients of the Nehari residual functionals of w+ and w-."""
+    """Riesz gradients of the Nehari residual functionals of w+ and w-, as one-tuple states."""
     p = grid.params.two_star
     q = grid.weights
     wp = np.maximum(w, 0.0)
@@ -510,7 +514,7 @@ def _limit_constraint_gradients(w, cp, grid):
     gf_m = grid.solve_h1(
         np.where(w < 0.0, 2.0 * grid.apply_h1(wm), 0.0) - q * p * cp.mu2 * _crit_force(wm, p)
     )
-    return gf_p, gf_m
+    return (gf_p,), (gf_m,)
 
 
 def _limit_tangent(w, cp, grid, force=None):
@@ -523,6 +527,5 @@ def _limit_tangent(w, cp, grid, force=None):
     if force is None:
         _mu, force = _limit_force(w, cp, grid.params.two_star)
     g = w - grid.solve_h1(grid.weights * force)
-    gf_p, gf_m = _limit_constraint_gradients(w, cp, grid)
-    c1, c2 = _gram_multipliers(h1_gram((g, gf_p, gf_m), grid))
-    return g - c1 * gf_p - c2 * gf_m
+    (tg,), _mult = tangent_part((g,), _limit_constraint_gradients(w, cp, grid), grid)
+    return tg

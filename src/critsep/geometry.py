@@ -50,10 +50,13 @@ HALF_PI = 0.5 * np.pi
 
 
 def sphere_area(k: int) -> float:
-    """Surface measure of the unit k-sphere, 2 pi^{(k+1)/2} / Gamma((k+1)/2)."""
+    """Surface measure of the unit k-sphere, 2 pi^{(k+1)/2} / Gamma((k+1)/2), for 1 <= k <= 342."""
     if k < 1:
         raise DomainError(f"sphere dimension must be >= 1, got {k}")
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    try:
+        return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    except OverflowError:
+        raise DomainError(f"the area of the unit {k}-sphere overflows a float") from None
 
 
 def sobolev_constant(N: int) -> float:
@@ -61,10 +64,14 @@ def sobolev_constant(N: int) -> float:
 
     Closed form pi*N*(N-2)*(Gamma(N/2)/Gamma(N))^{2/N}; it also satisfies
     S^{N/2} = (N(N-2)/4)^{N/2} * |S^N|, which is used as a cross-check.
+    Gamma(N) overflows a float from N = 172 on.
     """
     if N < 3:
         raise DomainError(f"Sobolev constant needs N >= 3, got {N}")
-    return math.pi * N * (N - 2) * (math.gamma(N / 2.0) / math.gamma(N)) ** (2.0 / N)
+    try:
+        return math.pi * N * (N - 2) * (math.gamma(N / 2.0) / math.gamma(N)) ** (2.0 / N)
+    except OverflowError:
+        raise DomainError(f"Sobolev constant overflows a float for N = {N}") from None
 
 
 def critical_exponent(N: int) -> float:
@@ -86,6 +93,7 @@ class ModelParams:
     def __post_init__(self):
         if self.N < 4:
             raise DomainError(f"need N >= 4, got N={self.N}")
+        sobolev_constant(self.N)  # DomainError where it overflows
         if self.m < 2 or self.n < 2:
             raise DomainError(f"need m, n >= 2, got m={self.m}, n={self.n}")
         if self.m + self.n != self.N + 1:

@@ -94,10 +94,11 @@ def sync_residuals(inst: SyncInstance, s, t):
 def sync_solve(inst: SyncInstance):
     """The positive solution (s, t) by the ratio root, as a list of at most one pair.
 
-    An empty list means that no positive solution exists (lam <= lam*).
+    An empty list means that no positive solution exists (lam <= lam*); a
+    solution that overflows a float raises ConvergenceError.
     """
     root = ratio_root(inst, inst.mu1, inst.mu2, inst.alpha, inst.beta, inst.two_star)
-    return [] if root is None else [(float(root[0]), float(root[1]))]
+    return [] if root is None else [root]
 
 
 def _mixed_sign_cells(sign_arr):

@@ -100,6 +100,13 @@ class SweepResult:
     predictor_fallbacks: int = 0  # rows after a converged row solved from its pair
 
 
+def _deadband_signs(w: np.ndarray) -> np.ndarray:
+    """Signs of w by comparison; samples within SIGN_DEADBAND of the peak |w|, and all
+    of them when a sample is NaN (so is the peak), count as 0."""
+    band = SIGN_DEADBAND * np.max(np.abs(w)) if w.size else 0.0
+    return (w > band).astype(int) - (w < -band)
+
+
 def interface_locate(profile, grid: ReducedGrid) -> float:
     """Arc position of the unique sign change, by linear interpolation.
 
@@ -114,19 +121,15 @@ def interface_locate(profile, grid: ReducedGrid) -> float:
         w = np.asarray(profile, dtype=float)
     if w.shape != (grid.size,):
         raise DomainError(f"profile has shape {w.shape}, grid expects ({grid.size},)")
-    peak = np.max(np.abs(w))
-    if peak == 0.0:
+    if not w.any():
         raise TopologyError("profile vanishes identically", crossings=0)
-    live = np.nonzero(np.abs(w) > SIGN_DEADBAND * peak)[0]
-    signs = np.sign(w[live])
-    flips = np.nonzero(np.diff(signs) != 0.0)[0]
+    signs = _deadband_signs(w)
+    live = np.flatnonzero(signs)
+    flips = np.flatnonzero(np.diff(signs[live]))
     if flips.size != 1:
-        raise TopologyError(
-            f"expected exactly one sign change, found {flips.size}",
-            crossings=int(flips.size),
-        )
-    i = live[flips[0]]
-    j = live[flips[0] + 1]
+        raise TopologyError(f"expected exactly one sign change, found {flips.size}",
+                            crossings=int(flips.size))
+    i, j = live[flips[0]], live[flips[0] + 1]
     th_i, th_j = grid.theta[i], grid.theta[j]
     return float(th_i + (th_j - th_i) * w[i] / (w[i] - w[j]))
 
@@ -151,29 +154,13 @@ class ToriReport:
     detail: str
 
 
-def _sign_blocks(signs, target):
-    """Number of contiguous blocks of the given sign value."""
-    mask = signs == target
-    if not mask.any():
-        return 0, None, None
-    edges = np.diff(mask.astype(int))
-    starts = int((edges == 1).sum()) + (1 if mask[0] else 0)
-    idx = np.nonzero(mask)[0]
-    return starts, idx[0], idx[-1]
-
-
 def verify_tori(w: np.ndarray, grid: ReducedGrid) -> ToriReport:
     """Check that a limit profile has the two-arc support structure."""
-    w = np.asarray(w, dtype=float)
-    peak = np.max(np.abs(w)) if w.size else 0.0
-    signs = np.zeros(w.shape, dtype=int)
-    if peak > 0.0:
-        signs[w > SIGN_DEADBAND * peak] = 1
-        signs[w < -SIGN_DEADBAND * peak] = -1
-    n_pos, pos_lo, pos_hi = _sign_blocks(signs, 1)
-    n_neg, neg_lo, neg_hi = _sign_blocks(signs, -1)
-    live = signs[signs != 0]
-    sign_changes = int((np.diff(live) != 0).sum()) if live.size else 0
+    signs = _deadband_signs(np.asarray(w, dtype=float))
+    live = np.flatnonzero(signs)
+    blocks = signs[np.diff(signs, prepend=0) != 0]  # the sign of each run of equal signs
+    n_pos, n_neg = int((blocks == 1).sum()), int((blocks == -1).sum())
+    sign_changes = int(np.count_nonzero(np.diff(signs[live])))
 
     problems = []
     if n_pos != 1:
@@ -186,12 +173,9 @@ def verify_tori(w: np.ndarray, grid: ReducedGrid) -> ToriReport:
     positive_touches_zero = False
     if not problems:
         theta0 = interface_locate(w, grid)
-        pos_first = pos_lo < neg_lo
-        positive_touches_zero = bool(pos_first)
-        first_lo = pos_lo if pos_first else neg_lo
-        last_hi = neg_hi if pos_first else pos_hi
+        positive_touches_zero = bool(signs[live[0]] > 0)
         # each support must run all the way to its endpoint of the arc
-        if first_lo > 1 or last_hi < grid.size - 2:
+        if live[0] > 1 or live[-1] < grid.size - 2:
             problems.append("supports do not abut the arc endpoints")
     detail = "; ".join(problems) if problems else (
         "one interface at theta0=%.6f; %s component touches theta=0 "
@@ -252,7 +236,7 @@ def predict_start(pair: PairState, cp: CouplingParams, grid: ReducedGrid, lam_ne
         return None
     step = cp.lam * math.log(lam_next / cp.lam)
     out = []
-    for x, dx in zip((pair.u, pair.v), tangent):
+    for x, dx in zip(pair, tangent):
         y = np.array(x, dtype=float)
         live = y > 0.0
         with np.errstate(over="ignore"):

@@ -11,28 +11,29 @@ the branch tangent of the pair (``pair_tangent``), which shares the pair's
 Newton matrix, and that matrix's storage: one work array a pair solve,
 refilled at each Newton step.
 
-A state is a tuple of per-component arrays.  A problem object lands a state
-on its constraint set and checks the norm floors (``land(x, at, value)``
-returns the landed state, what was computed there and the energy; the start
-comes with ``at`` and ``value`` None, and the pair and the single component
-take an accepted trial, handed over with its integrals and energy, as it
-is), evaluates the tangent gradient, i.e. the H^1-preconditioned energy
-gradient minus its part along the constraint gradients (``evaluate(x, at)``),
-lands a trial state (``trial(x)``), and may offer a Newton direction for the
-free critical equations (``newton(x, ev)``) with the residual its candidate
-must contract (``residual_norm(x, at)``).  The pair's residual test evaluates the
-pointwise kernel and the nodal residual at the trial and adds both to the
-trial's ``at``, so an accepted Newton trial hands them to the next
-``evaluate`` and ``newton`` and each landed pair is evaluated once (the
-limit's landing rescales a trial again, so its test hands nothing over).
-``_descend`` lands the iterate, stops when the tangent gradient is small,
-tries the Newton candidate and otherwise takes a Barzilai-Borwein step,
-backtracked until the Armijo condition holds for the energy of the landed
-trial, so accepted energies never increase.  The pair and single solves
-also require a small full gradient at convergence, which certifies a free
-critical point (the multiplier solve returns ~0); small means below 10
-grad_tol or below the rounding floor of the discrete full gradient
-(``FULL_GRAD_FLOOR``).
+A state is a ``PairState`` or a one-tuple of one component array, and
+``functional.pair_inner`` is the H^1 inner product of two states.  A problem
+object lands a state on its constraint set and checks the norm floors
+(``land(x, at, value)`` returns the landed state, what was computed there
+and the energy; the start comes with ``at`` and ``value`` None, and the pair
+and the single component take an accepted trial, handed over with its
+integrals and energy, as it is), evaluates the tangent gradient, i.e. the
+H^1-preconditioned energy gradient minus its part along the constraint
+gradients (``evaluate(x, at)``), lands a trial state (``trial(x)``), and may
+offer a Newton direction for the free critical equations (``newton(x, ev)``)
+with the residual its candidate must contract (``residual_norm(x, at)``).
+The pair's residual test evaluates the pointwise kernel and the nodal
+residual at the trial and adds both to the trial's ``at``, so an accepted
+Newton trial hands them to the next ``evaluate`` and ``newton`` and each
+landed pair is evaluated once (the limit's landing rescales a trial again,
+so its test hands nothing over).  ``_descend`` lands the iterate, stops when
+the tangent gradient is small, tries the Newton candidate and otherwise
+takes a Barzilai-Borwein step, backtracked until the Armijo condition holds
+for the energy of the landed trial, so accepted energies never increase.
+The pair and single solves also require a small full gradient at
+convergence, which certifies a free critical point (the multiplier solve
+returns ~0); small means below 10 grad_tol or below the rounding floor of
+the discrete full gradient (``FULL_GRAD_FLOOR``).
 
 Inequalities that hold on the continuous Nehari set are monitored on every
 landed pair and summarized in the result: the energy identity
@@ -67,13 +68,15 @@ from .functional import (
     nehari_det_bound,
     nehari_project,
     pair_forces,
+    pair_inner,
     pair_integrals,
     ray_scale,
     residuals_from_integrals,
     sobolev_lower_bound,
     tangent_gradient_full,
+    tangent_part,
 )
-from .geometry import HALF_PI, ReducedGrid, h1_form
+from .geometry import HALF_PI, ReducedGrid
 
 __all__ = [
     "LimitResult",
@@ -176,13 +179,8 @@ def _bb_step(dx_sq, dx_dg, fallback):
     return fallback
 
 
-def _inner(x, y, grid):
-    """H^1 inner product of two states (tuples of component arrays)."""
-    return sum(h1_form(a, b, grid) for a, b in zip(x, y))
-
-
 def _norm(x, grid):
-    return math.sqrt(max(_inner(x, x, grid), 0.0))
+    return math.sqrt(max(pair_inner(x, x, grid), 0.0))
 
 
 def _safe_pow(x, e):
@@ -348,9 +346,9 @@ class _Pair:
     def evaluate(self, x, at):
         ints, forces, res = at
         if forces is None:
-            forces = pair_forces(PairState(*x), self.cp, self.grid)
-        tg, mult, g = tangent_gradient_full(PairState(*x), self.cp, self.grid, forces)
-        return (tg.u, tg.v), (forces, res, mult, (g.u, g.v), ints)
+            forces = pair_forces(x, self.cp, self.grid)
+        tg, mult, g = tangent_gradient_full(x, self.cp, self.grid, forces)
+        return tg, (forces, res, mult, g, ints)
 
     def trial(self, x):
         u, v = (np.abs(c) for c in x)
@@ -358,13 +356,13 @@ class _Pair:
         pair = PairState(s * u, t * v)
         ints = pair_integrals(pair, self.cp, self.grid)
         value = energy_from_integrals(ints, self.cp, self.grid.params)
-        return (pair.u, pair.v), (ints, None, None), value
+        return pair, (ints, None, None), value
 
     def newton(self, x, ev):
-        return _pair_newton_direction(x[0], x[1], self.cp, self.grid, ev[0], self.band, ev[1])
+        return _pair_newton_direction(*x, self.cp, self.grid, ev[0], self.band, ev[1])
 
     def residual_norm(self, x, at):
-        forces = pair_forces(PairState(*x), self.cp, self.grid)
+        forces = pair_forces(x, self.cp, self.grid)
         res = _pair_residual(*x, forces, self.grid)
         return math.hypot(*map(np.linalg.norm, res)), (at[0], forces, res)
 
@@ -391,10 +389,10 @@ class _Single:
         """Tangent gradient; the gradient, multiplier and norms for the result."""
         (u,), (a, b), grid, q = x, at, self.grid, self.grid.weights
         force = self.mu * _crit_force(u, self.p)
-        g = u - grid.solve_h1(q * force)
-        gf = 2.0 * u - grid.solve_h1(q * self.p * force)
-        coef = h1_form(g, gf, grid) / h1_form(gf, gf, grid)
-        return (g - coef * gf,), ((g,), coef, a, b)
+        g = (u - grid.solve_h1(q * force),)
+        gf = (2.0 * u - grid.solve_h1(q * self.p * force),)
+        tg, (coef,) = tangent_part(g, (gf,), grid)
+        return tg, (g, coef, a, b)
 
     def trial(self, x):
         u = np.abs(x[0])
@@ -505,7 +503,7 @@ def _descend(problem, x, opts):
             raise ConvergenceError("the landed iterate overflows: its energy is not finite")
         trace.append(value)
         tg, ev = problem.evaluate(x, at)
-        tg_sq = _inner(tg, tg, grid)
+        tg_sq = pair_inner(tg, tg, grid)
         tg_norm = math.sqrt(max(tg_sq, 0.0))
         if tg_norm <= opts.grad_tol:
             converged, message = True, "tangent gradient below tolerance"
@@ -529,7 +527,7 @@ def _descend(problem, x, opts):
         if prev is not None:
             dx = tuple(a - b for a, b in zip(x, prev[0]))
             dg = tuple(a - b for a, b in zip(tg, prev[1]))
-            tau = _bb_step(_inner(dx, dx, grid), _inner(dx, dg, grid), tau)
+            tau = _bb_step(pair_inner(dx, dx, grid), pair_inner(dx, dg, grid), tau)
         if tau is None:
             tau = 1.0 / max(1.0, tg_norm)
         prev = (x, tg)
@@ -586,12 +584,11 @@ def minimize_nehari(
         raise DomainError(f"competitive solve requires lambda < 0, got {cp.lam}")
     check_exponents(cp, grid.params)
     problem = _Pair(cp, grid)
-    x = (np.asarray(init.u, dtype=float), np.asarray(init.v, dtype=float))
-    run = _descend(problem, x, opts)
+    run = _descend(problem, tuple(np.asarray(c, dtype=float) for c in init), opts)
     _forces, _res, mult, g, ints = run.ev
     return _solve_result(
         run, g, ints.a1 + ints.a2, grid, opts,
-        pair=PairState(*run.x),
+        pair=run.x,
         energy=run.energy,
         residuals=residuals_from_integrals(ints, cp),
         multipliers=mult,

@@ -335,6 +335,10 @@ def test_main_sobolev_reports_a_dimension_below_three(capsys):
     assert main(["sobolev", "--dim", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "needs N >= 3" in err
+    # Gamma(N) overflows a float from N = 172 on
+    assert main(["sobolev", "--dim", "172"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows a float for N = 172" in err
 
 
 @pytest.mark.parametrize("width", ["0", "-1", "nan"])
@@ -402,9 +406,10 @@ def test_main_rejects_a_small_grid_override(tmp_path, capsys, grid):
     assert not out.exists()
 
 
-def _config_text(section, key, value):
+def _config_text(section, key, value, **more):
+    """The default config with tree[section][key] = value and the other keys of ``more`` there."""
     tree = config_to_tree(default_config())
-    tree[section][key] = value
+    tree[section].update({key: value, **more})
     return json.dumps(tree)
 
 
@@ -417,6 +422,8 @@ def _config_text(section, key, value):
         pytest.param("model: {N: 4}", "JSONDecodeError", id="not-json"),
         pytest.param(json.dumps({"model": config_to_tree(default_config())["model"]}),
                      "KeyError: 'coupling'", id="missing-key"),
+        pytest.param(_config_text("model", "N", "172", m="2", n="171"),
+                     "Sobolev constant overflows a float for N = 172", id="gamma-overflow"),
         pytest.param(_config_text("model", "M", "abc"), "invalid literal for int()",
                      id="non-numeric-leaf"),
         pytest.param(_config_text("solver", "positivity_enforced", "false"),

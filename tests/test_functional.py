@@ -24,12 +24,12 @@ from critsep import (
     residuals,
     single_project,
     sobolev_constant,
-    tangent_gradient,
 )
 from critsep.checks import cosine_series, scaling_residual_dev
 from critsep.functional import (
     PairIntegrals,
     _constraint_gradients,
+    _limit_tangent,
     check_exponents,
     nehari_det,
     nehari_det_bound,
@@ -42,7 +42,7 @@ from critsep.functional import (
     tangent_gradient_full,
 )
 from critsep.geometry import h1_gram
-from critsep.solver import _pair_newton_direction, _safe_pow
+from critsep.solver import _Single, _pair_newton_direction, _safe_pow
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=128)
 GRID = build_grid(PARAMS)
@@ -287,7 +287,7 @@ def test_tangent_gradient_orthogonality_and_contraction():
     pair = smooth_pair(9)
     s, t = nehari_project(pair, CP_WEAK, GRID)
     scaled = PairState(s * pair.u, t * pair.v)
-    tg = tangent_gradient(scaled, CP_WEAK, GRID)
+    tg = tangent_gradient_full(scaled, CP_WEAK, GRID)[0]
     gf, gh = _constraint_gradients(scaled, CP_WEAK, GRID)
     norm = math.sqrt(pair_inner(tg, tg, GRID))
     for c in (gf, gh):
@@ -372,8 +372,10 @@ def test_limit_residuals_split():
 #
 # The force code that pair_forces replaced: gradient, constraint gradients,
 # tangent gradient and pair Newton direction each evaluating their own
-# powers, and the Gram entries taken from one h1_form call each.  The
-# arithmetic is unchanged, so the results must compare equal.
+# powers, and the Gram entries taken from one h1_form call each; and the
+# projections of the limit and of the single component, each written out
+# with its own Gram solve.  The arithmetic is unchanged, so the results must
+# compare equal.
 
 
 def _reference_mixed_force_u(u, v, cp):
@@ -414,21 +416,53 @@ def reference_constraint_gradients(pair, cp, grid):
     return PairState(gf_u, gf_v), PairState(gh_u, gh_v)
 
 
-def reference_tangent_gradient_full(pair, cp, grid):
-    g = reference_gradient(pair, cp, grid)
-    gf, gh = reference_constraint_gradients(pair, cp, grid)
-    g11 = pair_inner(gf, gf, grid)
-    g12 = pair_inner(gf, gh, grid)
-    g22 = pair_inner(gh, gh, grid)
+def reference_multipliers(inner, g, gf, gh, grid):
+    """Cramer's rule for the (s, t) that make g - s gf - t gh orthogonal to gf and gh."""
+    g11 = inner(gf, gf, grid)
+    g12 = inner(gf, gh, grid)
+    g22 = inner(gh, gh, grid)
     det = g11 * g22 - g12 * g12
     if det <= 1e-14 * max(g11 * g22, 1e-300):
         raise DegenerateConstraintError("dependent constraint gradients")
-    r1 = pair_inner(g, gf, grid)
-    r2 = pair_inner(g, gh, grid)
-    s = (r1 * g22 - r2 * g12) / det
-    t = (r2 * g11 - r1 * g12) / det
+    r1 = inner(g, gf, grid)
+    r2 = inner(g, gh, grid)
+    return (r1 * g22 - r2 * g12) / det, (r2 * g11 - r1 * g12) / det
+
+
+def reference_tangent_gradient_full(pair, cp, grid):
+    g = reference_gradient(pair, cp, grid)
+    gf, gh = reference_constraint_gradients(pair, cp, grid)
+    s, t = reference_multipliers(pair_inner, g, gf, gh, grid)
     tg = PairState(u=g.u - s * gf.u - t * gh.u, v=g.v - s * gf.v - t * gh.v)
     return tg, (s, t)
+
+
+def reference_limit_tangent(w, cp, grid):
+    """The limit gradient off the constraint gradients of w+ and w-, and those two."""
+    p = grid.params.two_star
+    q = grid.weights
+    g = w - grid.solve_h1(q * (np.where(w > 0.0, cp.mu1, cp.mu2) * _reference_crit_force(w, p)))
+    wp, wm = np.maximum(w, 0.0), np.minimum(w, 0.0)
+    gf_p = grid.solve_h1(
+        np.where(w > 0.0, 2.0 * grid.apply_h1(wp), 0.0) - q * p * cp.mu1 * wp ** (p - 1.0)
+    )
+    gf_m = grid.solve_h1(
+        np.where(w < 0.0, 2.0 * grid.apply_h1(wm), 0.0)
+        - q * p * cp.mu2 * _reference_crit_force(wm, p)
+    )
+    c1, c2 = reference_multipliers(h1_form, g, gf_p, gf_m, grid)
+    return g - c1 * gf_p - c2 * gf_m, (gf_p, gf_m)
+
+
+def reference_single_tangent(u, mu, grid):
+    """The single component's gradient off its constraint gradient, the multiplier and gf."""
+    p = grid.params.two_star
+    q = grid.weights
+    force = mu * _reference_crit_force(u, p)
+    g = u - grid.solve_h1(q * force)
+    gf = 2.0 * u - grid.solve_h1(q * p * force)
+    coef = h1_form(g, gf, grid) / h1_form(gf, gf, grid)
+    return g - coef * gf, coef, gf
 
 
 def reference_tridiag_h1(grid):
@@ -489,6 +523,34 @@ def _kernel_pairs(grid):
     ]
 
 
+def _assert_h1_orthogonal(x, directions, grid):
+    norm = math.sqrt(h1_form(x, x, grid))
+    for d in directions:
+        assert abs(h1_form(x, d, grid)) <= 1e-8 * norm * math.sqrt(h1_form(d, d, grid))
+
+
+def _check_limit_and_single_tangents(pair, cp, grid):
+    """The limit's two-constraint projection at u - v and the single
+    component's one-constraint projection of u and of v (with mu2): bit for
+    bit against the references, and H^1-orthogonal to their constraint
+    gradients."""
+    w = pair.u - pair.v
+    try:
+        ref_tg, grads = reference_limit_tangent(w, cp, grid)
+    except DegenerateConstraintError:
+        with pytest.raises(DegenerateConstraintError):
+            _limit_tangent(w, cp, grid)
+    else:
+        tg = _limit_tangent(w, cp, grid)
+        assert np.array_equal(tg, ref_tg)
+        _assert_h1_orthogonal(tg, grads, grid)
+    for u in (pair.u, pair.v):
+        ref_tg, ref_coef, gf = reference_single_tangent(u, cp.mu2, grid)
+        (tg,), (_g, coef, _a, _b) = _Single(cp.mu2, grid).evaluate((u,), (0.0, 0.0))
+        assert np.array_equal(tg, ref_tg) and coef == ref_coef
+        _assert_h1_orthogonal(tg, (gf,), grid)
+
+
 def _same_pair(a, b):
     return np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
@@ -509,6 +571,8 @@ def test_pair_kernel_matches_references(N, m, n, alpha):
         for lam in (-1.0, -1e3, -1e8):
             cp = CouplingParams(mu1=mu1, mu2=mu2, alpha=alpha, beta=beta, lam=lam)
             for pair in _kernel_pairs(grid):
+                if lam == -1.0:  # the limit and the single component do not read lambda
+                    _check_limit_and_single_tangents(pair, cp, grid)
                 forces = pair_forces(pair, cp, grid)
                 ref_g = reference_gradient(pair, cp, grid)
                 assert _same_pair(gradient(pair, cp, grid), ref_g)

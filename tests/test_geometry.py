@@ -28,6 +28,10 @@ def test_sphere_area_known_values():
 def test_sphere_area_domain():
     with pytest.raises(DomainError):
         sphere_area(0)
+    # Gamma((k+1)/2) overflows a float from k = 343 on
+    assert math.isfinite(sphere_area(342))
+    with pytest.raises(DomainError, match="unit 343-sphere"):
+        sphere_area(343)
 
 
 def test_model_params_invariants():
@@ -176,6 +180,12 @@ def test_sobolev_constant_values():
     assert sobolev_constant(4) == pytest.approx(8.0 * math.pi / math.sqrt(6.0), rel=1e-13)
     with pytest.raises(DomainError):
         sobolev_constant(2)
+    # Gamma(N) overflows a float from N = 172 on, and so does a model there
+    assert math.isfinite(sobolev_constant(171))
+    with pytest.raises(DomainError, match="N = 172"):
+        sobolev_constant(172)
+    with pytest.raises(DomainError, match="N = 172"):
+        ModelParams(N=172, m=2, n=171, M=64)
 
 
 @pytest.mark.parametrize("N", [4, 5, 6])

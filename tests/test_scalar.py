@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from critsep import (
+    ConvergenceError,
     DomainError,
     PlaneCoeffs,
     SyncInstance,
@@ -160,6 +161,18 @@ def test_sync_solve_just_above_threshold(offset):
     assert t**2 == pytest.approx((mu1 - 2 * lam) / (mu1 * mu2 - 4 * lam**2), rel=1e-6)
     r1, r2 = sync_residuals(inst, s, t)
     assert max(abs(r1), abs(r2)) <= 1e-10 * mu1 * s**2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_sync_solve_whose_root_overflows_fails_typed():
+    # mu1 = -lam = 1e-300: s = base^(-(N-2)/4) with base ~ 1e-300 fits a
+    # float at N = 4 and overflows at N = 8, which must be a ConvergenceError
+    tiny = dict(mu1=1e-300, mu2=1.0, lam=-1e-300)
+    assert sync_solve(SyncInstance(alpha=2.0, beta=2.0, N=4, **tiny)) == [
+        (1e150, 1.7320508075688772)
+    ]
+    with pytest.raises(ConvergenceError, match="the ratio root overflows"):
+        sync_solve(SyncInstance(alpha=4.0 / 3.0, beta=4.0 / 3.0, N=8, **tiny))
 
 
 def test_sync_solve_needs_repulsive_coupling():

@@ -64,6 +64,17 @@ def test_interface_locate_pair_input():
     assert theta0 == pytest.approx(math.pi / 4.0, abs=2 * GRID.h)
 
 
+def _dead_run_nan_and_zero_profiles():
+    """At M = 64: cos(2 theta) with a zero run inside its positive support,
+    cos(2 theta) with one NaN sample, and the zero profile."""
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=64))
+    gapped = np.cos(2.0 * grid.theta)
+    gapped[10:14] = 0.0
+    with_nan = np.cos(2.0 * grid.theta)
+    with_nan[5] = np.nan
+    return grid, gapped, with_nan, np.zeros(grid.size)
+
+
 def test_interface_locate_topology_errors():
     with pytest.raises(TopologyError) as err:
         interface_locate(np.ones(GRID.size), GRID)
@@ -71,6 +82,16 @@ def test_interface_locate_topology_errors():
     with pytest.raises(TopologyError) as err:
         interface_locate(np.cos(6.0 * GRID.theta), GRID)
     assert err.value.crossings == 3
+    # zero samples are skipped, a NaN sample leaves no live sample, and the
+    # zero profile is reported as such
+    grid, gapped, with_nan, zero = _dead_run_nan_and_zero_profiles()
+    assert interface_locate(gapped, grid) == math.pi / 4
+    with pytest.raises(TopologyError, match="expected exactly one sign change, found 0") as err:
+        interface_locate(with_nan, grid)
+    assert err.value.crossings == 0
+    with pytest.raises(TopologyError, match="profile vanishes identically") as err:
+        interface_locate(zero, grid)
+    assert err.value.crossings == 0
 
 
 def test_verify_tori_limit_minimizer():
@@ -91,6 +112,18 @@ def test_verify_tori_failures():
     report = verify_tori(np.ones(GRID.size), GRID)
     assert not report.passed
     assert report.negative_blocks == 0
+    # the same sign analysis as interface_locate: a zero run splits the
+    # positive support, and a NaN sample or the zero profile has no support
+    grid, gapped, with_nan, zero = _dead_run_nan_and_zero_profiles()
+    report = verify_tori(gapped, grid)
+    assert not report.passed and report.detail == "positive support has 2 components"
+    assert (report.positive_blocks, report.negative_blocks, report.sign_changes) == (2, 1, 1)
+    for w in (with_nan, zero):
+        report = verify_tori(w, grid)
+        assert not report.passed
+        assert (report.positive_blocks, report.negative_blocks, report.sign_changes) == (0, 0, 0)
+        assert report.detail == ("positive support has 0 components; "
+                                 "negative support has 0 components; 0 sign changes")
 
 
 def test_sweep_records_and_limit():
