@@ -64,8 +64,8 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if not self.out_dir:
-            raise DomainError("output directory must be a non-empty path")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise DomainError(f"output directory must be a non-empty path, got {self.out_dir!r}")
 
 
 def default_config() -> RunConfig:
@@ -109,6 +109,13 @@ _RETIRED_KEYS = {
 }
 
 
+def _leaf(parse, value):
+    """A numeric config leaf parsed from its decimal text: a JSON boolean or a
+    fractional integer leaf raises ValueError where parse(value) would coerce
+    it (float(True) is 1.0, int(16.9) is 16)."""
+    return parse(str(value))
+
+
 def config_from_tree(tree: dict) -> RunConfig:
     m = tree["model"]
     c = tree["coupling"]
@@ -119,16 +126,18 @@ def config_from_tree(tree: dict) -> RunConfig:
         if key in leaves and parse(leaves[key]) != value:
             raise DomainError(f"{section}.{key} is fixed at {value!r}, got {leaves[key]!r}")
     return RunConfig(
-        model=ModelParams(N=int(m["N"]), m=int(m["m"]), n=int(m["n"]), M=int(m["M"])),
+        model=ModelParams(N=_leaf(int, m["N"]), m=_leaf(int, m["m"]), n=_leaf(int, m["n"]),
+                          M=_leaf(int, m["M"])),
         coupling=CouplingParams(
-            mu1=float(c["mu1"]),
-            mu2=float(c["mu2"]),
-            alpha=float(c["alpha"]),
-            beta=float(c["beta"]),
-            lam=float(c["lambda"]),
+            mu1=_leaf(float, c["mu1"]),
+            mu2=_leaf(float, c["mu2"]),
+            alpha=_leaf(float, c["alpha"]),
+            beta=_leaf(float, c["beta"]),
+            lam=_leaf(float, c["lambda"]),
         ),
-        solver=SolveOptions(max_iters=int(s["max_iters"]), grad_tol=float(s["grad_tol"])),
-        sweep=SweepSchedule(lambdas=tuple(float(x) for x in tree["sweep"]["lambdas"])),
+        solver=SolveOptions(max_iters=_leaf(int, s["max_iters"]),
+                            grad_tol=_leaf(float, s["grad_tol"])),
+        sweep=SweepSchedule(lambdas=tuple(_leaf(float, x) for x in tree["sweep"]["lambdas"])),
         out_dir=out.get("dir", "out"),
     )
 

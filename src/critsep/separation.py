@@ -79,6 +79,9 @@ def geometric_schedule(start: float = -1.0, stop: float = -1e4, num: int = 20) -
 
 @dataclass
 class SweepRecord:
+    """One sweep row; ``stats`` is the NehariInvariantStats of its solve (None for a
+    failed row and for the limit row) and is not written to the sweep table."""
+
     lam: float
     energy: float
     overlap: float
@@ -86,6 +89,7 @@ class SweepRecord:
     interface_theta: float
     solver_iters: int
     status: str = "ok"
+    stats: object = None
 
 
 @dataclass
@@ -94,7 +98,6 @@ class SweepResult:
     limit_record: SweepRecord
     limit_result: LimitResult
     final_pair: PairState
-    stats: list                  # per-lambda NehariInvariantStats
     monotonicity_ok: bool = True
     predicted_starts: int = 0    # rows solved from a tangent prediction
     predictor_fallbacks: int = 0  # rows after a converged row solved from its pair
@@ -202,10 +205,13 @@ def _interface_or_nan(profile, grid):
 
 def _failed_record(lam, exc):
     """The all-NaN row of a solve that raised."""
-    nan = math.nan
-    return SweepRecord(lam=lam, energy=nan, overlap=nan, lambda_overlap=nan,
-                       interface_theta=nan, solver_iters=0,
+    return SweepRecord(lam=lam, energy=math.nan, overlap=math.nan, lambda_overlap=math.nan,
+                       interface_theta=math.nan, solver_iters=0,
                        status=f"failed: {type(exc).__name__}: {exc}")
+
+
+def _status(res):
+    return "ok" if res.converged else f"not converged: {res.message}"
 
 
 def _record_from_result(lam, res, pair, cp, grid):
@@ -217,7 +223,8 @@ def _record_from_result(lam, res, pair, cp, grid):
         lambda_overlap=-lam * overlap,
         interface_theta=_interface_or_nan(pair, grid),
         solver_iters=res.iterations,
-        status="ok" if res.converged else f"not converged: {res.message}",
+        status=_status(res),
+        stats=res.stats,
     )
 
 
@@ -256,102 +263,76 @@ def sweep_lambda(
 ) -> SweepResult:
     """Continuation over the schedule with predicted starts, ending at the limit solve.
 
-    After a row that converged, the next row is solved from the start
-    ``predict_start`` makes from its pair.  When the prediction fails, or
-    the solve from it does not converge or raises, the row is solved from
-    that pair instead, and its ``solver_iters`` adds the iterations of a
-    discarded solve that returned.  After a row that did not converge the
-    next row starts from that row's pair; after a row whose solve raised,
-    which marks its record failed, from the last pair a solve returned (the
-    initial pair before any did).  ``predicted_starts`` counts the rows
-    solved from a prediction, ``predictor_fallbacks`` the rows after a
-    converged row that were solved from its pair.  From the fourth row on,
-    an ok row whose overlap exceeds that of the previous ok row is marked
-    "ok;overlap-increase".  ``monotonicity_ok`` holds when every row
-    converged and no energy decreased along the schedule (beyond a relative
-    1e-6).  The limit problem is started from u - v of the final pair.
+    After a row that converged, the next is solved from the start
+    ``predict_start`` makes from its pair, and from that pair when the
+    prediction fails or its solve does not converge or raises; the row's
+    ``solver_iters`` adds the iterations of a discarded solve that
+    returned.  After any other row the next starts from the last pair a
+    solve returned (the initial pair before any did); a row whose solve
+    raised is marked failed.  ``predicted_starts`` counts the rows solved
+    from a prediction, ``predictor_fallbacks`` the rows after a converged
+    row solved from its pair.  From the fourth row on, an ok row whose
+    overlap exceeds the previous ok row's is marked "ok;overlap-increase".
+    ``monotonicity_ok`` holds when every row converged and no energy
+    decreased between ok rows (beyond a relative 1e-6).  The limit
+    problem is started from u - v of the final pair.
     """
     pair = init if init is not None else initial_guess("bumps", grid)
-    lambdas = schedule.lambdas
     records = []
-    stats = []
     guess = None  # the predicted start of the next row, if any
     predicted = fallbacks = 0
-    for k, lam in enumerate(lambdas):
+    for k, lam in enumerate(schedule.lambdas):
         cp = replace(cp_base, lam=lam)
-        res, discarded = None, 0
-        start, guess = guess, None
-        if start is not None:
+        discarded = 0
+        for start in (pair,) if guess is None else (guess, pair):
             try:
                 res = minimize_nehari(start, cp, grid, opts)
                 why = res.message
             except SOLVE_ERRORS as exc:
-                why = exc
-            if res is not None and res.converged:
-                predicted += 1
-            else:
-                log.info("solve at lambda=%g from the prediction failed (%s); "
-                         "solving from the previous pair", lam, why)
-                fallbacks += 1
-                discarded = res.iterations if res is not None else 0
-                res = None
-        if res is None:
-            try:
-                res = minimize_nehari(pair, cp, grid, opts)
-            except SOLVE_ERRORS as exc:
-                # keep partial results on solver failure
-                records.append(_failed_record(lam, exc))
-                stats.append(None)
-                log.warning("solve at lambda=%g failed: %s", lam, exc)
-                continue
+                res, why = None, exc
+            if start is pair or (res is not None and res.converged):
+                break
+            log.info("solve at lambda=%g from the prediction failed (%s); "
+                     "solving from the previous pair", lam, why)
+            fallbacks += 1
+            discarded = res.iterations if res is not None else 0
+        predicted += start is guess
+        guess = None
+        if res is None:  # keep partial results on solver failure
+            records.append(_failed_record(lam, why))
+            log.warning("solve at lambda=%g failed: %s", lam, why)
+            continue
         pair = res.pair
-        record = _record_from_result(lam, res, pair, cp, grid)
-        record.solver_iters += discarded
-        records.append(record)
-        stats.append(res.stats)
-        if res.converged and k + 1 < len(lambdas):
-            guess = predict_start(pair, cp, grid, lambdas[k + 1])
+        records.append(_record_from_result(lam, res, pair, cp, grid))
+        records[-1].solver_iters += discarded
+        if res.converged and k + 1 < len(schedule.lambdas):
+            guess = predict_start(pair, cp, grid, schedule.lambdas[k + 1])
             fallbacks += guess is None
 
-    # monotone only when every row converged and no energy decreased
-    good = [r for r in records if r.status == "ok"]
-    monotonicity_ok = len(good) == len(records)
+    # one pass over the plain "ok" rows: the energy check, then the overlap mark
+    n_bad = sum(r.status != "ok" for r in records)
+    monotonicity_ok = n_bad == 0
     if not monotonicity_ok:
-        log.warning(
-            "%d of %d rows did not converge; energy monotonicity not established",
-            len(records) - len(good), len(records),
-        )
-    for a, b in zip(good, good[1:]):
-        if b.energy < a.energy * (1.0 - 1e-6):
-            monotonicity_ok = False
-            log.warning(
-                "energy decreased along the schedule: %.12g -> %.12g "
-                "(lambda %.6g -> %.6g); logged as a finding",
-                a.energy, b.energy, a.lam, b.lam,
-            )
-    # segregation should be monotone once the continuation settles; flag any
-    # later row whose overlap grew instead (after the check above, which
-    # reads only the rows marked plain "ok")
-    prev_overlap = None
+        log.warning("%d of %d rows did not converge; energy monotonicity not established",
+                    n_bad, len(records))
+    prev = None
     for i, rec in enumerate(records):
         if rec.status != "ok":
             continue
-        if i >= 3 and prev_overlap is not None and rec.overlap > prev_overlap:
+        if prev is not None and rec.energy < prev.energy * (1.0 - 1e-6):
+            monotonicity_ok = False
+            log.warning("energy decreased along the schedule: %.12g -> %.12g (lambda %.6g -> "
+                        "%.6g); logged as a finding", prev.energy, rec.energy, prev.lam, rec.lam)
+        if i >= 3 and prev is not None and rec.overlap > prev.overlap:
             rec.status = "ok;overlap-increase"
-        prev_overlap = rec.overlap
+        prev = rec
 
-    w0 = pair.u - pair.v
     try:
-        limit_res = minimize_limit(w0, cp_base, grid, opts)
+        limit_res = minimize_limit(pair.u - pair.v, cp_base, grid, opts)
         limit_record = SweepRecord(
-            lam=-math.inf,
-            energy=limit_res.energy,
-            overlap=0.0,
-            lambda_overlap=0.0,
+            lam=-math.inf, energy=limit_res.energy, overlap=0.0, lambda_overlap=0.0,
             interface_theta=_interface_or_nan(limit_res.w, grid),
-            solver_iters=limit_res.iterations,
-            status="ok" if limit_res.converged else f"not converged: {limit_res.message}",
-        )
+            solver_iters=limit_res.iterations, status=_status(limit_res))
     except SOLVE_ERRORS as exc:
         limit_res = None
         limit_record = _failed_record(-math.inf, exc)
@@ -361,7 +342,6 @@ def sweep_lambda(
         limit_record=limit_record,
         limit_result=limit_res,
         final_pair=pair,
-        stats=stats,
         monotonicity_ok=monotonicity_ok,
         predicted_starts=predicted,
         predictor_fallbacks=fallbacks,

@@ -192,7 +192,7 @@ def test_criterion_5_interface_geometry(grid2048, sweep2048):
 
 def test_criterion_6_nehari_invariant_battery(grid2048, level_solves, sweep2048):
     stats = [res.stats for res in level_solves.values()]
-    stats += [s for s in sweep2048.stats if s is not None]
+    stats += [r.stats for r in sweep2048.records if r.stats is not None]
     worst_dev = max(s.max_energy_identity_dev for s in stats)
     worst_bound = min(min(s.min_bound_ratio_u, s.min_bound_ratio_v) for s in stats)
     worst_det = min(s.min_det_ratio for s in stats)

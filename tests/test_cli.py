@@ -59,6 +59,18 @@ def test_config_round_trip():
     assert config_from_tree(tree) == cfg
 
 
+def test_config_loads_json_numbers_as_their_decimal_text():
+    # JSON integers, and JSON numbers in float leaves, load to the values
+    # of the decimal strings
+    tree = config_to_tree(default_config())
+    tree["model"].update(N=4, M=512)
+    tree["coupling"].update(mu1=1, alpha=2.0, beta=2)
+    tree["solver"].update(max_iters=20000, grad_tol=1e-06)
+    lambdas = tree["sweep"]["lambdas"]
+    lambdas[:2] = [-1, float(lambdas[1])]
+    assert config_from_tree(tree) == default_config()
+
+
 @pytest.mark.parametrize("seed", ["0", "7"])
 def test_config_with_the_retired_solver_keys_loads_as_the_default(seed):
     # the format of earlier versions: the retired keys at the values the
@@ -170,15 +182,20 @@ def test_a_collapsed_component_fails_typed(tmp_path, capsys, monkeypatch):
 
 
 def test_cmd_solve_deterministic(tmp_path):
-    cfg = tiny_config(tmp_path / "a")
-    assert cmd_solve(cfg) == 0
-    first_profile = (tmp_path / "a" / "profile.csv").read_bytes()
-    first_summary = (tmp_path / "a" / "summary.json").read_bytes()
-    assert cmd_solve(cfg) == 0
-    # data files are byte-identical across reruns; only the manifest
-    # carries a timestamp
-    assert (tmp_path / "a" / "profile.csv").read_bytes() == first_profile
-    assert (tmp_path / "a" / "summary.json").read_bytes() == first_summary
+    # data files of a solve and of a sweep are byte-identical across reruns
+    # to one path; only the manifest carries a timestamp
+    runs = [
+        (cmd_solve, tiny_config(tmp_path / "a"), ["profile.csv", "summary.json"]),
+        (cmd_sweep, tiny_config(tmp_path / "s", lambdas=(-1.0, -3.0, -10.0)),
+         ["limit_profile.csv", "sweep.csv", "sweep_summary.json", "warmstart_profile.csv"]),
+    ]
+    for cmd, cfg, names in runs:
+        out = Path(cfg.out_dir)
+        assert cmd(cfg) == 0
+        assert sorted(os.listdir(out)) == sorted(names + ["manifest.json"])
+        first = [(out / name).read_bytes() for name in names]
+        assert cmd(cfg) == 0
+        assert [(out / name).read_bytes() for name in names] == first
 
 
 def test_cmd_solve_output_path_reaches_only_the_config_digest(tmp_path):
@@ -426,6 +443,18 @@ def _config_text(section, key, value, **more):
                      "Sobolev constant overflows a float for N = 172", id="gamma-overflow"),
         pytest.param(_config_text("model", "M", "abc"), "invalid literal for int()",
                      id="non-numeric-leaf"),
+        pytest.param(_config_text("solver", "grad_tol", True),
+                     "could not convert string to float: 'True'", id="grad-tol-boolean"),
+        pytest.param(_config_text("model", "N", True), "invalid literal for int() with base 10: "
+                     "'True'", id="integer-boolean"),
+        pytest.param(_config_text("model", "M", 16.9), "invalid literal for int() with base 10: "
+                     "'16.9'", id="fractional-grid"),
+        pytest.param(_config_text("solver", "max_iters", 1.5), "invalid literal for int() "
+                     "with base 10: '1.5'", id="fractional-max-iters"),
+        pytest.param(_config_text("output", "dir", 5), "output directory must be a non-empty "
+                     "path, got 5", id="numeric-output-dir"),
+        pytest.param(_config_text("output", "dir", ["a"]), "output directory must be a "
+                     "non-empty path, got ['a']", id="list-output-dir"),
         pytest.param(_config_text("solver", "positivity_enforced", "false"),
                      "solver.positivity_enforced is fixed at 'true'", id="signed-iterates"),
         pytest.param(_config_text("solver", "armijo_slope", "0.3"),

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 from dataclasses import replace
@@ -148,8 +149,9 @@ def test_sweep_records_and_limit():
     assert result.limit_record.status == "ok"
     assert result.limit_record.energy >= energies[-1]
     # per-record invariant batteries were collected
-    assert all(s is not None and s.count > 0 for s in result.stats)
-    for s in result.stats:
+    stats = [r.stats for r in result.records]
+    assert all(s is not None and s.count > 0 for s in stats)
+    for s in stats:
         assert all(invariant_flags(s).values()), invariant_flags(s)
 
 
@@ -178,6 +180,7 @@ def test_sweep_partial_failure_marks_rows():
     assert len(result.records) == 2
     assert result.records[0].status.startswith("failed:")
     assert math.isnan(result.records[0].energy)
+    assert result.records[0].stats is None
 
 
 def test_interface_drift_with_mu2_is_logged_not_asserted():
@@ -255,6 +258,7 @@ def test_sweep_records_a_degenerate_limit_constraint_as_a_failed_row(monkeypatch
     assert result.limit_result is None
     assert result.limit_record.status.startswith("failed: DegenerateConstraintError: ")
     assert math.isnan(result.limit_record.energy)
+    assert result.limit_record.stats is None
 
 
 def _recording_solves(monkeypatch, wrap=None):
@@ -334,3 +338,34 @@ def test_rows_after_an_unconverged_or_raised_row_start_from_the_last_returned_pa
     assert s3 is not r2.pair and s3b is r2.pair and s4 is r2.pair
     assert s5 is not r4.pair
     assert (result.predicted_starts, result.predictor_fallbacks) == (1, 2)
+
+
+@pytest.mark.parametrize("script", ["raises", "capped"])
+def test_a_row_whose_prediction_fails_converges_from_the_previous_pair(monkeypatch, caplog, script):
+    # the first solve at lambdas[2] (the one from the prediction) raises or
+    # stops after 2 iterations; the solve from row 1's pair converges
+    lambdas = geometric_schedule(-1.0, -100.0, 4).lambdas
+    scripted = []
+
+    def wrap(solve, init, cp, grid, opts):
+        if cp.lam == lambdas[2] and not scripted:
+            scripted.append(init)
+            if script == "raises":
+                raise ConvergenceError("scripted")
+            return solve(init, cp, grid, replace(opts, max_iters=2))
+        return solve(init, cp, grid, opts)
+
+    caplog.set_level(logging.INFO, logger="critsep.separation")
+    calls = _recording_solves(monkeypatch, wrap)
+    result = sweep_lambda(SweepSchedule(lambdas=lambdas), CP, GRID, OPTS)
+    assert len(calls) == 5
+    _, (_, r1), (s2, _), (s2b, r2b), (s3, _) = calls
+    assert s2 is not r1.pair and s2b is r1.pair and s3 is not r2b.pair
+    assert [r.status for r in result.records] == ["ok"] * 4
+    # the row reports the solve from the pair, plus the iterations of a
+    # discarded solve that returned
+    assert r2b.iterations == 7
+    assert result.records[2].solver_iters == {"raises": 7, "capped": 9}[script]
+    assert (result.predicted_starts, result.predictor_fallbacks) == (2, 1)
+    why = {"raises": "scripted", "capped": "max_iters exceeded"}[script]
+    assert f"from the prediction failed ({why})" in caplog.text
