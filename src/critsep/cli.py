@@ -11,8 +11,9 @@ Subcommands:
     sobolev         print the embedding constant and its cross-check
 
 Config files are JSON trees whose numeric leaves are decimal strings (so
-emitted configs re-parse to identical values).  Data files are deterministic
-for a fixed config; only the manifest carries timestamps.
+emitted configs re-parse to identical values); an unknown key is an error, and
+the retired `solver.positivity_enforced` also reads a JSON true.  Data files
+are deterministic for a fixed config; only the manifest carries timestamps.
 """
 
 import argparse
@@ -77,75 +78,82 @@ def default_config() -> RunConfig:
     )
 
 
-def _fnum(x) -> str:
-    return repr(float(x))
+@dataclass(frozen=True)
+class _Fixed:
+    value: object
 
 
-def config_to_tree(cfg: RunConfig) -> dict:
-    m, c, s = cfg.model, cfg.coupling, cfg.solver
-    return {
-        "model": {"N": str(m.N), "m": str(m.m), "n": str(m.n), "M": str(m.M)},
-        "coupling": {
-            "mu1": _fnum(c.mu1),
-            "mu2": _fnum(c.mu2),
-            "alpha": _fnum(c.alpha),
-            "beta": _fnum(c.beta),
-            "lambda": _fnum(c.lam),
-        },
-        "solver": {"max_iters": str(s.max_iters), "grad_tol": _fnum(s.grad_tol)},
-        "sweep": {"lambdas": [_fnum(x) for x in cfg.sweep.lambdas]},
-        "output": {"dir": cfg.out_dir},
-    }
-
-
-# Keys of older configs whose value is now fixed: each is accepted at the one
-# value the program runs with, as (section, key) -> (parser, value).
-# "solver.seed" never reached a result and is ignored at any value.
-_RETIRED_KEYS = {
-    ("solver", "armijo_slope"): (float, ARMIJO_SLOPE),
-    ("solver", "armijo_backtrack"): (float, ARMIJO_BACKTRACK),
-    ("solver", "positivity_enforced"): (str, "true"),
-    ("output", "format"): (str, "csv"),
+# Every key a config tree may hold, section -> key -> (parse, becomes); any
+# other key is an error.  A leaf is parsed from its text, parse(str(leaf)), so
+# a JSON boolean or a fractional integer leaf raises ValueError where
+# parse(leaf) would coerce it (float(True) is 1.0, int(16.9) is 16).  It fills
+# the field named by becomes (output.dir as it is, or "out" when left out;
+# each element of sweep.lambdas is a leaf), equals the _Fixed value a key of
+# earlier configs runs with (str.lower reads a JSON true as "true"), or is
+# ignored (solver.seed never reached a result).  A field is emitted as
+# repr(parse(value)), the shortest round-trip text of an int or a float.
+_SCHEMA = {
+    "model": {"N": (int, "N"), "m": (int, "m"), "n": (int, "n"), "M": (int, "M")},
+    "coupling": {"mu1": (float, "mu1"), "mu2": (float, "mu2"), "alpha": (float, "alpha"),
+                 "beta": (float, "beta"), "lambda": (float, "lam")},
+    "solver": {"max_iters": (int, "max_iters"), "grad_tol": (float, "grad_tol"),
+               "armijo_slope": (float, _Fixed(ARMIJO_SLOPE)),
+               "armijo_backtrack": (float, _Fixed(ARMIJO_BACKTRACK)),
+               "positivity_enforced": (str.lower, _Fixed("true")), "seed": (str, None)},
+    "sweep": {"lambdas": (float, "lambdas")},
+    "output": {"dir": (str, "out_dir"), "format": (str, _Fixed("csv"))},
 }
 
 
-def _leaf(parse, value):
-    """A numeric config leaf parsed from its decimal text: a JSON boolean or a
-    fractional integer leaf raises ValueError where parse(value) would coerce
-    it (float(True) is 1.0, int(16.9) is 16)."""
-    return parse(str(value))
+def _each(key, leaf, f):
+    """f of a leaf: of each element of sweep.lambdas, and none of output.dir."""
+    if key == "lambdas":
+        return [f(x) for x in leaf]
+    return leaf if key == "dir" else f(leaf)
+
+
+def config_to_tree(cfg: RunConfig) -> dict:
+    tree = {section: {} for section in _SCHEMA}
+    for section, keys in _SCHEMA.items():
+        owner = cfg if section == "output" else getattr(cfg, section)
+        for key, (parse, becomes) in keys.items():
+            if isinstance(becomes, str):
+                value = getattr(owner, becomes)
+                tree[section][key] = _each(key, value, lambda x: repr(parse(x)))
+    return tree
 
 
 def config_from_tree(tree: dict) -> RunConfig:
-    m = tree["model"]
-    c = tree["coupling"]
-    s = tree["solver"]
-    out = tree.get("output", {})
-    for (section, key), (parse, value) in _RETIRED_KEYS.items():
-        leaves = tree.get(section, {})
-        if key in leaves and parse(leaves[key]) != value:
-            raise DomainError(f"{section}.{key} is fixed at {value!r}, got {leaves[key]!r}")
-    return RunConfig(
-        model=ModelParams(N=_leaf(int, m["N"]), m=_leaf(int, m["m"]), n=_leaf(int, m["n"]),
-                          M=_leaf(int, m["M"])),
-        coupling=CouplingParams(
-            mu1=_leaf(float, c["mu1"]),
-            mu2=_leaf(float, c["mu2"]),
-            alpha=_leaf(float, c["alpha"]),
-            beta=_leaf(float, c["beta"]),
-            lam=_leaf(float, c["lambda"]),
-        ),
-        solver=SolveOptions(max_iters=_leaf(int, s["max_iters"]),
-                            grad_tol=_leaf(float, s["grad_tol"])),
-        sweep=SweepSchedule(lambdas=tuple(_leaf(float, x) for x in tree["sweep"]["lambdas"])),
-        out_dir=out.get("dir", "out"),
-    )
+    unknown = [f"{section}.{key}" for section, leaves in tree.items() for key in leaves.keys()
+               if key not in _SCHEMA.get(section, {})]
+    if unknown:
+        raise DomainError(f"unknown config key {', '.join(unknown)}")
+    fields = {section: {} for section in _SCHEMA}
+    for section, keys in _SCHEMA.items():
+        for key, (parse, becomes) in keys.items():
+            required = isinstance(becomes, str) and key != "dir"
+            if not required and key not in tree.get(section, {}):
+                continue
+            leaf = tree[section][key]
+            value = _each(key, leaf, lambda x: parse(str(x)))
+            if isinstance(becomes, str):
+                fields[section][becomes] = value
+            elif becomes is not None and value != becomes.value:
+                raise DomainError(f"{section}.{key} is fixed at {becomes.value!r}, got {leaf!r}")
+    return RunConfig(model=ModelParams(**fields["model"]),
+                     coupling=CouplingParams(**fields["coupling"]),
+                     solver=SolveOptions(**fields["solver"]),
+                     sweep=SweepSchedule(**fields["sweep"]), **fields["output"])
+
+
+def _json_text(obj) -> str:
+    """The text of every JSON file written: sorted keys, indent 2, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def save_config(cfg: RunConfig, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(config_to_tree(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(config_to_tree(cfg)))
 
 
 def load_config(path: str) -> RunConfig:
@@ -189,7 +197,7 @@ class _RunWriter:
         }
 
     def write_json(self, name: str, obj) -> None:
-        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        self.write_text(name, _json_text(obj))
 
     def finish(self, extra=None) -> None:
         manifest = {
@@ -202,8 +210,7 @@ class _RunWriter:
         if extra:
             manifest.update(extra)
         with open(self.path("manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json_text(manifest))
 
 
 def _meta_lines(cfg: RunConfig, title: str) -> str:
@@ -422,19 +429,6 @@ def cmd_verify(include_soft=True) -> int:
 # ------------------------------------------------------------------ main
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "grid", None) is not None:
-        cfg = replace(cfg, model=replace(cfg.model, M=args.grid))
-    return cfg
-
-
-def _load_or_default(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_config()
-    return _apply_overrides(cfg, args)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="critsep",
@@ -474,7 +468,11 @@ def main(argv=None) -> int:
             s, dev = sobolev_constant(args.dim), checks.sobolev_dual_dev(args.dim)
             print(f"S({args.dim}) = {s!r}  dual-form dev {dev:.2e}")
             return 0
-        cfg = _load_or_default(args)
+        cfg = load_config(args.config) if args.config else default_config()
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
+        if getattr(args, "grid", None) is not None:  # sync-threshold has no --grid
+            cfg = replace(cfg, model=replace(cfg.model, M=args.grid))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

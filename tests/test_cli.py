@@ -71,13 +71,18 @@ def test_config_loads_json_numbers_as_their_decimal_text():
     assert config_from_tree(tree) == default_config()
 
 
-@pytest.mark.parametrize("seed", ["0", "7"])
-def test_config_with_the_retired_solver_keys_loads_as_the_default(seed):
+@pytest.mark.parametrize("seed, positivity", [
+    pytest.param("0", "true", id="0"),
+    pytest.param("7", "true", id="7"),
+    pytest.param("0", True, id="True"),
+])
+def test_config_with_the_retired_solver_keys_loads_as_the_default(seed, positivity):
     # the format of earlier versions: the retired keys at the values the
-    # program runs with, and a seed that never reached a result
+    # program runs with (positivity_enforced as a string or a JSON boolean),
+    # and a seed that never reached a result
     tree = config_to_tree(default_config())
     tree["solver"].update(armijo_slope="0.0001", armijo_backtrack="0.5",
-                          positivity_enforced="true", seed=seed)
+                          positivity_enforced=positivity, seed=seed)
     tree["output"]["format"] = "csv"
     assert config_from_tree(tree) == default_config()
 
@@ -126,6 +131,7 @@ def test_cmd_solve_outputs_and_manifest(tmp_path):
         assert len(blob) == entry["bytes"]
     assert "profile.csv" in manifest["files"]
     assert "summary.json" in manifest["files"]
+    assert config_from_tree(manifest["config"]) == cfg
 
 
 def test_cmd_solve_rejects_nonnegative_lambda(tmp_path, capsys):
@@ -437,6 +443,9 @@ def _config_text(section, key, value, **more):
                      id="grid-below-16"),
         pytest.param(None, "FileNotFoundError", id="missing-file"),
         pytest.param("model: {N: 4}", "JSONDecodeError", id="not-json"),
+        pytest.param("[1]", "bad config file", id="list-config"),
+        pytest.param(json.dumps({**config_to_tree(default_config()), "sweep": "-1.0"}),
+                     "bad config file", id="string-section"),
         pytest.param(json.dumps({"model": config_to_tree(default_config())["model"]}),
                      "KeyError: 'coupling'", id="missing-key"),
         pytest.param(_config_text("model", "N", "172", m="2", n="171"),
@@ -455,6 +464,15 @@ def _config_text(section, key, value, **more):
                      "path, got 5", id="numeric-output-dir"),
         pytest.param(_config_text("output", "dir", ["a"]), "output directory must be a "
                      "non-empty path, got ['a']", id="list-output-dir"),
+        pytest.param(_config_text("solver", "gradtol", "1"),
+                     "unknown config key solver.gradtol", id="misspelled-solver-key"),
+        pytest.param(_config_text("model", "MM", "16"), "unknown config key model.MM",
+                     id="misspelled-model-key"),
+        pytest.param(json.dumps({**config_to_tree(default_config()), "modle": {"N": "4"}}),
+                     "unknown config key modle.N", id="misspelled-section"),
+        pytest.param(_config_text("solver", "positivity_enforced", False),
+                     "solver.positivity_enforced is fixed at 'true'",
+                     id="signed-iterates-boolean"),
         pytest.param(_config_text("solver", "positivity_enforced", "false"),
                      "solver.positivity_enforced is fixed at 'true'", id="signed-iterates"),
         pytest.param(_config_text("solver", "armijo_slope", "0.3"),

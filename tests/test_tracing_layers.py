@@ -5,14 +5,19 @@ module function, or a method found in the ``__dict__`` of a class.  A rename
 or a lost binding would leave a layer untraced, and only the benchmark's own
 smoke test would notice; this test loads the table by path and checks every
 entry.  It runs the plane suite of ``bench/workloads.py`` once the same way,
-so that a change to the ``scalar`` signatures it calls fails here too.
+so that a change to the ``scalar`` signatures it calls fails here too, and
+loads every config file the workloads write, so that a config key the CLI
+no longer reads fails here and not as a benchmark run that exits 2.
 """
 
 import importlib
 import importlib.util
+import json
 import os
 
 import pytest
+
+from critsep.cli import config_to_tree, load_config
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -54,3 +59,16 @@ def test_benchmark_plane_suite_runs():
     op = _load("workloads")._plane_suite_op(1)
     outcomes = op.check(op.call())
     assert [(o.ok, o.wrong) for o in outcomes] == [(True, False)], outcomes
+
+
+@pytest.mark.parametrize("workload", sorted(_load("workloads").WORKLOADS))
+def test_benchmark_configs_load(tmp_path, workload):
+    # building a workload writes its config files and runs nothing; each one
+    # loads, and the config emits its leaves as the benchmark wrote them
+    _load("workloads").WORKLOADS[workload](0, str(tmp_path))
+    paths = sorted(tmp_path.rglob("config.json"))
+    assert paths
+    for path in paths:
+        tree = json.loads(path.read_text())
+        emitted = config_to_tree(load_config(str(path)))
+        assert {s: {k: tree[s][k] for k in leaves} for s, leaves in emitted.items()} == emitted
