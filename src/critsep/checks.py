@@ -13,8 +13,8 @@ import numpy as np
 from . import functional, geometry, scalar, separation, solver
 from .errors import ConvergenceError
 from .functional import (
-    CouplingParams, PairIntegrals, PairState, energy, gradient, nehari_det, nehari_det_bound,
-    pair_inner, residuals_from_integrals, sobolev_lower_bound,
+    CouplingParams, PairIntegrals, PairState, energy, gradient, pair_inner,
+    residuals_from_integrals,
 )
 from .geometry import ModelParams, build_grid, orbit_weight, sphere_area
 from .separation import geometric_schedule
@@ -202,7 +202,7 @@ def _check_nehari_projection():
     grid = build_grid(params)
     cp = CouplingParams(mu1=1.0, mu2=2.0, alpha=2.0, beta=2.0, lam=-0.5)
     rng = np.random.default_rng(39)
-    issues = []
+    issues, stats = [], solver.NehariInvariantStats()
     for _ in range(5):
         pair = _positive_pair(grid, rng)
         s, t = functional.nehari_project(pair, cp, grid)
@@ -214,14 +214,15 @@ def _check_nehari_projection():
         s2, t2 = functional.nehari_project(scaled, cp, grid)
         if abs(s2 - 1.0) > NEHARI_TOL or abs(t2 - 1.0) > NEHARI_TOL:
             issues.append("projection of on-manifold pair differs from (1,1)")
-        if (ints.a1 < FLOOR_RATIO * sobolev_lower_bound(cp.mu1, 4)
-                or ints.a2 < FLOOR_RATIO * sobolev_lower_bound(cp.mu2, 4)):
-            issues.append("norm floor violated")
-        if nehari_det(ints, cp, params) < DET_RATIO * nehari_det_bound(ints, cp, params):
-            issues.append("determinant bound violated")
         base = energy(scaled, cp, grid)
+        stats.update(ints, base, cp, params)
         if rescaled_energy_peak(scaled, cp, grid, rng, 20) > base + 1e-10 * abs(base):
             issues.append("scaled energy exceeds on-manifold value")
+    flags = invariant_flags(stats)
+    if not flags["lower_bounds_ok"]:
+        issues.append("norm floor violated")
+    if not flags["det_bound_ok"]:
+        issues.append("determinant bound violated")
     # With alpha = beta = 2 the window is open exactly when 2|lambda| c < sqrt(b1 b2), here for
     # the last projected pair.  Just inside, the scaling's residuals vanish.  Just outside, there
     # is none, and the residuals stay off zero on f = 0: t = k s, s^2 = a1/(b1 - 2|lambda| c k^2).

@@ -175,49 +175,36 @@ def config_digest(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------- output
 
 
-class _RunWriter:
-    """Collects emitted files and writes the manifest last."""
-
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.out_dir = cfg.out_dir
-        os.makedirs(self.out_dir, exist_ok=True)
-        self.files = {}
-
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
-
-    def write_text(self, name: str, text: str) -> None:
+def _write_run(cfg: RunConfig, files: dict, extra=None) -> None:
+    """Write each {name: text} of files to the output directory, then the
+    manifest: the config, each file's sha256 and byte count, and extra."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    listed = {}
+    for name, text in files.items():
         blob = text.encode()
-        with open(self.path(name), "wb") as fh:
+        with open(os.path.join(cfg.out_dir, name), "wb") as fh:
             fh.write(blob)
-        self.files[name] = {
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "bytes": len(blob),
-        }
-
-    def write_json(self, name: str, obj) -> None:
-        self.write_text(name, _json_text(obj))
-
-    def finish(self, extra=None) -> None:
-        manifest = {
-            "artifact_version": ARTIFACT_VERSION,
-            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "config": config_to_tree(self.cfg),
-            "config_sha256": config_digest(self.cfg),
-            "files": self.files,
-        }
-        if extra:
-            manifest.update(extra)
-        with open(self.path("manifest.json"), "w") as fh:
-            fh.write(_json_text(manifest))
+        listed[name] = {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+    manifest = {
+        "artifact_version": ARTIFACT_VERSION,
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "config": config_to_tree(cfg),
+        "config_sha256": config_digest(cfg),
+        "files": listed,
+        **(extra or {}),
+    }
+    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
+        fh.write(_json_text(manifest))
 
 
-def _meta_lines(cfg: RunConfig, title: str) -> str:
+def _table_text(cfg: RunConfig, title: str, columns, rows) -> str:
+    """The one CSV table format: comment lines with the title and the config
+    digest, the header of columns, then the cells of each row."""
     return (
         f"# critsep {title}\n"
         f"# config_sha256: {config_digest(cfg)}\n"
         "# units: theta in radians, energies dimensionless\n"
+        + ",".join(columns) + "\n" + "\n".join(map(",".join, rows)) + "\n"
     )
 
 
@@ -232,29 +219,28 @@ def _grid_text(params: ModelParams) -> tuple:
     return tuple(map(repr, grid.theta.tolist())), tuple(map(repr, grid.weights.tolist()))
 
 
-def _write_profile(writer, name, cfg, grid, u, v):
-    """Profile table (theta, u, v, weight) on grid, as name.csv."""
+def _profile_text(cfg, name, grid, u, v) -> str:
+    """Profile table (theta, u, v, weight) on grid, titled name."""
     u = np.asarray(u, dtype=float).tolist()
     v = np.asarray(v, dtype=float).tolist()
     theta, weight = _grid_text(grid.params)
     # repr of a Python float is the shortest round-trip form, as
     # repr(float(x)) of a numpy scalar; the u and v strings are made as the
     # rows are joined, so no list of strings per column is held
-    rows = "\n".join(map(",".join, zip(theta, map(repr, u), map(repr, v), weight)))
-    writer.write_text(name + ".csv",
-                      _meta_lines(cfg, name) + "theta,u,v,weight\n" + rows + "\n")
+    return _table_text(cfg, name, ("theta", "u", "v", "weight"),
+                       zip(theta, map(repr, u), map(repr, v), weight))
 
 
 def _load_profile_pair(path, grid):
-    """The (u, v) columns of a profile table; DomainError unless every cell
-    is a finite float and there is one row per node of grid."""
-    with open(path) as fh:
-        lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
+    """The (u, v) columns of a profile table; DomainError unless the file can
+    be read, every cell is a finite float and there is one row per node of grid."""
     try:
+        with open(path) as fh:
+            lines = [l.strip() for l in fh if l.strip() and not l.startswith("#")]
         names = lines[0].split(",")
         data = np.array([[float(x) for x in l.split(",")] for l in lines[1:]])
         u, v = (data[:, names.index(name)] for name in ("u", "v"))
-    except (IndexError, ValueError) as exc:
+    except (OSError, IndexError, ValueError) as exc:
         raise DomainError(f"bad profile {path!r}: {type(exc).__name__}: {exc}") from exc
     if len(u) != grid.size:
         raise DomainError(f"profile {path!r} has {len(u)} rows, the grid has {grid.size} nodes")
@@ -268,37 +254,35 @@ def _load_profile_pair(path, grid):
 
 def cmd_solve(cfg: RunConfig) -> int:
     grid = build_grid(cfg.model)
+    failure = None
     try:
         res = minimize_nehari(initial_guess("bumps", grid), cfg.coupling, grid, cfg.solver)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SOLVE_ERRORS as exc:
-        writer = _RunWriter(cfg)
-        writer.write_json(
-            "summary.json",
-            {"status": f"failed: {type(exc).__name__}", "detail": str(exc)},
-        )
-        writer.finish()
-        print(f"solve failed: {exc}", file=sys.stderr)
+        failure = exc
+        files = {"summary.json": _json_text(
+            {"status": f"failed: {type(exc).__name__}", "detail": str(exc)})}
+    else:
+        summary = {
+            "energy": res.energy,
+            "grad_norm": res.grad_norm,
+            "full_grad_norm": res.full_grad_norm,
+            "residual_f": res.residuals.f_val,
+            "residual_h": res.residuals.h_val,
+            "iterations": res.iterations,
+            "converged": res.converged,
+            "multipliers": list(res.multipliers),
+            "invariants": checks.invariant_flags(res.stats),
+            "config_sha256": config_digest(cfg),
+        }
+        files = {"profile.csv": _profile_text(cfg, "profile", grid, res.pair.u, res.pair.v),
+                 "summary.json": _json_text(summary)}
+    _write_run(cfg, files)
+    if failure is not None:
+        print(f"solve failed: {failure}", file=sys.stderr)
         return 4
-
-    writer = _RunWriter(cfg)
-    _write_profile(writer, "profile", cfg, grid, res.pair.u, res.pair.v)
-    summary = {
-        "energy": res.energy,
-        "grad_norm": res.grad_norm,
-        "full_grad_norm": res.full_grad_norm,
-        "residual_f": res.residuals.f_val,
-        "residual_h": res.residuals.h_val,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "multipliers": list(res.multipliers),
-        "invariants": checks.invariant_flags(res.stats),
-        "config_sha256": config_digest(cfg),
-    }
-    writer.write_json("summary.json", summary)
-    writer.finish()
     print(
         f"energy {res.energy:.10g}  grad {res.grad_norm:.3e}  "
         f"iters {res.iterations}  converged {res.converged}"
@@ -341,34 +325,28 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    writer = _RunWriter(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)  # an unwritable --out fails before the sweep
     result = sweep_lambda(cfg.sweep, cfg.coupling, grid, cfg.solver, init=init)
-
     rows = _sweep_rows(result.records, result.limit_record)
-    table = "".join(",".join(row) + "\n" for row in [SWEEP_COLUMNS, *rows])
-    writer.write_text("sweep.csv", _meta_lines(cfg, "sweep") + table)
-
+    files = {"sweep.csv": _table_text(cfg, "sweep", SWEEP_COLUMNS, rows)}
     if result.limit_result is not None:
         w = result.limit_result.w
-        _write_profile(writer, "limit_profile", cfg, grid,
-                       np.maximum(w, 0.0), np.maximum(-w, 0.0))
-    _write_profile(writer, "warmstart_profile", cfg, grid,
-                   result.final_pair.u, result.final_pair.v)
+        files["limit_profile.csv"] = _profile_text(cfg, "limit_profile", grid,
+                                                   np.maximum(w, 0.0), np.maximum(-w, 0.0))
+    files["warmstart_profile.csv"] = _profile_text(cfg, "warmstart_profile", grid,
+                                                   result.final_pair.u, result.final_pair.v)
     n_ok = sum(1 for r in result.records if r.status.startswith("ok"))
-    writer.write_json(
-        "sweep_summary.json",
-        {
-            "rows_ok": n_ok,
-            "rows_total": len(result.records),
-            "limit_energy": result.limit_record.energy,
-            "limit_status": result.limit_record.status,
-            "monotonicity_ok": result.monotonicity_ok,
-            "predicted_starts": result.predicted_starts,
-            "predictor_fallbacks": result.predictor_fallbacks,
-            "config_sha256": config_digest(cfg),
-        },
-    )
-    writer.finish(extra={"resumed_from": warm_name} if resumed else None)
+    files["sweep_summary.json"] = _json_text({
+        "rows_ok": n_ok,
+        "rows_total": len(result.records),
+        "limit_energy": result.limit_record.energy,
+        "limit_status": result.limit_record.status,
+        "monotonicity_ok": result.monotonicity_ok,
+        "predicted_starts": result.predicted_starts,
+        "predictor_fallbacks": result.predictor_fallbacks,
+        "config_sha256": config_digest(cfg),
+    })
+    _write_run(cfg, files, extra={"resumed_from": warm_name} if resumed else None)
     print(f"sweep: {n_ok}/{len(result.records)} rows ok; "
           f"limit energy {result.limit_record.energy:.10g}")
     return 0 if n_ok >= 1 else 5
@@ -389,17 +367,12 @@ def cmd_sync_threshold(cfg: RunConfig, width: float = 1e-6) -> int:
     except BracketError as exc:
         print(f"threshold search failed: {exc}", file=sys.stderr)
         return 6
-    writer = _RunWriter(cfg)
-    writer.write_json(
-        "sync_threshold.json",
-        {
-            "lambda_star": bracket.value,
-            "bracket_empty": bracket.lam_empty,
-            "bracket_nonempty": bracket.lam_nonempty,
-            "width": bracket.width,
-        },
-    )
-    writer.finish()
+    _write_run(cfg, {"sync_threshold.json": _json_text({
+        "lambda_star": bracket.value,
+        "bracket_empty": bracket.lam_empty,
+        "bracket_nonempty": bracket.lam_nonempty,
+        "width": bracket.width,
+    })})
     print(
         f"lambda* ~ {bracket.value:.8g}  "
         f"(empty at {bracket.lam_empty:.8g}, nonempty at {bracket.lam_nonempty:.8g})"

@@ -69,7 +69,7 @@ class SweepSchedule:
             raise DomainError("schedule must be strictly decreasing")
 
 
-def geometric_schedule(start: float = -1.0, stop: float = -1e4, num: int = 20) -> SweepSchedule:
+def geometric_schedule(start: float, stop: float, num: int) -> SweepSchedule:
     """Geometric ladder from start down to stop (both negative)."""
     if not (stop < start < 0.0):
         raise DomainError("need stop < start < 0")

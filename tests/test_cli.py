@@ -18,10 +18,8 @@ from critsep import geometry
 from critsep.checks import run_checks
 from critsep.cli import (
     RunConfig,
-    _RunWriter,
-    _meta_lines,
     _grid_text,
-    _write_profile,
+    _profile_text,
     cmd_solve,
     cmd_sweep,
     cmd_sync_threshold,
@@ -313,6 +311,52 @@ def test_cmd_sweep_resume_refuses_a_foreign_warm_start(tmp_path, capsys, M, cell
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_cmd_sweep_resume_reports_an_unreadable_warm_start(tmp_path, capsys):
+    # a warm start that cannot be read (here a directory) is reported as a
+    # bad profile with status 2, and nothing is written
+    out = tmp_path / "sweep"
+    (out / "warmstart_profile.csv").mkdir(parents=True)
+    assert cmd_sweep(tiny_config(out, lambdas=(-1.0, -2.0)), resume=True) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad profile ") and "IsADirectoryError" in err
+    assert os.listdir(out) == ["warmstart_profile.csv"]
+
+
+def _solve_collapsed(cfg, monkeypatch):
+    from critsep import solver
+
+    monkeypatch.setattr(solver, "COLLAPSE_FRACTION", 1e6)
+    return cmd_solve(cfg)
+
+
+def _sweep_resumed(cfg, monkeypatch):
+    assert cmd_sweep(cfg) == 0
+    return cmd_sweep(cfg, resume=True)
+
+
+@pytest.mark.parametrize("run, status", [
+    pytest.param(lambda cfg, monkeypatch: cmd_solve(cfg), 0, id="solve"),
+    pytest.param(_solve_collapsed, 4, id="failed-solve"),
+    pytest.param(lambda cfg, monkeypatch: cmd_sweep(cfg), 0, id="sweep"),
+    pytest.param(_sweep_resumed, 0, id="resumed-sweep"),
+    pytest.param(lambda cfg, monkeypatch: cmd_sync_threshold(cfg, width=1e-4), 0,
+                 id="sync-threshold"),
+])
+def test_manifest_lists_every_file_of_a_run(tmp_path, monkeypatch, run, status):
+    # the manifest lists exactly the other files of the directory, each
+    # with its digest and byte count
+    cfg = tiny_config(tmp_path / "run", M=16, lambdas=(-1.0, -2.0))
+    assert run(cfg, monkeypatch) == status
+    out = Path(cfg.out_dir)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == sorted(set(os.listdir(out)) - {"manifest.json"})
+    for name, entry in manifest["files"].items():
+        blob = (out / name).read_bytes()
+        assert entry == {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+    assert config_from_tree(manifest["config"]) == cfg
+    assert manifest["config_sha256"] == config_digest(cfg)
+
+
 def test_cmd_sync_threshold(tmp_path):
     cfg = tiny_config(tmp_path / "sync", lam=-1.0)
     assert cmd_sync_threshold(cfg, width=1e-4) == 0
@@ -382,7 +426,10 @@ def test_main_verify_inject(capsys, monkeypatch):
 def _expected_profile_csv(cfg, grid, u, v):
     rows = [",".join(repr(float(x)) for x in vals)
             for vals in zip(grid.theta, u, v, grid.weights)]
-    return _meta_lines(cfg, "profile") + "theta,u,v,weight\n" + "\n".join(rows) + "\n"
+    meta = ("# critsep profile\n"
+            f"# config_sha256: {config_digest(cfg)}\n"
+            "# units: theta in radians, energies dimensionless\n")
+    return meta + "theta,u,v,weight\n" + "\n".join(rows) + "\n"
 
 
 def test_profile_writer_matches_per_row_repr(tmp_path):
@@ -396,8 +443,7 @@ def test_profile_writer_matches_per_row_repr(tmp_path):
     u = np.array(edge + list(rng.uniform(-1.0, 1.0, n - len(edge))
                              * 10.0 ** rng.integers(-20, 20, n - len(edge))))
     v = np.array(edge[::-1] + list(rng.standard_normal(n - len(edge))))
-    _write_profile(_RunWriter(cfg), "profile", cfg, grid, u, v)
-    assert (tmp_path / "profile.csv").read_text() == _expected_profile_csv(cfg, grid, u, v)
+    assert _profile_text(cfg, "profile", grid, u, v) == _expected_profile_csv(cfg, grid, u, v)
 
 
 def test_profile_grid_columns_follow_the_split_not_only_M(tmp_path):
@@ -407,8 +453,7 @@ def test_profile_grid_columns_follow_the_split_not_only_M(tmp_path):
         cfg = replace(tiny_config(tmp_path / str(model.N)), model=model)
         grid = geometry.build_grid(model)
         u = np.linspace(0.0, 1.0, grid.size)
-        _write_profile(_RunWriter(cfg), "profile", cfg, grid, u, u[::-1])
-        assert (tmp_path / str(model.N) / "profile.csv").read_text() == \
+        assert _profile_text(cfg, "profile", grid, u, u[::-1]) == \
             _expected_profile_csv(cfg, grid, u, u[::-1])
 
 
