@@ -33,6 +33,7 @@ DET_RATIO = 0.99
 SCALING_RES_TOL = 1e-12
 EDGE_GAP = 1e-6
 PLANE_CANONICAL = (1.0, 1.0, 1.0, 4.0, 2.0, 2.0)  # (a1, a2, d, p, alpha, beta) of e(s, t)
+REFINEMENT_LEVELS = (128, 256, 512)  # the grid sizes M of the refinement-order check
 
 
 @dataclass
@@ -274,11 +275,11 @@ def _check_plane_identity():
         f"{suite.canonical_dev:.1e} from (1,1), grid maximum {suite.grid_max[0]}")
 
 
-def _check_refinement(levels=(128, 256, 512)):
+def _check_refinement():
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0)
     opts = SolveOptions(grad_tol=1e-8, max_iters=40000)
     energies = []
-    for M in levels:
+    for M in REFINEMENT_LEVELS:
         grid = build_grid(ModelParams(N=4, m=2, n=3, M=M))
         res = solver.minimize_nehari(initial_guess("bumps", grid), cp, grid, opts)
         if not res.converged:
@@ -289,10 +290,8 @@ def _check_refinement(levels=(128, 256, 512)):
     if d2 == 0.0:
         return True, "differences at roundoff; order check vacuous"
     ratio = d1 / d2
-    return 2.0 <= ratio <= 8.0, (
-        f"E({levels[0]})={energies[0]:.8f} E({levels[1]})={energies[1]:.8f} "
-        f"E({levels[2]})={energies[2]:.8f}; diff ratio {ratio:.2f} (~4 expected)"
-    )
+    levels = " ".join(f"E({M})={e:.8f}" for M, e in zip(REFINEMENT_LEVELS, energies))
+    return 2.0 <= ratio <= 8.0, f"{levels}; diff ratio {ratio:.2f} (~4 expected)"
 
 
 def _soft_clambda_monotone():

@@ -318,7 +318,7 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
     warm_name = "warmstart_profile.csv"
     warm_path = os.path.join(cfg.out_dir, warm_name)
     try:
-        check_exponents(cfg.coupling, cfg.model)
+        check_exponents(cfg.coupling, cfg.model.N)
         resumed = resume and os.path.exists(warm_path)
         init = _load_profile_pair(warm_path, grid) if resumed else None
     except DomainError as exc:
@@ -446,14 +446,14 @@ def main(argv=None) -> int:
             cfg = replace(cfg, out_dir=args.out)
         if getattr(args, "grid", None) is not None:  # sync-threshold has no --grid
             cfg = replace(cfg, model=replace(cfg.model, M=args.grid))
-    except DomainError as exc:
+        if args.command == "solve":
+            return cmd_solve(cfg)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, resume=args.resume)
+        return cmd_sync_threshold(cfg, width=args.width)
+    except (DomainError, OSError) as exc:  # OSError: an --out path that cannot be a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.command == "solve":
-        return cmd_solve(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, resume=args.resume)
-    return cmd_sync_threshold(cfg, width=args.width)
 
 
 if __name__ == "__main__":

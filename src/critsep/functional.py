@@ -35,10 +35,10 @@ iterate.
 
 The pair, the single component and the sign-changing limit problem share
 one one-component algebra, written once here: the norms (a, b) of a
-component, the ray scale (a/b)^(1/(2*-2)) onto its Nehari set and the
-projection off one or two constraint gradients (``tangent_part``).  The
-limit problem, which puts w+ and w- each on its own Nehari set (the
-lambda -> -inf image of the pair), lives at the end of this module.
+component, its ray scale (a/b)^(1/(2*-2)) onto its Nehari set (``_ray``)
+and the projection off one or two constraint gradients (``tangent_part``).
+The limit problem puts w+ and w- (``_parts``) each on its own Nehari set,
+the lambda -> -inf image of the pair; it lives at the end of this module.
 """
 
 import math
@@ -57,6 +57,7 @@ from .errors import (
 from .geometry import (
     ModelParams,
     ReducedGrid,
+    critical_exponent,
     h1_form,
     h1_gram,
     integrate,
@@ -78,7 +79,6 @@ __all__ = [
     "limit_residuals",
     "nehari_det",
     "nehari_det_bound",
-    "nehari_matrix",
     "nehari_project",
     "pair_forces",
     "pair_integrals",
@@ -110,17 +110,11 @@ class CouplingParams:
                 raise DomainError(f"{name} must lie in (1, 2], got {ex}")
 
 
-def check_exponents(cp: CouplingParams, params: ModelParams) -> None:
-    """Require alpha + beta to match the critical exponent of the dimension.
-
-    Only ``params.N`` and ``params.two_star`` are read, so the scalar
-    ``SyncInstance`` is checked here too.
-    """
-    if abs(cp.alpha + cp.beta - params.two_star) > 1e-12:
-        raise DomainError(
-            f"alpha + beta = {cp.alpha + cp.beta!r} but 2* = {params.two_star!r} "
-            f"for N = {params.N}"
-        )
+def check_exponents(cp: CouplingParams, N: int) -> None:
+    """Require alpha + beta to match the critical exponent 2* of the dimension N."""
+    p = critical_exponent(N)
+    if abs(cp.alpha + cp.beta - p) > 1e-12:
+        raise DomainError(f"alpha + beta = {cp.alpha + cp.beta!r} but 2* = {p!r} for N = {N}")
 
 
 class PairState(NamedTuple):
@@ -165,6 +159,14 @@ def coupling_integral(u: np.ndarray, v: np.ndarray, cp: CouplingParams, grid: Re
 def ray_scale(a: float, b: float, p: float) -> float:
     """The s > 0 with s^2 a = s^p b, which puts s x on its one-component Nehari set (inf on overflow)."""
     return float(np.float64(a / b) ** (1.0 / (p - 2.0)))
+
+
+def _ray(x: np.ndarray, mu: float, grid: ReducedGrid, error: Exception) -> tuple:
+    """(s, a, b): the ray scale of x and its norms (a, b); raises ``error`` when a norm vanishes."""
+    a, b = component_norms(x, mu, grid)
+    if a <= 0.0 or b <= 0.0:
+        raise error
+    return ray_scale(a, b, grid.params.two_star), a, b
 
 
 def pair_integrals(pair: PairState, cp: CouplingParams, grid: ReducedGrid) -> PairIntegrals:
@@ -337,25 +339,14 @@ def tangent_gradient_full(
     return PairState(*tg), mult, g
 
 
-def _nehari_entries(ints, cp, params):
-    """The entries (a11, a12, a22) of the scaling Hessian."""
+def nehari_det(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> float:
+    """det(a_ij) = a11 a22 - a12^2 in closed form, for the scaling Hessian a_ij of a pair
+    on the Nehari set: the Hessian of E(s u, t v) at (s, t) = (1, 1) where f = h = 0."""
     p = params.two_star
     lc = cp.lam * ints.coupling
     a11 = (2.0 - p) * ints.b1 + cp.alpha * (2.0 - cp.alpha) * lc
     a22 = (2.0 - p) * ints.b2 + cp.beta * (2.0 - cp.beta) * lc
-    a12 = -cp.alpha * cp.beta * lc
-    return a11, a12, a22
-
-
-def nehari_matrix(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> np.ndarray:
-    """The 2x2 scaling Hessian (a_ij) of a pair on the Nehari set."""
-    a11, a12, a22 = _nehari_entries(ints, cp, params)
-    return np.array([[a11, a12], [a12, a22]])
-
-
-def nehari_det(ints: PairIntegrals, cp: CouplingParams, params: ModelParams) -> float:
-    """det(a_ij) = a11 a22 - a12^2 of the scaling Hessian, in closed form."""
-    a11, a12, a22 = _nehari_entries(ints, cp, params)
+    a12 = cp.alpha * cp.beta * lc
     return a11 * a22 - a12 * a12
 
 
@@ -373,21 +364,18 @@ def nehari_det_bound(ints: PairIntegrals, cp: CouplingParams, params: ModelParam
 
 def single_project(u: np.ndarray, mu: float, grid: ReducedGrid) -> float:
     """Scale factor putting a single nonzero profile on its Nehari set."""
-    a, b = component_norms(u, mu, grid)
-    if a <= 0.0 or b <= 0.0:
-        raise DegenerateInputError("cannot project the zero profile")
-    return ray_scale(a, b, grid.params.two_star)
+    return _ray(u, mu, grid, DegenerateInputError("cannot project the zero profile"))[0]
 
 
-def ratio_window(cp, b1: float, b2: float, w1: float, w2: float):
+def ratio_window(cp: CouplingParams, b1: float, b2: float, w1: float, w2: float):
     """(k_lo, k_max) of the ratio reduction, or None when no positive solution exists.
 
     For lam < 0, t = k s reduces 1 = b1 s^(2*-2) + lam w1 s^(alpha-2) t^beta,
     1 = b2 t^(2*-2) + lam w2 s^alpha t^(beta-2) to s^(2*-2) = 1/(b1 + lam w1 k^beta)
     and the root of F(k) = b2 k^(2*-2) - b1 - lam (w1 k^beta - w2 k^(beta-2)), which
     increases strictly, so a unique solution exists exactly when k_lo < k_max, with
-    k_lo = (-lam w2/b2)^(1/alpha) and k_max = (-b1/(lam w1))^(1/beta).  ``cp`` gives
-    lam, alpha and beta; the synchronized system has b = (mu1, mu2), w = (alpha, beta).
+    k_lo = (-lam w2/b2)^(1/alpha) and k_max = (-b1/(lam w1))^(1/beta).  The
+    synchronized system has b = (mu1, mu2), w = (alpha, beta).
     The powers are taken in float64, so they overflow to inf instead of raising.
     """
     if cp.lam >= 0.0:
@@ -409,7 +397,7 @@ def bisect(high, lo: float, hi: float, width: float = 0.0):
     return lo, hi
 
 
-def ratio_root(cp, b1: float, b2: float, w1: float, w2: float, p: float):
+def ratio_root(cp: CouplingParams, b1: float, b2: float, w1: float, w2: float, p: float):
     """The positive (s, t) of ``ratio_window``'s system, or None; bisects F to adjacent floats.
 
     ConvergenceError when s or t is not finite."""
@@ -456,18 +444,23 @@ def nehari_project(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
 # ------------------------------------------------------- limit functional
 
 
+def _parts(w):
+    """The positive part w+ and the negative part w- of w (w = w+ + w-)."""
+    return np.maximum(w, 0.0), np.minimum(w, 0.0)
+
+
 def limit_energy(w: np.ndarray, cp: CouplingParams, grid: ReducedGrid) -> float:
     """Energy of the single sign-changing limit problem."""
-    bulk = _crit_integral(np.maximum(w, 0.0), cp.mu1, grid) + _crit_integral(
-        np.minimum(w, 0.0), cp.mu2, grid
-    )
+    wp, wm = _parts(w)
+    bulk = _crit_integral(wp, cp.mu1, grid) + _crit_integral(wm, cp.mu2, grid)
     return 0.5 * h1_form(w, w, grid) - bulk / grid.params.two_star
 
 
 def limit_residuals(w: np.ndarray, cp: CouplingParams, grid: ReducedGrid):
     """Nehari residuals of the positive and negative parts of w."""
-    ap, bp = component_norms(np.maximum(w, 0.0), cp.mu1, grid)
-    am, bm = component_norms(np.minimum(w, 0.0), cp.mu2, grid)
+    wp, wm = _parts(w)
+    ap, bp = component_norms(wp, cp.mu1, grid)
+    am, bm = component_norms(wm, cp.mu2, grid)
     return ap - bp, am - bm
 
 
@@ -484,16 +477,9 @@ def _limit_residual(w, force, grid):
 
 def _rescale_parts(w, cp, grid, floor_p, floor_m):
     """w+ and w- each scaled onto its Nehari set; CollapseError when a part is lost."""
-    p = grid.params.two_star
-    wp = np.maximum(w, 0.0)
-    wm = np.minimum(w, 0.0)
-    ap, bp = component_norms(wp, cp.mu1, grid)
-    am, bm = component_norms(wm, cp.mu2, grid)
-    if ap <= 0.0 or bp <= 0.0:
-        raise CollapseError("positive part collapsed")
-    if am <= 0.0 or bm <= 0.0:
-        raise CollapseError("negative part collapsed")
-    s, t = ray_scale(ap, bp, p), ray_scale(am, bm, p)
+    wp, wm = _parts(w)
+    s, ap, _bp = _ray(wp, cp.mu1, grid, CollapseError("positive part collapsed"))
+    t, am, _bm = _ray(wm, cp.mu2, grid, CollapseError("negative part collapsed"))
     # the norm floors apply to the rescaled (on-set) parts, not the raw split
     if s * s * ap < floor_p:
         raise CollapseError("positive part collapsed")
@@ -506,26 +492,16 @@ def _limit_constraint_gradients(w, cp, grid):
     """Riesz gradients of the Nehari residual functionals of w+ and w-, as one-tuple states."""
     p = grid.params.two_star
     q = grid.weights
-    wp = np.maximum(w, 0.0)
-    wm = np.minimum(w, 0.0)
-    gf_p = grid.solve_h1(
-        np.where(w > 0.0, 2.0 * grid.apply_h1(wp), 0.0) - q * p * cp.mu1 * wp ** (p - 1.0)
+    return tuple(
+        (grid.solve_h1(np.where(on, 2.0 * grid.apply_h1(x), 0.0) - q * p * mu * _crit_force(x, p)),)
+        for x, on, mu in zip(_parts(w), (w > 0.0, w < 0.0), (cp.mu1, cp.mu2))
     )
-    gf_m = grid.solve_h1(
-        np.where(w < 0.0, 2.0 * grid.apply_h1(wm), 0.0) - q * p * cp.mu2 * _crit_force(wm, p)
-    )
-    return (gf_p,), (gf_m,)
 
 
-def _limit_tangent(w, cp, grid, force=None):
-    """Tangential part of the preconditioned limit-energy gradient.
+def _limit_tangent(w, cp, grid, force):
+    """Tangential part of the preconditioned limit gradient; ``force`` is ``_limit_force`` at w.
 
-    ``force`` is the limit force at w, when the caller has it.  Raises
-    DegenerateConstraintError, as the pair does, when the two constraint
-    gradients are numerically dependent.
-    """
-    if force is None:
-        _mu, force = _limit_force(w, cp, grid.params.two_star)
+    DegenerateConstraintError, as for the pair, when the constraint gradients are dependent."""
     g = w - grid.solve_h1(grid.weights * force)
     (tg,), _mult = tangent_part((g,), _limit_constraint_gradients(w, cp, grid), grid)
     return tg

@@ -10,7 +10,8 @@ k = t/s reduces it to ``functional.ratio_root`` with b = (mu1, mu2) and
 w = (alpha, beta): one positive solution exists exactly when k_lo < k_max, that
 is for lam above lam* = -(mu1^alpha mu2^beta / (alpha^alpha beta^beta))^{1/2*},
 which is -sqrt(mu1 mu2)/2 for alpha = beta = 2.  The diagonal branch s = t of
-mu1 = mu2, alpha = beta has s^{2*-2} = 1/(mu + lam*alpha).
+mu1 = mu2, alpha = beta has s^{2*-2} = 1/(mu + lam*alpha).  An instance of the
+system, ``SyncInstance``, is a ``CouplingParams`` with the dimension N.
 
 The second family is the two-variable comparison function
 
@@ -63,18 +64,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SyncInstance:
-    """Parameters of the synchronized-solution system."""
+class SyncInstance(CouplingParams):
+    """The coupling constants of the synchronized-solution system and its dimension N."""
 
-    mu1: float
-    mu2: float
-    alpha: float
-    beta: float
-    lam: float
     N: int
 
     def __post_init__(self):
-        check_exponents(CouplingParams(self.mu1, self.mu2, self.alpha, self.beta, self.lam), self)
+        super().__post_init__()
+        check_exponents(self, self.N)
 
     @property
     def two_star(self) -> float:

@@ -58,9 +58,9 @@ from .functional import (
     _limit_force,
     _limit_residual,
     _limit_tangent,
+    _ray,
     _rescale_parts,
     check_exponents,
-    component_norms,
     energy_from_integrals,
     limit_energy,
     limit_residuals,
@@ -70,7 +70,6 @@ from .functional import (
     pair_forces,
     pair_inner,
     pair_integrals,
-    ray_scale,
     residuals_from_integrals,
     sobolev_lower_bound,
     tangent_gradient_full,
@@ -396,10 +395,8 @@ class _Single:
 
     def trial(self, x):
         u = np.abs(x[0])
-        a, b = component_norms(u, self.mu, self.grid)
-        if a <= 0.0 or b <= 0.0:
-            raise DegenerateInputError("cannot project the zero profile")
-        s = np.float64(ray_scale(a, b, self.p))  # its powers overflow to inf, as arrays do
+        s, a, b = _ray(u, self.mu, self.grid, DegenerateInputError("cannot project the zero profile"))
+        s = np.float64(s)  # its powers overflow to inf, as arrays do
         a, b = float(s**2 * a), float(s**self.p * b)
         return (s * u,), (a, b), 0.5 * a - b / self.p
 
@@ -582,7 +579,7 @@ def minimize_nehari(
     """Energy minimization over the discrete invariant Nehari set."""
     if cp.lam >= 0.0:
         raise DomainError(f"competitive solve requires lambda < 0, got {cp.lam}")
-    check_exponents(cp, grid.params)
+    check_exponents(cp, grid.params.N)
     problem = _Pair(cp, grid)
     run = _descend(problem, tuple(np.asarray(c, dtype=float) for c in init), opts)
     _forces, _res, mult, g, ints = run.ev
@@ -624,12 +621,14 @@ def minimize_limit(
     w = np.asarray(w_init, dtype=float)
     if np.max(w) <= 0.0 or np.min(w) >= 0.0:
         raise DegenerateInputError("limit solve needs a sign-changing start")
-    run = _descend(_Limit(cp, grid), (w,), opts)
-    w = _rescale_parts(run.x[0], cp, grid, 0.0, 0.0)
+    problem = _Limit(cp, grid)
+    run = _descend(problem, (w,), opts)
+    (w,), _at, value = problem.trial(run.x)
+    tg, _ev = problem.evaluate((w,), None)
     return LimitResult(
         w=w,
-        energy=limit_energy(w, cp, grid),
-        grad_norm=_norm((_limit_tangent(w, cp, grid),), grid),
+        energy=value,
+        grad_norm=_norm(tg, grid),
         iterations=run.iterations,
         converged=run.converged,
         residuals=limit_residuals(w, cp, grid),

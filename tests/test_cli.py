@@ -417,6 +417,23 @@ def test_main_sync_threshold_reports_a_bad_width(tmp_path, capsys, width):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["solve", "--grid", "32"], id="solve"),
+    pytest.param(["sweep", "--grid", "32"], id="sweep"),
+    pytest.param(["sync-threshold"], id="sync-threshold"),
+])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_main_reports_an_out_path_that_cannot_be_a_directory(tmp_path, capsys, argv, under):
+    # an --out that is a file, or lies under one, is an error message and
+    # status 2, not a FileExistsError or NotADirectoryError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "run" if under else taken
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "a file\n"
+
+
 def test_main_verify_inject(capsys, monkeypatch):
     _bad_sobolev(monkeypatch)
     assert main(["verify", "--skip-soft"]) == 1

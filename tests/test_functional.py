@@ -12,6 +12,7 @@ from critsep import (
     DomainError,
     ModelParams,
     PairState,
+    SolveOptions,
     build_grid,
     energy,
     gradient,
@@ -20,6 +21,7 @@ from critsep import (
     integrate,
     limit_energy,
     limit_residuals,
+    minimize_nehari,
     nehari_project,
     residuals,
     single_project,
@@ -29,11 +31,10 @@ from critsep.checks import cosine_series, scaling_residual_dev
 from critsep.functional import (
     PairIntegrals,
     _constraint_gradients,
-    _limit_tangent,
     check_exponents,
+    energy_from_integrals,
     nehari_det,
     nehari_det_bound,
-    nehari_matrix,
     pair_forces,
     pair_inner,
     pair_integrals,
@@ -42,7 +43,7 @@ from critsep.functional import (
     tangent_gradient_full,
 )
 from critsep.geometry import h1_gram
-from critsep.solver import _Single, _pair_newton_direction, _safe_pow
+from critsep.solver import _Limit, _Single, _pair_newton_direction, _safe_pow
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=128)
 GRID = build_grid(PARAMS)
@@ -68,10 +69,10 @@ def test_coupling_params_validation():
                 {"lam": math.nan}, {"lam": -math.inf}, {"lam": math.inf}):
         with pytest.raises(DomainError, match="must be finite"):
             CouplingParams(**{**dict(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0), **bad})
-    check_exponents(CP, PARAMS)
+    check_exponents(CP, PARAMS.N)
     with pytest.raises(DomainError):
         check_exponents(
-            CouplingParams(mu1=1.0, mu2=1.0, alpha=1.5, beta=2.0, lam=-1.0), PARAMS
+            CouplingParams(mu1=1.0, mu2=1.0, alpha=1.5, beta=2.0, lam=-1.0), PARAMS.N
         )
 
 
@@ -316,18 +317,43 @@ def test_nehari_bounds_and_determinant():
         ints = pair_integrals(scaled, CP_WEAK, GRID)
         assert ints.a1 >= 0.99 * sobolev_lower_bound(CP_WEAK.mu1, 4)
         assert ints.a2 >= 0.99 * sobolev_lower_bound(CP_WEAK.mu2, 4)
-        det = float(np.linalg.det(nehari_matrix(ints, CP_WEAK, PARAMS)))
-        assert det >= 0.99 * nehari_det_bound(ints, CP_WEAK, PARAMS)
+        assert nehari_det(ints, CP_WEAK, PARAMS) >= 0.99 * nehari_det_bound(ints, CP_WEAK, PARAMS)
 
 
-def test_nehari_det_is_the_determinant_of_nehari_matrix():
-    # the closed form a11 a22 - a12^2 against LAPACK's LU determinant
-    for lam in (-0.2, -1.0, -1e3):
+def _scaled_energy(ints, cp, s, t):
+    """E(s u, t v) from the integrals of (u, v)."""
+    p = PARAMS.two_star
+    scaled = PairIntegrals(s * s * ints.a1, s**p * ints.b1, t * t * ints.a2, t**p * ints.b2,
+                           s**cp.alpha * t**cp.beta * ints.coupling)
+    return energy_from_integrals(scaled, cp, PARAMS)
+
+
+def test_nehari_det_matches_a_finite_difference_hessian():
+    # on the Nehari set the scaling Hessian is the Hessian of E(s u, t v) at
+    # (1, 1): its determinant against central differences of step 1e-4
+    pairs = []
+    for lam in (-0.2, -1.0):
         cp = CouplingParams(mu1=1.0, mu2=2.5, alpha=2.0, beta=2.0, lam=lam)
         for seed in (12, 13, 14):
-            ints = pair_integrals(smooth_pair(seed), cp, GRID)
-            ref = float(np.linalg.det(nehari_matrix(ints, cp, PARAMS)))
-            assert nehari_det(ints, cp, PARAMS) == pytest.approx(ref, rel=1e-12)
+            pair = smooth_pair(seed)
+            s, t = nehari_project(pair, cp, GRID)
+            pairs.append((PairState(s * pair.u, t * pair.v), cp))
+    # smooth pairs have no scaling at -1e3: a converged minimizer instead
+    cp = CouplingParams(mu1=1.0, mu2=2.5, alpha=2.0, beta=2.0, lam=-1e3)
+    res = minimize_nehari(initial_guess("bumps", GRID), cp, GRID, SolveOptions(grad_tol=1e-8))
+    assert res.converged
+    pairs.append((res.pair, cp))
+    h = 1e-4
+    for pair, cp in pairs:
+        ints = pair_integrals(pair, cp, GRID)
+
+        def e(i, j):
+            return _scaled_energy(ints, cp, 1.0 + i * h, 1.0 + j * h)
+
+        e_ss = (e(1, 0) - 2.0 * e(0, 0) + e(-1, 0)) / h**2
+        e_tt = (e(0, 1) - 2.0 * e(0, 0) + e(0, -1)) / h**2
+        e_st = (e(1, 1) - e(1, -1) - e(-1, 1) + e(-1, -1)) / (4.0 * h * h)
+        assert nehari_det(ints, cp, PARAMS) == pytest.approx(e_ss * e_tt - e_st**2, rel=1e-6)
 
 
 def test_energy_lambda_monotonicity():
@@ -539,9 +565,9 @@ def _check_limit_and_single_tangents(pair, cp, grid):
         ref_tg, grads = reference_limit_tangent(w, cp, grid)
     except DegenerateConstraintError:
         with pytest.raises(DegenerateConstraintError):
-            _limit_tangent(w, cp, grid)
+            _Limit(cp, grid).evaluate((w,), None)
     else:
-        tg = _limit_tangent(w, cp, grid)
+        (tg,), _ev = _Limit(cp, grid).evaluate((w,), None)
         assert np.array_equal(tg, ref_tg)
         _assert_h1_orthogonal(tg, grads, grid)
     for u in (pair.u, pair.v):

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from critsep import (
     ConvergenceError,
+    CouplingParams,
     DomainError,
     PlaneCoeffs,
     SyncInstance,
@@ -38,6 +40,16 @@ def test_sync_instance_validation():
     # 2* = 2N/(N-2) has no value at N = 2
     with pytest.raises(DomainError):
         SyncInstance(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0, N=2)
+    # a SyncInstance is coupling constants with a dimension; replace keeps N
+    # and validates both again
+    inst = SyncInstance(lam=-0.25, **SYM)
+    assert isinstance(inst, CouplingParams)
+    moved = replace(inst, lam=-0.5)
+    assert type(moved) is SyncInstance and (moved.lam, moved.N) == (-0.5, 4)
+    with pytest.raises(DomainError, match="must be finite"):
+        replace(inst, lam=math.nan)
+    with pytest.raises(DomainError, match="for N = 5"):
+        replace(inst, N=5)
     with pytest.raises(DomainError):
         sync_threshold(1.0, 1.0, 2.0, 2.0, N=2)
     for width in (0.0, -1.0, math.nan, math.inf):

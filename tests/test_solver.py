@@ -25,6 +25,7 @@ from critsep.checks import cosine_series
 from critsep.errors import CollapseError, DegenerateConstraintError
 from critsep.functional import (
     PairForces,
+    _limit_force,
     _limit_tangent,
     _rescale_parts,
     energy_from_integrals,
@@ -246,11 +247,17 @@ def test_minimize_limit_raises_on_dependent_constraint_gradients(monkeypatch):
 def test_rescale_parts_collapse_detection():
     init = initial_guess("bumps", GRID)
     w = init.u - init.v
-    # forcing an absurdly high floor must trip the collapse guard
-    with pytest.raises(CollapseError):
-        _rescale_parts(w, CP, GRID, 1e12, 0.0)
-    with pytest.raises(CollapseError):
-        _rescale_parts(np.where(w > 0, w, 0.0) - 0.0, CP, GRID, 0.0, 0.0)
+    positive = np.where(w > 0, w, 0.0)
+    # an absurdly high floor trips the guard of its part; both zero checks
+    # come before either floor, so a zero negative part is named first
+    for x, floor_p, floor_m, part in [
+        (w, 1e12, 0.0, "positive"),
+        (w, 0.0, 1e12, "negative"),
+        (positive, 0.0, 0.0, "negative"),
+        (positive, 1e12, 0.0, "negative"),
+    ]:
+        with pytest.raises(CollapseError, match=f"^{part} part collapsed$"):
+            _rescale_parts(x, CP, GRID, floor_p, floor_m)
 
 
 @pytest.mark.parametrize(
@@ -424,7 +431,7 @@ def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
     opts = SolveOptions(grad_tol=grad_tol, max_iters=max_iters)
     res = minimize_limit(init.u - init.v, cp, grid, opts)
     assert res.message == message
-    tg = _limit_tangent(res.w, cp, grid)
+    tg = _limit_tangent(res.w, cp, grid, _limit_force(res.w, cp, grid.params.two_star)[1])
     assert res.grad_norm == math.sqrt(max(h1_form(tg, tg, grid), 0.0))
 
 
@@ -491,7 +498,7 @@ def test_limit_newton_direction_matches_scipy(N, m, n, mu2):
     # equation, solved by scipy's banded solver on the same bands
     from scipy.linalg import solve_banded as scipy_solve_banded
 
-    from critsep.functional import _limit_force, _limit_residual
+    from critsep.functional import _limit_residual
     from critsep.solver import _limit_newton_direction
 
     grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
