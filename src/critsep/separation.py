@@ -1,10 +1,10 @@
 """Continuation in the coupling strength and interface diagnostics.
 
-Driving lambda down a geometric schedule, each row started from a tangent
-prediction made at the row before, traces the minimal-energy pair into the
-segregation regime: the overlap integral decays, (-lambda) * overlap tends
-to zero, and the pair approaches the positive/negative parts of a
-sign-changing minimizer of the limit problem.
+Driving lambda down a geometric schedule, each row started from a prediction
+made from the tangents of the two rows before, traces the minimal-energy
+pair into the segregation regime: the overlap integral decays,
+(-lambda) * overlap tends to zero, and the pair approaches the
+positive/negative parts of a sign-changing minimizer of the limit problem.
 The sweep records per-lambda diagnostics, finishes with the limit solve,
 and re-asserts the on-manifold invariants collected by the solver.
 
@@ -228,30 +228,57 @@ def _record_from_result(lam, res, pair, cp, grid):
     )
 
 
-def predict_start(pair: PairState, cp: CouplingParams, grid: ReducedGrid, lam_next: float):
-    """Tangent prediction of the pair at lam_next from a converged pair at cp.lam, or None.
+def predict_start(pair: PairState, cp: CouplingParams, grid: ReducedGrid, lam_next: float,
+                  prev=None):
+    """Predicted pair at lam_next from a converged pair at cp.lam, and its slopes.
 
-    One Euler step for ln x in the variable ln|lambda|: each node with x > 0
-    becomes x exp(lambda ln(lam_next/lambda) x'/x), with x' = dx/dlambda
-    from ``pair_tangent``; nodes where x = 0 stay 0.  In the segregated
-    regime each component decays exponentially, so ln x is close to linear
-    in ln|lambda| where x itself is not.  None when the tangent solve fails
-    or the prediction is not finite.
+    The prediction is made for y = ln x in s = ln|lambda| at each node where
+    x > 0; nodes where x = 0 stay 0.  In the segregated regime each
+    component decays exponentially, so ln x is close to polynomial in
+    ln|lambda| where x itself is not.  The slope y' = lambda x'/x comes from
+    the branch tangent x' = dx/dlambda of ``pair_tangent``, and the Euler
+    step with h = ln(lam_next/lambda) takes x to x exp(h y').
+
+    ``prev`` is (lambda, pair, slopes) of the converged row before, or
+    None.  Given it, the exponent is the cubic Hermite extrapolation through
+    (y, y') at both rows: with h0 = ln(prev lambda/lambda),
+    A = (y0 - y - y' h0)/h0^2 and B = (y0' - y')/h0 it is
+    h y' + (3A - B) h^2 + ((B - 2A)/h0) h^3, and the part beyond the Euler
+    term is clipped at each node to +-|h y'|.  Nodes where x = 0 in the row
+    before take the Euler step.
+
+    Returns (start, slopes), where slopes are the two y' arrays (0 where
+    x = 0) that the next call takes in ``prev``; (None, None) when the
+    tangent solve fails or the prediction is not finite.
     """
     tangent = pair_tangent(pair, cp, grid)
     if tangent is None:
-        return None
-    step = cp.lam * math.log(lam_next / cp.lam)
-    out = []
-    for x, dx in zip(pair, tangent):
-        y = np.array(x, dtype=float)
-        live = y > 0.0
-        with np.errstate(over="ignore"):
-            y[live] *= np.exp(step * dx[live] / y[live])
-        if not np.isfinite(y).all():
-            return None
-        out.append(y)
-    return PairState(*out)
+        return None, None
+    h = math.log(lam_next / cp.lam)
+    if prev is not None:
+        lam0, pair0, slopes0 = prev
+        h0 = math.log(lam0 / cp.lam)
+    out, slopes = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (x, dx) in enumerate(zip(pair, tangent)):
+            x = np.asarray(x, dtype=float)
+            live = x > 0.0
+            d1 = np.zeros_like(x)
+            d1[live] = cp.lam * dx[live] / x[live]
+            z = h * d1
+            if prev is not None:
+                both = live & (pair0[i] > 0.0)
+                y1, dy1 = np.log(x[both]), d1[both]
+                a = (np.log(pair0[i][both]) - y1 - dy1 * h0) / h0**2
+                b = (slopes0[i][both] - dy1) / h0
+                cap = np.abs(z[both])
+                z[both] += np.clip((3.0 * a - b) * h**2 + (b - 2.0 * a) / h0 * h**3, -cap, cap)
+            y = x * np.exp(z)
+            if not np.isfinite(y).all():
+                return None, None
+            out.append(y)
+            slopes.append(d1)
+    return PairState(*out), tuple(slopes)
 
 
 def sweep_lambda(
@@ -265,7 +292,12 @@ def sweep_lambda(
 
     After a row that converged, the next is solved from the start
     ``predict_start`` makes from its pair, and from that pair when the
-    prediction fails or its solve does not converge or raises; the row's
+    prediction fails or its solve does not converge or raises.  The
+    prediction is the capped Hermite step from this row and the row before
+    when both converged (the row before's slopes are those its own
+    prediction computed, so each row makes one tangent solve), and the
+    Euler step otherwise: for the first prediction, after a row that did
+    not converge or raised, and after a failed prediction.  The row's
     ``solver_iters`` adds the iterations of a discarded solve that
     returned.  After any other row the next starts from the last pair a
     solve returned (the initial pair before any did); a row whose solve
@@ -280,6 +312,7 @@ def sweep_lambda(
     pair = init if init is not None else initial_guess("bumps", grid)
     records = []
     guess = None  # the predicted start of the next row, if any
+    prev = None  # (lambda, pair, slopes) of the row before, while rows converge
     predicted = fallbacks = 0
     for k, lam in enumerate(schedule.lambdas):
         cp = replace(cp_base, lam=lam)
@@ -299,6 +332,7 @@ def sweep_lambda(
         predicted += start is guess
         guess = None
         if res is None:  # keep partial results on solver failure
+            prev = None
             records.append(_failed_record(lam, why))
             log.warning("solve at lambda=%g failed: %s", lam, why)
             continue
@@ -306,8 +340,9 @@ def sweep_lambda(
         records.append(_record_from_result(lam, res, pair, cp, grid))
         records[-1].solver_iters += discarded
         if res.converged and k + 1 < len(schedule.lambdas):
-            guess = predict_start(pair, cp, grid, schedule.lambdas[k + 1])
+            guess, slopes = predict_start(pair, cp, grid, schedule.lambdas[k + 1], prev)
             fallbacks += guess is None
+        prev = None if guess is None else (lam, pair, slopes)
 
     # one pass over the plain "ok" rows: the energy check, then the overlap mark
     n_bad = sum(r.status != "ok" for r in records)

@@ -25,6 +25,7 @@ from critsep import (
     verify_tori,
 )
 from critsep.checks import invariant_flags
+from critsep.functional import pair_inner
 from critsep.separation import predict_start
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=128)
@@ -165,10 +166,23 @@ def test_deep_sweep_converges_to_minus_1e9():
     failed = [(r.lam, r.status) for r in result.records if r.status != "ok"]
     assert failed == []
     assert result.limit_record.status == "ok"
-    # the tangent-predicted starts take 164 iterations over the 44 rows; the
-    # previous row's pair as the start took 267
+    # the capped Hermite starts take 103 iterations over the 44 rows; the
+    # Euler step took 164, and the previous row's pair as the start 267
     assert result.predicted_starts == 43
-    assert sum(r.solver_iters for r in result.records) <= 190
+    assert sum(r.solver_iters for r in result.records) <= 120
+
+
+def test_n5_sweep_converges_within_the_euler_iterations():
+    # N = 5 at alpha = beta = 5/3, where the pair Newton step converges more
+    # slowly than at N = 4: 170 iterations with the Euler step, 106 with
+    # the capped Hermite step, 194 with an uncapped quadratic in ln|lambda|
+    # through the row before
+    params = ModelParams(N=5, m=3, n=3, M=128)
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=5.0 / 3.0, beta=5.0 / 3.0, lam=-1.0)
+    result = sweep_lambda(geometric_schedule(-1.0, -1e4, 12), cp, build_grid(params), OPTS)
+    assert [r.status for r in result.records] == ["ok"] * 12
+    assert result.limit_record.status == "ok"
+    assert sum(r.solver_iters for r in result.records) <= 170
 
 
 def test_sweep_partial_failure_marks_rows():
@@ -283,7 +297,8 @@ def test_predict_start_keeps_zero_nodes_zero():
     pair = minimize_nehari(initial_guess("bumps", GRID), replace(CP, lam=-10.0), GRID, OPTS).pair
     u = pair.u.copy()
     u[40:45] = 0.0
-    guess = predict_start(PairState(u, pair.v), replace(CP, lam=-10.0), GRID, -12.0)
+    guess, slopes = predict_start(PairState(u, pair.v), replace(CP, lam=-10.0), GRID, -12.0)
+    assert np.all(slopes[0][40:45] == 0.0)
     assert np.all(guess.u[40:45] == 0.0)
     assert np.all(guess.u[u > 0.0] > 0.0) and np.all(guess.v > 0.0)
     assert np.isfinite(guess.u).all() and np.isfinite(guess.v).all()
@@ -299,7 +314,7 @@ def test_failed_prediction_falls_back_to_the_previous_pair(monkeypatch, tangent)
     monkeypatch.setattr(separation, "pair_tangent", broken)
     lam_cp = replace(CP, lam=-1.0)
     pair = minimize_nehari(initial_guess("bumps", GRID), lam_cp, GRID, OPTS).pair
-    assert predict_start(pair, lam_cp, GRID, -3.0) is None
+    assert predict_start(pair, lam_cp, GRID, -3.0) == (None, None)
     calls = _recording_solves(monkeypatch)
     result = sweep_lambda(geometric_schedule(-1.0, -100.0, 4), CP, GRID, OPTS)
     assert all(r.status == "ok" for r in result.records)
@@ -369,3 +384,95 @@ def test_a_row_whose_prediction_fails_converges_from_the_previous_pair(monkeypat
     assert (result.predicted_starts, result.predictor_fallbacks) == (2, 1)
     why = {"raises": "scripted", "capped": "max_iters exceeded"}[script]
     assert f"from the prediction failed ({why})" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def branch():
+    """Three converged rows at -10, -10^1.5, -100 (M = 256): the first two rows'
+    (lambda, pair, slopes), the Euler start of the third and its solve."""
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=256))
+    lams = (-10.0, -10.0**1.5, -100.0)
+    start, rows = initial_guess("bumps", grid), []
+    for lam, lam_next in zip(lams, lams[1:]):
+        cp = replace(CP, lam=lam)
+        pair = minimize_nehari(start, cp, grid, OPTS).pair
+        start, slopes = predict_start(pair, cp, grid, lam_next)
+        rows.append((lam, pair, slopes))
+    return grid, rows, start, minimize_nehari(start, replace(CP, lam=lams[2]), grid, OPTS)
+
+
+def _hermite(branch, row0=None):
+    grid, (r0, (lam1, pair1, _)), _euler, _res = branch
+    return predict_start(pair1, replace(CP, lam=lam1), grid, -100.0, row0 or r0)[0]
+
+
+def test_hermite_start_is_closer_to_the_converged_pair_than_the_euler_start(branch):
+    grid, _rows, euler, res = branch
+    assert res.converged
+
+    def dist(x):
+        d = [a - b for a, b in zip(x, res.pair)]
+        return math.sqrt(pair_inner(d, d, grid))
+
+    # measured: 0.198 against 0.446
+    assert dist(_hermite(branch)) < 0.6 * dist(euler)
+
+
+def test_hermite_correction_is_capped_at_the_euler_term(branch):
+    # a row before far off the branch: the part of the exponent beyond the
+    # Euler term h y' is clipped to +-|h y'| at each node, and the clip binds
+    grid, (r0, (lam1, pair1, slopes1)), euler, _res = branch
+    rng = np.random.default_rng(0)
+    wild = PairState(*(x * np.exp(rng.uniform(-5.0, 5.0, x.size)) for x in r0[1]))
+    guess = _hermite(branch, (r0[0], wild, r0[2]))
+    h = math.log(-100.0 / lam1)
+    for x, e, g, slope in zip(pair1, euler, guess, slopes1):
+        assert np.all(x > 0.0)
+        extra, cap = np.log(g / e), np.abs(h * slope)
+        assert np.all(np.abs(extra) <= cap + 1e-12)
+        assert np.count_nonzero(np.abs(extra) > cap - 1e-12) > x.size // 2
+
+
+def test_nodes_that_are_zero_in_the_row_before_take_the_euler_step(branch):
+    _grid, (r0, _r1), euler, _res = branch
+    u0 = r0[1].u.copy()
+    u0[100:110] = 0.0
+    guess = _hermite(branch, (r0[0], PairState(u0, r0[1].v), r0[2]))
+    assert np.array_equal(guess.u[100:110], euler.u[100:110])
+    assert not np.array_equal(guess.u[:100], euler.u[:100])
+    assert np.array_equal(guess.v, _hermite(branch).v)
+
+
+def test_predictions_after_an_unconverged_or_raised_row_use_no_history(monkeypatch):
+    # the solves at lambdas[2] stop after 2 iterations and those at lambdas[4]
+    # raise; each prediction takes the row before only when both converged
+    from critsep import separation
+
+    lambdas = geometric_schedule(-1.0, -100.0, 8).lambdas
+
+    def wrap(solve, init, cp, grid, opts):
+        if cp.lam == lambdas[2]:
+            return solve(init, cp, grid, replace(opts, max_iters=2))
+        if cp.lam == lambdas[4]:
+            raise ConvergenceError("scripted failure")
+        return solve(init, cp, grid, opts)
+
+    calls = _recording_solves(monkeypatch, wrap)
+    real, prevs = separation.predict_start, []
+
+    def recorded(pair, cp, grid, lam_next, prev=None):
+        prevs.append((cp.lam, prev))
+        return real(pair, cp, grid, lam_next, prev)
+
+    monkeypatch.setattr(separation, "predict_start", recorded)
+    result = sweep_lambda(SweepSchedule(lambdas=lambdas), CP, GRID, OPTS)
+    assert [r.status.split(":")[0] for r in result.records] == [
+        "ok", "ok", "not converged", "ok", "failed", "ok", "ok", "ok",
+    ]
+    assert [lam for lam, _ in prevs] == [lambdas[k] for k in (0, 1, 3, 5, 6)]
+    assert [None if p is None else p[0] for _, p in prevs] == [
+        None, lambdas[0], None, None, lambdas[5],
+    ]
+    # the history is the converged row's own pair
+    row0 = next(res for start, res in calls if res.converged)
+    assert prevs[1][1][1] is row0.pair
