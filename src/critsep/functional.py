@@ -499,19 +499,28 @@ def _rescale_parts(w, cp, grid, floor_p, floor_m):
 
 
 def _limit_constraint_gradients(w, cp, grid):
-    """Riesz gradients of the Nehari residual functionals of w+ and w-, as one-tuple states."""
+    """Euclidean gradients 2 P K x - q 2* mu crit(x) of the Nehari residuals of the parts x = w+, w-.
+
+    P masks the nodes where x is nonzero; the Riesz gradients are their H^1 solves."""
     p = grid.params.two_star
     q = grid.weights
     return tuple(
-        (grid.solve_h1(np.where(on, 2.0 * grid.apply_h1(x), 0.0) - q * p * mu * _crit_force(x, p)),)
+        np.where(on, 2.0 * grid.apply_h1(x), 0.0) - q * p * mu * _crit_force(x, p)
         for x, on, mu in zip(_parts(w), (w > 0.0, w < 0.0), (cp.mu1, cp.mu2))
     )
 
 
-def _limit_tangent(w, cp, grid, force):
-    """Tangential part of the preconditioned limit gradient; ``force`` is ``_limit_force`` at w.
+def _limit_tangent_full(w, cp, grid, force):
+    """Tangential part of the preconditioned limit gradient, the multipliers (sigma+, sigma-)
+    and the Euclidean constraint gradients; ``force`` is ``_limit_force`` at w.
 
     DegenerateConstraintError, as for the pair, when the constraint gradients are dependent."""
     g = w - grid.solve_h1(grid.weights * force)
-    (tg,), _mult = tangent_part((g,), _limit_constraint_gradients(w, cp, grid), grid)
-    return tg
+    grads = _limit_constraint_gradients(w, cp, grid)
+    (tg,), mult = tangent_part((g,), tuple((grid.solve_h1(e),) for e in grads), grid)
+    return tg, mult, grads
+
+
+def _limit_tangent(w, cp, grid, force):
+    """Tangential part of the preconditioned limit gradient; ``force`` is ``_limit_force`` at w."""
+    return _limit_tangent_full(w, cp, grid, force)[0]

@@ -6,8 +6,9 @@ component on its Nehari set, the level of the strict level gap (``_Single``,
 ``minimize_single``), and the sign-changing limit problem whose positive
 and negative parts sit on their own Nehari sets (``_Limit``,
 ``minimize_limit``).  The formulas they are built from live in ``functional``;
-this module keeps the driver, the problems, the two Newton directions and
-the branch tangent of the pair (``pair_tangent``), which shares the pair's
+this module keeps the driver, the problems, the Newton directions (the
+pair's, and the free and the constrained one of the limit) and the branch
+tangent of the pair (``pair_tangent``), which shares the pair's
 Newton matrix, and that matrix's storage: one work array a pair solve,
 refilled at each Newton step.
 
@@ -19,17 +20,23 @@ and the energy; the start comes with ``at`` and ``value`` None, and the pair
 and the single component take an accepted trial, handed over with its
 integrals and energy, as it is), evaluates the tangent gradient, i.e. the
 H^1-preconditioned energy gradient minus its part along the constraint
-gradients (``evaluate(x, at)``), lands a trial state (``trial(x)``), and may
-offer a Newton direction for the free critical equations (``newton(x, ev)``)
-with the residual its candidate must contract (``residual_norm(x, at)``).
-The pair's residual test evaluates the pointwise kernel and the nodal
-residual at the trial and adds both to the trial's ``at``, so an accepted
-Newton trial hands them to the next ``evaluate`` and ``newton`` and each
-landed pair is evaluated once (the limit's landing rescales a trial again,
-so its test hands nothing over).  ``_descend`` lands the iterate, stops when
-the tangent gradient is small, tries the Newton candidate and otherwise
-takes a Barzilai-Borwein step, backtracked until the Armijo condition holds
-for the energy of the landed trial, so accepted energies never increase.
+gradients (``evaluate(x, at)``), lands a trial state (``trial(x)``), and
+offers Newton directions in the order they are to be tried, with the
+residual norm at x that their trials must contract (``newton(x, ev)``
+returns the norm, None when nothing is offered, and the directions) and the
+residual of a trial (``residual_norm(x, at)``).  The pair offers its Newton
+direction for the free critical equations and the single component none.
+The limit offers its free Newton direction and then, computed only when
+that is rejected, the Lagrange-Newton (SQP) direction on its two
+constraints; its residual is the H^1 norm of the tangent gradient.  The
+pair's residual test evaluates the pointwise kernel and the nodal residual
+at the trial and adds both to the trial's ``at``, so an accepted Newton
+trial hands them to the next ``evaluate`` and ``newton`` and each landed
+pair is evaluated once (the limit's landing rescales a trial again, so its
+test hands nothing over).  ``_descend`` lands the iterate, stops when the
+tangent gradient is small, tries the Newton candidates and otherwise takes
+a Barzilai-Borwein step, backtracked until the Armijo condition holds for
+the energy of the landed trial, so accepted energies never increase.
 The pair and single solves also require a small full gradient at
 convergence, which certifies a free critical point (the multiplier solve
 returns ~0); small means below 10 grad_tol or below the rounding floor of
@@ -58,6 +65,7 @@ from .functional import (
     _limit_force,
     _limit_residual,
     _limit_tangent,
+    _limit_tangent_full,
     _ray,
     _rescale_parts,
     check_exponents,
@@ -168,6 +176,7 @@ class LimitResult:
     iterations: int
     converged: bool
     residuals: tuple
+    multipliers: tuple  # (sigma+, sigma-) of the tangent projection at w
     energy_trace: np.ndarray
     message: str = ""
 
@@ -292,21 +301,66 @@ def pair_tangent(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
     return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v, ab)
 
 
-def _limit_newton_direction(w, grid, mu, force):
-    """Newton direction (a one-component state) for the limit equation, and the residual norm.
+def _limit_force_slope(w, mu, p):
+    """The derivative mu (2*-1)|w|^(2*-2) of the limit force in w."""
+    return mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
 
-    ``mu`` and ``force`` are ``_limit_force`` at w.  The Jacobian is
+
+def _limit_newton_direction(w, grid, mu, force, res=None):
+    """Newton direction (a one-component state) for the free limit equation, and the residual norm.
+
+    ``mu`` and ``force`` are ``_limit_force`` at w, ``res`` is
+    ``_limit_residual`` at w when the caller has it.  The Jacobian is
     tridiagonal: one ``gtsv`` solve with partial pivoting, None when it is
     singular or the solution is not finite.
     """
     p = grid.params.two_star
-    res = _limit_residual(w, force, grid)
-    dww = mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
+    if res is None:
+        res = _limit_residual(w, force, grid)
+    dww = _limit_force_slope(w, mu, p)
     *_, sol, info = lapack.dgtsv(grid.k_off, grid.k_diag - grid.weights * dww, grid.k_off, -res,
                                  overwrite_d=1, overwrite_b=1)
     if info != 0 or not np.isfinite(sol).all():
         return None, math.inf
     return (sol,), float(np.linalg.norm(res))
+
+
+def _limit_kkt_direction(w, cp, grid, mu, res, mult, grads):
+    """Lagrange-Newton (SQP) direction on the two Nehari constraints of the limit, or None.
+
+    With the Euclidean gradient ``res`` of the energy, the multipliers
+    ``mult`` = (sigma+, sigma-) of the tangent projection and the Euclidean
+    constraint gradients ``grads`` (the rows of C), the Lagrangian Hessian is
+    H_L = K - q mu (2*-1)|w|^(2*-2) - sum_i sigma_i (2 P_i K P_i - q 2*(2*-1) mu_i |w_i|^(2*-2)),
+    tridiagonal, P+ and P- masking the nodes where w > 0 and w < 0.  One
+    ``gtsv`` solve gives y0 = -H_L^{-1} (res - sigma . grads) and
+    Y = H_L^{-1} C^T; with nu from (C Y) nu = C y0 + G, G the Nehari residuals
+    of the parts, the step d = y0 - Y nu satisfies C d = -G (Nocedal and
+    Wright, Numerical Optimization, 2nd ed. 2006, ch. 18).  None when a
+    solve is singular or the step is not finite.
+    """
+    p = grid.params.two_star
+    q = grid.weights
+    sign = np.sign(w)
+    sigma = np.where(w > 0.0, mult[0], np.where(w < 0.0, mult[1], 0.0))
+    dww = _limit_force_slope(w, mu, p)
+    diag = grid.k_diag * (1.0 - 2.0 * sigma) - q * dww * (1.0 - p * sigma)
+    # P_i K P_i couples two nodes only where both lie on the same side
+    off = grid.k_off * (1.0 - 2.0 * np.where(sign[:-1] == sign[1:], sigma[:-1], 0.0))
+    rhs = np.empty((grid.size, 3), order="F")
+    rhs[:, 0] = mult[0] * grads[0] + mult[1] * grads[1] - res
+    rhs[:, 1], rhs[:, 2] = grads
+    *_, sol, info = lapack.dgtsv(off, diag, off.copy(), rhs,
+                                 overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info != 0 or not np.isfinite(sol).all():
+        return None
+    cy = np.array(grads) @ sol
+    try:
+        nu = np.linalg.solve(cy[:, 1:], cy[:, 0] + limit_residuals(w, cp, grid))
+    except np.linalg.LinAlgError:
+        return None
+    d = sol[:, 0] - sol[:, 1:] @ nu
+    return (d,) if np.isfinite(d).all() else None
 
 
 def _collapse_floor(mu, N):
@@ -358,7 +412,8 @@ class _Pair:
         return pair, (ints, None, None), value
 
     def newton(self, x, ev):
-        return _pair_newton_direction(*x, self.cp, self.grid, ev[0], self.band, ev[1])
+        direction, res_norm = _pair_newton_direction(*x, self.cp, self.grid, ev[0], self.band, ev[1])
+        return (None, ()) if direction is None else (res_norm, (direction,))
 
     def residual_norm(self, x, at):
         forces = pair_forces(x, self.cp, self.grid)
@@ -401,11 +456,17 @@ class _Single:
         return (s * u,), (a, b), 0.5 * a - b / self.p
 
     def newton(self, x, ev):
-        return None, math.inf
+        return None, ()
 
 
 class _Limit:
-    """The sign-changing profile w whose parts sit on their own Nehari sets."""
+    """The sign-changing profile w whose parts sit on their own Nehari sets.
+
+    The free Newton step for K w = q force is tried first, the Lagrange-Newton
+    step second: at the discrete constrained minimizer the free gradient is
+    not 0 but sigma+ dG+ + sigma- dG- (the sign-change cell couples w+ and w-
+    in the H^1 form), so the free step aims beside it.
+    """
 
     newton_steps = (1.0,)  # the undamped step against the current residual
     residual_window = 1
@@ -423,19 +484,29 @@ class _Limit:
     def evaluate(self, x, at):
         (w,) = x
         mu, force = _limit_force(w, self.cp, self.p)
-        return (_limit_tangent(w, self.cp, self.grid, force),), (mu, force)
+        tg, mult, grads = _limit_tangent_full(w, self.cp, self.grid, force)
+        return (tg,), (mu, force, tg, mult, grads)
 
     def trial(self, x):
         w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0)
         return (w,), None, limit_energy(w, self.cp, self.grid)
 
     def newton(self, x, ev):
-        return _limit_newton_direction(x[0], self.grid, *ev)
+        return _norm((ev[2],), self.grid), self._directions(x[0], *ev)
+
+    def _directions(self, w, mu, force, _tg, mult, grads):
+        res = _limit_residual(w, force, self.grid)
+        free, _res_norm = _limit_newton_direction(w, self.grid, mu, force, res)
+        if free is not None:
+            yield free
+        kkt = _limit_kkt_direction(w, self.cp, self.grid, mu, res, mult, grads)
+        if kkt is not None:
+            yield kkt
 
     def residual_norm(self, x, at):
         (w,) = x
         _mu, force = _limit_force(w, self.cp, self.p)
-        return float(np.linalg.norm(_limit_residual(w, force, self.grid))), at
+        return _norm((_limit_tangent(w, self.cp, self.grid, force),), self.grid), at
 
 
 # --------------------------------------------------------------- driver
@@ -506,17 +577,19 @@ def _descend(problem, x, opts):
             converged, message = True, "tangent gradient below tolerance"
             break
 
-        # Newton candidate for the free critical equations: the first of the
-        # problem's step lengths whose landed trial keeps the energy
-        # nonincreasing and brings the residual below 0.99 times the largest
-        # of the last residual_window residual norms (with a window above 1,
-        # the nonmonotone rule of Grippo, Lampariello and Lucidi, 1986).  The
-        # energy trace stays monotone, the residual may rise for a few steps,
-        # and late-stage convergence stops scaling with |lambda|.
-        direction, res_norm = problem.newton(x, ev)
-        if direction is not None:
+        # Newton candidates, in the problem's order: for each direction, the
+        # first of the problem's step lengths whose landed trial keeps the
+        # energy nonincreasing and brings the residual below 0.99 times the
+        # largest of the last residual_window residual norms (with a window
+        # above 1, the nonmonotone rule of Grippo, Lampariello and Lucidi,
+        # 1986).  The energy trace stays monotone, the residual may rise for
+        # a few steps, and late-stage convergence stops scaling with |lambda|.
+        res_norm, directions = problem.newton(x, ev)
+        if res_norm is not None:
             recent_res.append(res_norm)
-            trial = _newton_trial(problem, x, direction, value, 0.99 * max(recent_res))
+            ref = 0.99 * max(recent_res)
+            trials = (_newton_trial(problem, x, d, value, ref) for d in directions)
+            trial = next(filter(None, trials), None)
             if trial is not None:
                 x, at, value = trial
                 continue
@@ -624,7 +697,7 @@ def minimize_limit(
     problem = _Limit(cp, grid)
     run = _descend(problem, (w,), opts)
     (w,), _at, value = problem.trial(run.x)
-    tg, _ev = problem.evaluate((w,), None)
+    tg, (_mu, _force, _tg, mult, _grads) = problem.evaluate((w,), None)
     return LimitResult(
         w=w,
         energy=value,
@@ -632,6 +705,7 @@ def minimize_limit(
         iterations=run.iterations,
         converged=run.converged,
         residuals=limit_residuals(w, cp, grid),
+        multipliers=mult,
         energy_trace=np.asarray(run.trace),
         message=run.message,
     )

@@ -12,6 +12,7 @@ from critsep import (
     ModelParams,
     PairState,
     SolveOptions,
+    SweepSchedule,
     build_grid,
     h1_form,
     initial_guess,
@@ -20,6 +21,7 @@ from critsep import (
     minimize_nehari,
     minimize_single,
     sobolev_constant,
+    sweep_lambda,
 )
 from critsep.checks import cosine_series
 from critsep.errors import CollapseError, DegenerateConstraintError
@@ -420,19 +422,95 @@ def test_forced_non_critical_point_is_still_demoted(monkeypatch, offset):
     ],
 )
 def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
-    N, m, n, mu2, max_iters, grad_tol, message
+    monkeypatch, N, m, n, mu2, max_iters, grad_tol, message
 ):
     # the returned w is the final iterate rescaled once more; its reported
-    # tangent norm must be the one at that w, also after a max_iters cut
+    # tangent norm must be the one at that w, also after a max_iters cut and
+    # a stalled line search
+    from critsep import solver
+
     grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
     alpha = 0.5 * grid.params.two_star
     cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=alpha, beta=alpha, lam=-1.0)
     init = initial_guess("bumps", grid)
     opts = SolveOptions(grad_tol=grad_tol, max_iters=max_iters)
+    if message == "line search stalled":
+        # this instance converges since the constrained Newton candidate;
+        # every trial after the fifth fails to land, so the solve stalls
+        attempt, calls = solver._attempt, []
+
+        def failing_attempt(problem, x):
+            calls.append(1)
+            return attempt(problem, x) if len(calls) <= 5 else None
+
+        monkeypatch.setattr(solver, "_attempt", failing_attempt)
     res = minimize_limit(init.u - init.v, cp, grid, opts)
     assert res.message == message
     tg = _limit_tangent(res.w, cp, grid, _limit_force(res.w, cp, grid.params.two_star)[1])
     assert res.grad_norm == math.sqrt(max(h1_form(tg, tg, grid), 0.0))
+
+
+@pytest.mark.parametrize("N, m, n", [(6, 2, 5), (8, 4, 5)])
+def test_minimize_limit_converges_where_the_free_newton_step_stalled(N, m, n):
+    # the free Newton step aims beside the constrained minimizer; with only
+    # it and gradient steps these two solves stopped "line search stalled"
+    # after 19 iterations; the Lagrange-Newton candidate converges in 8 and 7
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
+    alpha = 0.5 * grid.params.two_star
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=alpha, beta=alpha, lam=-1.0)
+    init = initial_guess("bumps", grid)
+    res = minimize_limit(init.u - init.v, cp, grid, SolveOptions(grad_tol=1e-8, max_iters=15))
+    assert res.converged, res.message
+
+
+def test_minimize_limit_converges_at_a_tight_tolerance():
+    # at grad_tol 1e-11 the M = 1024 solve stopped "line search stalled" at
+    # tangent norm 7.4e-11 with the free Newton step alone; now 8 iterations
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=1024))
+    init = initial_guess("bumps", grid)
+    res = minimize_limit(init.u - init.v, CP, grid, SolveOptions(grad_tol=1e-11, max_iters=60))
+    assert res.converged, res.message
+    assert res.grad_norm <= 1e-11
+
+
+def test_minimize_limit_from_a_deep_pair_converges_in_a_few_iterations():
+    # the sweep's limit solve starts from u - v of its last (deep) row; the
+    # constrained Newton step converges quadratically from there (5
+    # iterations here, 11 with the free step alone)
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=256))
+    result = sweep_lambda(SweepSchedule(lambdas=(-1.0, -1e2, -1e4, -1e6)), CP, grid, OPTS)
+    assert [r.status for r in result.records] == ["ok"] * 4
+    assert result.limit_result.converged
+    assert result.limit_result.iterations <= 6
+
+
+def _limit_multipliers(N, m, n, M):
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=M))
+    alpha = 0.5 * grid.params.two_star
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=alpha, beta=alpha, lam=-1.0)
+    init = initial_guess("bumps", grid)
+    res = minimize_limit(init.u - init.v, cp, grid, OPTS)
+    assert res.converged
+    return res.multipliers
+
+
+def test_limit_multipliers_fall_with_the_grid():
+    # the free gradient at the discrete constrained minimizer is
+    # sigma+ dG+ + sigma- dG- with sigma != 0, from the sign-change cell that
+    # couples w+ and w- in the H^1 form; it falls as the grid is refined
+    # (-9.4e-4 / -1.5e-3 at M = 128, -2.5e-4 / -4.0e-4 at M = 512)
+    coarse = _limit_multipliers(4, 2, 3, 128)
+    fine = _limit_multipliers(4, 2, 3, 512)
+    assert all(c < 0.0 and f < 0.0 for c, f in zip(coarse, fine))
+    assert all(abs(f) * 3.0 <= abs(c) for c, f in zip(coarse, fine))
+
+
+def test_limit_multipliers_vanish_for_the_symmetric_instance():
+    # N = 5, m = n = 3, mu1 = mu2: by symmetry w vanishes (to rounding) at
+    # the middle node, so no cell has a positive and a negative end, nothing
+    # couples the parts, and the minimizer is a free critical point
+    sigma = _limit_multipliers(5, 3, 3, 128)
+    assert max(map(abs, sigma)) <= 1e-12
 
 
 def test_solve_energies_agree_with_the_recorded_levels():
@@ -514,6 +592,40 @@ def test_limit_newton_direction_matches_scipy(N, m, n, mu2):
     ab[1] = grid.k_diag - grid.weights * (mu * (p - 1.0) * np.abs(w) ** (p - 2.0))
     assert np.array_equal(direction, scipy_solve_banded((1, 1), ab, -res))
     assert res_norm == float(np.linalg.norm(res))
+
+
+@pytest.mark.parametrize("N, m, n, mu2", [(4, 2, 3, 1.0), (5, 3, 3, 2.5)])
+def test_limit_kkt_direction_solves_the_bordered_system(N, m, n, mu2):
+    # the Lagrange-Newton step against a dense solve of the KKT system
+    # [[H_L, C^T], [C, 0]] (d, z) = (-(dE - sigma . dG), -G), assembled from
+    # the Hessians of E and of the Nehari residuals G+- of w+ and w-, at a
+    # profile off both Nehari sets (G != 0)
+    from critsep.functional import limit_residuals
+    from critsep.solver import _Limit, _limit_kkt_direction
+
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
+    p, q = grid.params.two_star, grid.weights
+    cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=p / 2.0, beta=p / 2.0, lam=-1.0)
+    init = initial_guess("bumps", grid)
+    w = init.u - 0.7 * init.v
+    _state, (mu, force, _tg, sigma, grads) = _Limit(cp, grid).evaluate((w,), None)
+    (d,) = _limit_kkt_direction(w, cp, grid, mu, grid.apply_h1(w) - q * force, sigma, grads)
+
+    K = np.diag(grid.k_diag) + np.diag(grid.k_off, 1) + np.diag(grid.k_off, -1)
+    hess = K - np.diag(q * mu * (p - 1.0) * np.abs(w) ** (p - 2.0))
+    grad = K @ w - q * mu * np.sign(w) * np.abs(w) ** (p - 1.0)
+    rows, G = [], limit_residuals(w, cp, grid)
+    for s, on, mu_i in zip(sigma, (w > 0.0, w < 0.0), (cp.mu1, cp.mu2)):
+        x = np.where(on, w, 0.0)
+        P = np.diag(on.astype(float))
+        rows.append(2.0 * P @ K @ x - q * p * mu_i * np.sign(x) * np.abs(x) ** (p - 1.0))
+        hess -= s * (2.0 * P @ K @ P - np.diag(q * p * (p - 1.0) * mu_i * np.abs(x) ** (p - 2.0)))
+        grad -= s * rows[-1]
+    C = np.array(rows)
+    kkt = np.block([[hess, C.T], [C, np.zeros((2, 2))]])
+    ref = np.linalg.solve(kkt, np.concatenate([-grad, -np.asarray(G)]))[:-2]
+    assert np.allclose(d, ref, rtol=0.0, atol=1e-9 * np.abs(ref).max())
+    assert np.allclose(C @ d, -np.asarray(G), rtol=1e-9)
 
 
 def _nonfinite_start(kind, bad):
