@@ -166,23 +166,50 @@ def test_deep_sweep_converges_to_minus_1e9():
     failed = [(r.lam, r.status) for r in result.records if r.status != "ok"]
     assert failed == []
     assert result.limit_record.status == "ok"
-    # the capped Hermite starts take 103 iterations over the 44 rows; the
-    # Euler step took 164, and the previous row's pair as the start 267
+    # iterations over the 44 rows, by the start of each row after the first:
+    #   previous row's pair 267, Euler step 164, capped cubic 103,
+    #   three-row step 102 (rows after the fifth take 2-3 with both steps)
     assert result.predicted_starts == 43
     assert sum(r.solver_iters for r in result.records) <= 120
 
 
-def test_n5_sweep_converges_within_the_euler_iterations():
-    # N = 5 at alpha = beta = 5/3, where the pair Newton step converges more
-    # slowly than at N = 4: 170 iterations with the Euler step, 106 with
-    # the capped Hermite step, 194 with an uncapped quadratic in ln|lambda|
-    # through the row before
-    params = ModelParams(N=5, m=3, n=3, M=128)
+def _n5_sweep(m, n):
+    """The 12 rows from -1 to -1e4 at N = 5, alpha = beta = 5/3, M = 128."""
+    params = ModelParams(N=5, m=m, n=n, M=128)
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=5.0 / 3.0, beta=5.0 / 3.0, lam=-1.0)
     result = sweep_lambda(geometric_schedule(-1.0, -1e4, 12), cp, build_grid(params), OPTS)
     assert [r.status for r in result.records] == ["ok"] * 12
     assert result.limit_record.status == "ok"
-    assert sum(r.solver_iters for r in result.records) <= 170
+    return [r.solver_iters for r in result.records]
+
+
+def test_n5_sweep_converges_within_the_euler_iterations():
+    # N = 5 at alpha = beta = 5/3, where the pair Newton step converges more
+    # slowly than at N = 4. Iterations over the rows, by the start of each row:
+    #   Euler step 170, uncapped quadratic in ln|lambda| through the row
+    #   before 194, capped cubic 106, three-row step 93
+    assert sum(_n5_sweep(3, 3)) <= 170
+
+
+def test_n5_split_2_4_sweep_takes_no_more_iterations_than_the_capped_cubic():
+    # the same sweep at (m, n) = (2, 4). Iterations a row:
+    #   capped cubic    10 20 17 16 14 13  8 5 5 4 4 4   120
+    #   three-row step  10 20 17 13 11  9 19 5 4 3 3 3   117
+    assert sum(_n5_sweep(2, 4)) <= 120
+
+
+def test_deep_half_decade_rows_take_two_iterations_from_the_sixth_row_on():
+    # the deep-segregation schedule, half-decade steps from -1 to -1e7 with
+    # max_iters 300, at M = 512. Iterations a row:
+    #   capped cubic    6 4 3 3 3 3 3 3 3 3 3 3 3 3 3   49
+    #   three-row step  6 4 3 3 3 2 2 2 2 2 2 2 2 2 2   39
+    # At M = 256 the rows at -3.16e6 and -1e7 take 3 and 5 (cubic 4 and 6):
+    # there the layer, of width about |lambda|^(-1/4), spans a few nodes.
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=512))
+    sched = SweepSchedule(lambdas=tuple(-np.logspace(0.0, 7.0, 15)))
+    result = sweep_lambda(sched, CP, grid, SolveOptions(grad_tol=1e-6, max_iters=300))
+    assert [r.status for r in result.records] == ["ok"] * 15
+    assert max(r.solver_iters for r in result.records[5:]) <= 2
 
 
 def test_sweep_partial_failure_marks_rows():
@@ -297,8 +324,10 @@ def test_predict_start_keeps_zero_nodes_zero():
     pair = minimize_nehari(initial_guess("bumps", GRID), replace(CP, lam=-10.0), GRID, OPTS).pair
     u = pair.u.copy()
     u[40:45] = 0.0
-    guess, slopes = predict_start(PairState(u, pair.v), replace(CP, lam=-10.0), GRID, -12.0)
-    assert np.all(slopes[0][40:45] == 0.0)
+    guess, (lam, logs, slopes) = predict_start(PairState(u, pair.v), replace(CP, lam=-10.0),
+                                               GRID, -12.0)
+    assert lam == -10.0
+    assert np.all(logs[0][40:45] == -np.inf) and np.all(slopes[0][40:45] == 0.0)
     assert np.all(guess.u[40:45] == 0.0)
     assert np.all(guess.u[u > 0.0] > 0.0) and np.all(guess.v > 0.0)
     assert np.isfinite(guess.u).all() and np.isfinite(guess.v).all()
@@ -388,91 +417,163 @@ def test_a_row_whose_prediction_fails_converges_from_the_previous_pair(monkeypat
 
 @pytest.fixture(scope="module")
 def branch():
-    """Three converged rows at -10, -10^1.5, -100 (M = 256): the first two rows'
-    (lambda, pair, slopes), the Euler start of the third and its solve."""
+    """Four converged rows at -10^(1 + k/2), k = 0..3 (M = 256), each solved from
+    the Euler start of the row before: the grid, the lambdas, the pairs and the
+    first three rows' history entries (lambda, ln x, y')."""
     grid = build_grid(ModelParams(N=4, m=2, n=3, M=256))
-    lams = (-10.0, -10.0**1.5, -100.0)
-    start, rows = initial_guess("bumps", grid), []
-    for lam, lam_next in zip(lams, lams[1:]):
+    lams = tuple(-(10.0 ** (1.0 + k / 2.0)) for k in range(4))
+    start, pairs, rows = initial_guess("bumps", grid), [], []
+    for k, lam in enumerate(lams):
         cp = replace(CP, lam=lam)
-        pair = minimize_nehari(start, cp, grid, OPTS).pair
-        start, slopes = predict_start(pair, cp, grid, lam_next)
-        rows.append((lam, pair, slopes))
-    return grid, rows, start, minimize_nehari(start, replace(CP, lam=lams[2]), grid, OPTS)
+        res = minimize_nehari(start, cp, grid, OPTS)
+        assert res.converged
+        pairs.append(res.pair)
+        if k + 1 < len(lams):
+            start, row = predict_start(res.pair, cp, grid, lams[k + 1])
+            rows.append(row)
+    return grid, lams, pairs, rows
 
 
-def _hermite(branch, row0=None):
-    grid, (r0, (lam1, pair1, _)), _euler, _res = branch
-    return predict_start(pair1, replace(CP, lam=lam1), grid, -100.0, row0 or r0)[0]
+def _predict(branch, k, *history):
+    """The start of row k + 1 predicted from row k's pair and the given history."""
+    grid, lams, pairs, _rows = branch
+    return predict_start(pairs[k], replace(CP, lam=lams[k]), grid, lams[k + 1], history)[0]
+
+
+def _wild(row, rng):
+    """A history entry far off the branch: ln x moved by up to +-5 at each node."""
+    lam, logs, slopes = row
+    return lam, tuple(y + rng.uniform(-5.0, 5.0, y.size) for y in logs), slopes
 
 
 def test_hermite_start_is_closer_to_the_converged_pair_than_the_euler_start(branch):
-    grid, _rows, euler, res = branch
-    assert res.converged
+    grid, _lams, pairs, rows = branch
 
     def dist(x):
-        d = [a - b for a, b in zip(x, res.pair)]
+        d = [a - b for a, b in zip(x, pairs[2])]
         return math.sqrt(pair_inner(d, d, grid))
 
     # measured: 0.198 against 0.446
-    assert dist(_hermite(branch)) < 0.6 * dist(euler)
+    assert dist(_predict(branch, 1, rows[0])) < 0.6 * dist(_predict(branch, 1))
 
 
 def test_hermite_correction_is_capped_at_the_euler_term(branch):
     # a row before far off the branch: the part of the exponent beyond the
     # Euler term h y' is clipped to +-|h y'| at each node, and the clip binds
-    grid, (r0, (lam1, pair1, slopes1)), euler, _res = branch
-    rng = np.random.default_rng(0)
-    wild = PairState(*(x * np.exp(rng.uniform(-5.0, 5.0, x.size)) for x in r0[1]))
-    guess = _hermite(branch, (r0[0], wild, r0[2]))
-    h = math.log(-100.0 / lam1)
-    for x, e, g, slope in zip(pair1, euler, guess, slopes1):
+    grid, lams, pairs, rows = branch
+    euler = _predict(branch, 1)
+    guess = _predict(branch, 1, _wild(rows[0], np.random.default_rng(0)))
+    h = math.log(lams[2] / lams[1])
+    for x, e, g, slope in zip(pairs[1], euler, guess, rows[1][2]):
         assert np.all(x > 0.0)
         extra, cap = np.log(g / e), np.abs(h * slope)
         assert np.all(np.abs(extra) <= cap + 1e-12)
         assert np.count_nonzero(np.abs(extra) > cap - 1e-12) > x.size // 2
 
 
+def test_quintic_correction_is_capped_at_the_cubic_term(branch):
+    # an oldest row far off the branch: the part of the exponent beyond the
+    # capped cubic E + C3 is clipped to +-|C3| at each node, and the clip binds
+    _grid, _lams, pairs, rows = branch
+    euler, cubic = _predict(branch, 2), _predict(branch, 2, rows[1])
+    guess = _predict(branch, 2, _wild(rows[0], np.random.default_rng(1)), rows[1])
+    for x, e, c, g in zip(pairs[2], euler, cubic, guess):
+        assert np.all(x > 0.0)
+        extra, cap = np.log(g / c), np.abs(np.log(c / e))
+        assert np.all(np.abs(extra) <= cap + 1e-12)
+        assert np.count_nonzero(np.abs(extra) > cap - 1e-12) > x.size // 2
+
+
+def test_three_row_step_reproduces_a_quintic_in_ln_lambda(monkeypatch):
+    # ln x a quintic in t = ln|lambda| - ln 100 at each node, with the exact
+    # slopes and tangent: the Euler term dominates the cubic's part beyond it,
+    # and that part the quintic's beyond the cubic, so neither clip binds and
+    # the start is the quintic's value, to rounding
+    from critsep import separation
+
+    rng = np.random.default_rng(2)
+    lams, lam_next = (-10.0, -30.0, -100.0), -400.0
+    bounds = ((-2.0, 0.0), (-1.0, -0.5), (0.1, 0.2), (0.0, 0.01), (-2e-3, 2e-3), (-2e-3, 2e-3))
+    coefs = [[rng.uniform(lo, hi, GRID.size) for lo, hi in bounds] for _ in range(2)]
+
+    def at(lam):
+        """(ln u, ln v) and their slopes at lam."""
+        t = math.log(lam / lams[-1])
+        return (tuple(sum(c * t**k for k, c in enumerate(cs)) for cs in coefs),
+                tuple(sum(k * c * t**(k - 1) for k, c in enumerate(cs) if k) for cs in coefs))
+
+    rows = [(lam, *at(lam)) for lam in lams[:2]]
+    y, dy = at(lams[-1])
+    pair = PairState(*map(np.exp, y))
+    monkeypatch.setattr(separation, "pair_tangent",
+                        lambda pair, cp, grid: tuple(x * d / cp.lam for x, d in zip(pair, dy)))
+    guess, row = predict_start(pair, replace(CP, lam=lams[-1]), GRID, lam_next, rows)
+    assert row[0] == lams[-1] and np.allclose(row[2], dy, rtol=1e-13, atol=0.0)
+    for g, y_next in zip(guess, at(lam_next)[0]):
+        assert np.allclose(np.log(g), y_next, rtol=0.0, atol=1e-12)
+
+
 def test_nodes_that_are_zero_in_the_row_before_take_the_euler_step(branch):
-    _grid, (r0, _r1), euler, _res = branch
-    u0 = r0[1].u.copy()
-    u0[100:110] = 0.0
-    guess = _hermite(branch, (r0[0], PairState(u0, r0[1].v), r0[2]))
+    _grid, _lams, _pairs, rows = branch
+    lam0, (y0u, y0v), slopes0 = rows[0]
+    y0u = y0u.copy()
+    y0u[100:110] = -np.inf
+    euler = _predict(branch, 1)
+    guess = _predict(branch, 1, (lam0, (y0u, y0v), slopes0))
     assert np.array_equal(guess.u[100:110], euler.u[100:110])
     assert not np.array_equal(guess.u[:100], euler.u[:100])
-    assert np.array_equal(guess.v, _hermite(branch).v)
+    assert np.array_equal(guess.v, _predict(branch, 1, rows[0]).v)
+
+
+def test_nodes_that_are_zero_only_in_the_oldest_row_take_the_capped_cubic(branch):
+    _grid, _lams, _pairs, rows = branch
+    lam0, (y0u, y0v), slopes0 = rows[0]
+    y0u = y0u.copy()
+    y0u[100:110] = -np.inf
+    cubic = _predict(branch, 2, rows[1])
+    guess = _predict(branch, 2, (lam0, (y0u, y0v), slopes0), rows[1])
+    assert np.array_equal(guess.u[100:110], cubic.u[100:110])
+    assert not np.array_equal(guess.u[:100], cubic.u[:100])
+    assert np.array_equal(guess.v, _predict(branch, 2, *rows[:2]).v)
 
 
 def test_predictions_after_an_unconverged_or_raised_row_use_no_history(monkeypatch):
-    # the solves at lambdas[2] stop after 2 iterations and those at lambdas[4]
-    # raise; each prediction takes the row before only when both converged
+    # the solves at lambdas[3] stop after 1 iteration and those at lambdas[5]
+    # raise; each prediction takes the rows before it only while they
+    # converged, at most two, so the history rebuilds as Euler, then the
+    # cubic, then the three-row step
     from critsep import separation
 
-    lambdas = geometric_schedule(-1.0, -100.0, 8).lambdas
+    lambdas = geometric_schedule(-1.0, -100.0, 10).lambdas
 
     def wrap(solve, init, cp, grid, opts):
-        if cp.lam == lambdas[2]:
-            return solve(init, cp, grid, replace(opts, max_iters=2))
-        if cp.lam == lambdas[4]:
+        if cp.lam == lambdas[3]:
+            return solve(init, cp, grid, replace(opts, max_iters=1))
+        if cp.lam == lambdas[5]:
             raise ConvergenceError("scripted failure")
         return solve(init, cp, grid, opts)
 
     calls = _recording_solves(monkeypatch, wrap)
-    real, prevs = separation.predict_start, []
+    real, prevs, returned = separation.predict_start, [], []
 
-    def recorded(pair, cp, grid, lam_next, prev=None):
+    def recorded(pair, cp, grid, lam_next, prev=()):
         prevs.append((cp.lam, prev))
-        return real(pair, cp, grid, lam_next, prev)
+        out = real(pair, cp, grid, lam_next, prev)
+        returned.append(out[1])
+        return out
 
     monkeypatch.setattr(separation, "predict_start", recorded)
     result = sweep_lambda(SweepSchedule(lambdas=lambdas), CP, GRID, OPTS)
     assert [r.status.split(":")[0] for r in result.records] == [
-        "ok", "ok", "not converged", "ok", "failed", "ok", "ok", "ok",
+        "ok", "ok", "ok", "not converged", "ok", "failed", "ok", "ok", "ok", "ok",
     ]
-    assert [lam for lam, _ in prevs] == [lambdas[k] for k in (0, 1, 3, 5, 6)]
-    assert [None if p is None else p[0] for _, p in prevs] == [
-        None, lambdas[0], None, None, lambdas[5],
+    assert [lam for lam, _ in prevs] == [lambdas[k] for k in (0, 1, 2, 4, 6, 7, 8)]
+    assert [tuple(row[0] for row in p) for _, p in prevs] == [
+        (), (lambdas[0],), (lambdas[0], lambdas[1]), (), (), (lambdas[6],),
+        (lambdas[6], lambdas[7]),
     ]
-    # the history is the converged row's own pair
+    # the history holds the rows earlier calls returned, and a row's ln x is
+    # that of its own converged pair
+    assert prevs[2][1] == (returned[0], returned[1])
     row0 = next(res for start, res in calls if res.converged)
-    assert prevs[1][1][1] is row0.pair
+    assert all(np.array_equal(y, np.log(x)) for y, x in zip(prevs[1][1][0][1], row0.pair))
