@@ -36,6 +36,7 @@ from .geometry import (
     h1_form,
     integrate,
     orbit_weight,
+    prolong,
     sobolev_constant,
     sphere_area,
 )
@@ -61,6 +62,7 @@ from .solver import (
     LimitResult,
     SolveOptions,
     SolveResult,
+    cold_start,
     initial_guess,
     minimize_limit,
     minimize_nehari,

@@ -278,13 +278,17 @@ def _check_plane_identity():
 def _check_refinement():
     cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1.0)
     opts = SolveOptions(grad_tol=1e-8, max_iters=40000)
-    energies = []
+    energies, prev = [], None
     for M in REFINEMENT_LEVELS:
         grid = build_grid(ModelParams(N=4, m=2, n=3, M=M))
-        res = solver.minimize_nehari(initial_guess("bumps", grid), cp, grid, opts)
+        # each level after the first starts from the level before, prolonged
+        start = (initial_guess("bumps", grid) if prev is None else
+                 PairState(*(geometry.prolong(c, prev[1], grid) for c in prev[0])))
+        res = solver.minimize_nehari(start, cp, grid, opts)
         if not res.converged:
             return False, f"solve at M={M} not converged: {res.message}"
         energies.append(res.energy)
+        prev = res.pair, grid
     d1 = abs(energies[0] - energies[1])
     d2 = abs(energies[1] - energies[2])
     if d2 == 0.0:
@@ -309,13 +313,14 @@ def _soft_interface_drift():
     grid = build_grid(ModelParams(N=4, m=2, n=3, M=96))
     opts = SolveOptions(grad_tol=1e-5)
     init = initial_guess("bumps", grid)
-    thetas = []
-    for mu2 in (1.0, 2.0, 4.0):
+    w, thetas = init.u - init.v, []
+    for mu2 in (1.0, 2.0, 4.0):  # each solve after the first starts from the w before
         cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=2.0, beta=2.0, lam=-1.0)
-        res = solver.minimize_limit(init.u - init.v, cp, grid, opts)
+        res = solver.minimize_limit(w, cp, grid, opts)
         if not res.converged:
             return False, f"limit solve at mu2={mu2} not converged: {res.message}"
-        thetas.append(separation.interface_locate(res.w, grid))
+        w = res.w
+        thetas.append(separation.interface_locate(w, grid))
     diffs = np.diff(thetas)
     monotone = bool(np.all(diffs > 0) or np.all(diffs < 0))
     return monotone, f"interface positions {[round(t, 4) for t in thetas]}"

@@ -32,7 +32,7 @@ from .errors import BracketError, DomainError
 from .functional import CouplingParams, PairState, check_exponents
 from .geometry import ModelParams, build_grid, sobolev_constant
 from .separation import SweepSchedule, geometric_schedule, sweep_lambda
-from .solver import (ARMIJO_BACKTRACK, ARMIJO_SLOPE, SOLVE_ERRORS, SolveOptions, initial_guess,
+from .solver import (ARMIJO_BACKTRACK, ARMIJO_SLOPE, SOLVE_ERRORS, SolveOptions, cold_start,
                      minimize_nehari)
 
 ARTIFACT_VERSION = "0.1.0"
@@ -256,7 +256,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     grid = build_grid(cfg.model)
     failure = None
     try:
-        res = minimize_nehari(initial_guess("bumps", grid), cfg.coupling, grid, cfg.solver)
+        start, start_iters = cold_start(cfg.coupling, grid, cfg.solver)
+        res = minimize_nehari(start, cfg.coupling, grid, cfg.solver)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -272,6 +273,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "residual_f": res.residuals.f_val,
             "residual_h": res.residuals.h_val,
             "iterations": res.iterations,
+            "start_iterations": start_iters,
             "converged": res.converged,
             "multipliers": list(res.multipliers),
             "invariants": checks.invariant_flags(res.stats),
@@ -285,7 +287,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         return 4
     print(
         f"energy {res.energy:.10g}  grad {res.grad_norm:.3e}  "
-        f"iters {res.iterations}  converged {res.converged}"
+        f"iters {res.iterations}  start iters {start_iters}  converged {res.converged}"
     )
     return 0 if res.converged else 3
 

@@ -42,6 +42,7 @@ __all__ = [
     "h1_gram",
     "integrate",
     "orbit_weight",
+    "prolong",
     "sobolev_constant",
     "sphere_area",
 ]
@@ -215,6 +216,22 @@ def _check_length(values: np.ndarray, grid: ReducedGrid, name: str) -> np.ndarra
             f"{name} has shape {values.shape}, grid expects ({grid.size},)"
         )
     return values
+
+
+def prolong(values, coarse: ReducedGrid, fine: ReducedGrid) -> np.ndarray:
+    """A profile on coarse, linearly interpolated in theta onto fine.
+
+    Both grids must share (N, m, n); M may differ.  A node of fine that is
+    a node of coarse (every k-th node when fine.M = k coarse.M) takes the
+    coarse value bit for bit, and affine profiles are kept up to rounding.
+    """
+    c, f = coarse.params, fine.params
+    if (c.N, c.m, c.n) != (f.N, f.m, f.n):
+        raise DomainError(
+            f"cannot prolong from (N, m, n) = {(c.N, c.m, c.n)} to {(f.N, f.m, f.n)}"
+        )
+    values = _check_length(values, coarse, "coarse profile")
+    return np.interp(fine.theta, coarse.theta, values)
 
 
 def integrate(values, grid: ReducedGrid) -> float:

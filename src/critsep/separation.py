@@ -27,7 +27,7 @@ from .solver import (
     SOLVE_ERRORS,
     LimitResult,
     SolveOptions,
-    initial_guess,
+    cold_start,
     minimize_limit,
     minimize_nehari,
     pair_tangent,
@@ -343,10 +343,11 @@ def sweep_lambda(
         capped cubic    49   3 a row from the third
         three-row step  39   2 a row from the sixth
 
-    The row's ``solver_iters`` adds the iterations of a discarded solve
-    that returned.  After any other row the next starts from the last pair
-    a solve returned (the initial pair before any did); a row whose solve
-    raised is marked failed.  ``predicted_starts`` counts the rows solved
+    Without ``init`` the first row starts from ``cold_start``.  The row's
+    ``solver_iters`` adds the iterations of a discarded solve that returned,
+    and the first row's those of its cold start.  After any other row the
+    next starts from the last pair a solve returned (the initial pair
+    before any did); a row whose solve raised is marked failed.  ``predicted_starts`` counts the rows solved
     from a prediction, ``predictor_fallbacks`` the rows after a converged
     row solved from its pair.  From the fourth row on, an ok row whose
     overlap exceeds the previous ok row's is marked "ok;overlap-increase".
@@ -354,14 +355,17 @@ def sweep_lambda(
     decreased between ok rows (beyond a relative 1e-6).  The limit
     problem is started from u - v of the final pair.
     """
-    pair = init if init is not None else initial_guess("bumps", grid)
+    if init is None:
+        pair, start_iters = cold_start(replace(cp_base, lam=schedule.lambdas[0]), grid, opts)
+    else:
+        pair, start_iters = init, 0
     records = []
     guess = None  # the predicted start of the next row, if any
     history = ()  # (lambda, ln x, y') of up to two rows before, while rows converge
     predicted = fallbacks = 0
     for k, lam in enumerate(schedule.lambdas):
         cp = replace(cp_base, lam=lam)
-        discarded = 0
+        discarded = start_iters if k == 0 else 0
         for start in (pair,) if guess is None else (guess, pair):
             try:
                 res = minimize_nehari(start, cp, grid, opts)

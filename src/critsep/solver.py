@@ -50,7 +50,7 @@ the 2x2 scaling Hessian determinant.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -83,13 +83,14 @@ from .functional import (
     tangent_gradient_full,
     tangent_part,
 )
-from .geometry import HALF_PI, ReducedGrid
+from .geometry import HALF_PI, ReducedGrid, build_grid, prolong
 
 __all__ = [
     "LimitResult",
     "NehariInvariantStats",
     "SolveOptions",
     "SolveResult",
+    "cold_start",
     "initial_guess",
     "minimize_limit",
     "minimize_nehari",
@@ -104,6 +105,12 @@ NEWTON_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625)  # damped lengths of the pair New
 ARMIJO_SLOPE = 1e-4  # sufficient-decrease fraction of the gradient step
 ARMIJO_BACKTRACK = 0.5  # step factor of each Armijo backtrack
 RESIDUAL_WINDOW = 5  # the Newton residual test compares against this many past norms
+# A cold pair solve on M cells starts from a solve on M // NESTED_FACTOR cells
+# when that grid has at least NESTED_FLOOR cells, stopped at the tangent norm
+# max(grad_tol, NESTED_TOL); on 128 cells the interface layer is not resolved
+NESTED_FACTOR = 16
+NESTED_FLOOR = 256
+NESTED_TOL = 0.1
 # The discrete full gradient u - K^{-1} q f(u) of a critical point is not 0
 # but the rounding of the H^1 solve, which grows with the grid.  Over the
 # single-component solves of every split N = 4..8 (mu 1 and 2.5, bumps and
@@ -730,3 +737,31 @@ def initial_guess(kind: str, grid: ReducedGrid) -> PairState:
     u = _smooth_bump(grid.theta / width)
     v = _smooth_bump((HALF_PI - grid.theta) / width)
     return PairState(u=u, v=v)
+
+
+def cold_start(cp: CouplingParams, grid: ReducedGrid, opts: SolveOptions):
+    """The start of a pair solve at cp on grid without a warm start, and the
+    iterations spent on it.
+
+    Nested iteration, the first step of full multigrid (Brandt, Math. Comp.
+    31, 1977): when M // NESTED_FACTOR >= NESTED_FLOOR, the pair is solved
+    from 'bumps' on that coarse grid to the tangent norm
+    max(grad_tol, NESTED_TOL) and prolonged onto grid.  Otherwise, and when
+    the coarse solve raises or does not converge, the start is 'bumps' on
+    grid.  The iterations are those of the coarse solve (0 when none ran or
+    it raised).  At N = 4, M = 8192 and 15 lambdas around -1, -10 and -1e3
+    the fine solves take 2-3 iterations after 5-7 coarse ones, against 6-14
+    from 'bumps' (132 in all against 136), at the same energies to 3e-15.
+    """
+    coarse_m = grid.params.M // NESTED_FACTOR
+    if coarse_m >= NESTED_FLOOR:
+        coarse = build_grid(replace(grid.params, M=coarse_m))
+        coarse_opts = replace(opts, grad_tol=max(opts.grad_tol, NESTED_TOL))
+        try:
+            res = minimize_nehari(initial_guess("bumps", coarse), cp, coarse, coarse_opts)
+        except SOLVE_ERRORS:
+            return initial_guess("bumps", grid), 0
+        if res.converged:
+            return PairState(*(prolong(c, coarse, grid) for c in res.pair)), res.iterations
+        return initial_guess("bumps", grid), res.iterations
+    return initial_guess("bumps", grid), 0

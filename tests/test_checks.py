@@ -35,6 +35,23 @@ def test_run_checks_full_battery_passes():
     assert [r.name for r in results if not r.passed] == []
 
 
+def test_refinement_levels_start_from_the_level_before(monkeypatch):
+    iterations = []
+    solve = solver.minimize_nehari
+
+    def counted(init, cp, grid, opts):
+        res = solve(init, cp, grid, opts)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(solver, "minimize_nehari", counted)
+    passed, detail = checks._check_refinement()
+    assert passed, detail
+    assert detail.startswith("E(128)=176.28532582 E(256)=176.28764411 E(512)=176.28821812; "
+                             "diff ratio 4.04")
+    assert len(iterations) == 3 and max(iterations[1:]) <= 3
+
+
 def test_refinement_fails_on_unconverged_solves(monkeypatch):
     _cap_iterations(monkeypatch, solver, "minimize_nehari", 3)
     passed, detail = checks._check_refinement()

@@ -119,6 +119,7 @@ def test_cmd_solve_outputs_and_manifest(tmp_path):
     assert len(rows) == 1 + cfg.model.M + 1  # header + M+1 nodes
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+    assert summary["start_iterations"] == 0  # M = 64 starts from bumps
     assert summary["invariants"]["energy_identity_ok"]
     assert summary["invariants"]["lower_bounds_ok"]
     assert summary["invariants"]["det_bound_ok"]
@@ -130,6 +131,15 @@ def test_cmd_solve_outputs_and_manifest(tmp_path):
     assert "profile.csv" in manifest["files"]
     assert "summary.json" in manifest["files"]
     assert config_from_tree(manifest["config"]) == cfg
+
+
+def test_cmd_solve_reports_the_iterations_of_a_nested_start(tmp_path, capsys):
+    assert cmd_solve(tiny_config(tmp_path, M=4096)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["start_iterations"] > 0 and summary["iterations"] <= 3
+    assert (f"iters {summary['iterations']}  start iters {summary['start_iterations']}  "
+            "converged True") in capsys.readouterr().out
 
 
 def test_cmd_solve_rejects_nonnegative_lambda(tmp_path, capsys):

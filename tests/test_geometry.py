@@ -13,6 +13,7 @@ from critsep import (
     h1_form,
     integrate,
     orbit_weight,
+    prolong,
     sobolev_constant,
     sphere_area,
 )
@@ -173,6 +174,42 @@ def test_grid_is_a_read_only_value():
     band[:-1] += grid.k_off * x[1:]
     band[1:] += grid.k_off * x[:-1]
     assert np.allclose(band, grid.apply_h1(x), rtol=1e-13, atol=1e-13 * np.abs(band).max())
+
+
+def _grid(M, N=4, m=2, n=3):
+    return build_grid(ModelParams(N=N, m=m, n=n, M=M))
+
+
+@pytest.mark.parametrize("coarse_m, fine_m", [(64, 200), (64, 1024), (256, 4096), (17, 40)])
+def test_prolong_is_exact_on_affine_profiles(coarse_m, fine_m):
+    coarse, fine = _grid(coarse_m), _grid(fine_m)
+    for a, b in ((1.0, 0.0), (0.0, 1.0), (-2.5, 3.7)):
+        out = prolong(a + b * coarse.theta, coarse, fine)
+        assert np.max(np.abs(out - (a + b * fine.theta))) <= 1e-15 * (abs(a) + 2.0 * abs(b))
+
+
+@pytest.mark.parametrize("M", [63, 64, 512])
+@pytest.mark.parametrize("factor", [2, 16])
+@pytest.mark.parametrize("N, m, n", [(4, 2, 3), (6, 3, 4)])
+def test_prolong_keeps_coincident_nodes_bit_for_bit(M, factor, N, m, n):
+    coarse, fine = _grid(M, N, m, n), _grid(factor * M, N, m, n)
+    assert np.array_equal(fine.theta[::factor], coarse.theta)
+    x = np.random.default_rng(M).normal(size=coarse.size)
+    out = prolong(x, coarse, fine)
+    assert np.array_equal(out[::factor], x)
+    # every other node lies on the chord of its cell
+    i = np.arange(fine.size) // factor
+    left, right = x[np.minimum(i, M - 1)], x[np.minimum(i + 1, M)]
+    assert np.all(out >= np.minimum(left, right)) and np.all(out <= np.maximum(left, right))
+
+
+def test_prolong_rejects_another_split_and_a_wrong_length():
+    coarse = _grid(64)
+    for other in (_grid(128, 4, 3, 2), _grid(128, 5, 3, 3)):
+        with pytest.raises(DomainError, match="cannot prolong"):
+            prolong(np.ones(coarse.size), coarse, other)
+    with pytest.raises(DimensionError, match="coarse profile"):
+        prolong(np.ones(coarse.size + 1), coarse, _grid(128))
 
 
 def test_sobolev_constant_values():

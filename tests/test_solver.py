@@ -14,6 +14,7 @@ from critsep import (
     SolveOptions,
     SweepSchedule,
     build_grid,
+    cold_start,
     h1_form,
     initial_guess,
     interface_locate,
@@ -38,6 +39,7 @@ from critsep.functional import (
     sobolev_lower_bound,
     tangent_gradient_full,
 )
+from critsep import solver
 from critsep.solver import _pair_residual, pair_tangent, solve_banded
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=256)
@@ -525,6 +527,58 @@ def test_solve_energies_agree_with_the_recorded_levels():
         assert minimize_nehari(init, cp, grid, OPTS).energy == pytest.approx(level, rel=1e-12)
     limit = minimize_limit(init.u - init.v, CP, grid, OPTS)
     assert limit.energy == pytest.approx(365.4212356370716, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, level", [(-1.0, 176.2884081726318), (-10.0, 250.80149539812214),
+                                        (-1e3, 325.7002571548947)])
+def test_nested_cold_start_leaves_a_few_fine_iterations(lam, level):
+    # the energies of cold M = 8192 solves from 'bumps' (6, 8 and 13 iterations)
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=8192))
+    cp = dataclasses.replace(CP, lam=lam)
+    start, start_iters = cold_start(cp, grid, OPTS)
+    assert start_iters > 0
+    res = minimize_nehari(start, cp, grid, OPTS)
+    assert res.converged and res.iterations <= 3
+    assert res.energy == pytest.approx(level, rel=1e-12)
+
+
+def _assert_plain_start(start, grid):
+    bumps = initial_guess("bumps", grid)
+    assert np.array_equal(start.u, bumps.u) and np.array_equal(start.v, bumps.v)
+
+
+@pytest.mark.parametrize("M", [512, 2048, 4095])
+def test_cold_start_below_the_floor_is_bumps(M):
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=M))
+    start, start_iters = cold_start(CP, grid, OPTS)
+    _assert_plain_start(start, grid)
+    assert start_iters == 0
+
+
+def test_cold_start_after_a_capped_or_raising_coarse_solve_is_bumps(monkeypatch):
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=4096))
+    start, start_iters = cold_start(CP, grid, dataclasses.replace(OPTS, max_iters=2))
+    _assert_plain_start(start, grid)
+    assert start_iters == 2
+
+    def collapse(init, cp, coarse, opts):
+        assert coarse.params.M == 256 and opts.grad_tol == solver.NESTED_TOL
+        raise CollapseError("component u collapsed")
+
+    monkeypatch.setattr(solver, "minimize_nehari", collapse)
+    start, start_iters = cold_start(CP, grid, OPTS)
+    _assert_plain_start(start, grid)
+    assert start_iters == 0
+
+
+def test_a_sweep_without_a_warm_start_starts_nested():
+    grid = build_grid(ModelParams(N=4, m=2, n=3, M=4096))
+    start, start_iters = cold_start(CP, grid, OPTS)
+    fine = minimize_nehari(start, CP, grid, OPTS)
+    result = sweep_lambda(SweepSchedule(lambdas=(-1.0,)), CP, grid, OPTS)
+    (row,) = result.records
+    assert row.status == "ok" and row.solver_iters == start_iters + fine.iterations
+    assert row.energy == fine.energy
 
 
 def _banded_system(l_and_u, n, seed):
