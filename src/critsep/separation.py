@@ -347,10 +347,11 @@ def sweep_lambda(
     ``solver_iters`` adds the iterations of a discarded solve that returned,
     and the first row's those of its cold start.  After any other row the
     next starts from the last pair a solve returned (the initial pair
-    before any did); a row whose solve raised is marked failed.  ``predicted_starts`` counts the rows solved
-    from a prediction, ``predictor_fallbacks`` the rows after a converged
-    row solved from its pair.  From the fourth row on, an ok row whose
-    overlap exceeds the previous ok row's is marked "ok;overlap-increase".
+    before any did); a row whose solve raised is marked failed.
+    ``predicted_starts`` counts the rows solved from a prediction,
+    ``predictor_fallbacks`` the rows after a converged row solved from its
+    pair.  From the fourth row on, an ok row whose overlap exceeds the
+    previous ok row's is marked "ok;overlap-increase".
     ``monotonicity_ok`` holds when every row converged and no energy
     decreased between ok rows (beyond a relative 1e-6).  The limit
     problem is started from u - v of the final pair.

@@ -10,7 +10,8 @@ this module keeps the driver, the problems, the Newton directions (the
 pair's, and the free and the constrained one of the limit) and the branch
 tangent of the pair (``pair_tangent``), which shares the pair's
 Newton matrix, and that matrix's storage: one work array a pair solve,
-refilled at each Newton step.
+refilled at each Newton step.  It also keeps the starts of a pair solve:
+``initial_guess`` and the nested ``cold_start``, a coarse solve prolonged.
 
 A state is a ``PairState`` or a one-tuple of one component array, and
 ``functional.pair_inner`` is the H^1 inner product of two states.  A problem
@@ -754,14 +755,14 @@ def cold_start(cp: CouplingParams, grid: ReducedGrid, opts: SolveOptions):
     from 'bumps' (132 in all against 136), at the same energies to 3e-15.
     """
     coarse_m = grid.params.M // NESTED_FACTOR
-    if coarse_m >= NESTED_FLOOR:
-        coarse = build_grid(replace(grid.params, M=coarse_m))
-        coarse_opts = replace(opts, grad_tol=max(opts.grad_tol, NESTED_TOL))
-        try:
-            res = minimize_nehari(initial_guess("bumps", coarse), cp, coarse, coarse_opts)
-        except SOLVE_ERRORS:
-            return initial_guess("bumps", grid), 0
-        if res.converged:
-            return PairState(*(prolong(c, coarse, grid) for c in res.pair)), res.iterations
+    if coarse_m < NESTED_FLOOR:
+        return initial_guess("bumps", grid), 0
+    coarse = build_grid(replace(grid.params, M=coarse_m))
+    coarse_opts = replace(opts, grad_tol=max(opts.grad_tol, NESTED_TOL))
+    try:
+        res = minimize_nehari(initial_guess("bumps", coarse), cp, coarse, coarse_opts)
+    except SOLVE_ERRORS:
+        return initial_guess("bumps", grid), 0
+    if not res.converged:
         return initial_guess("bumps", grid), res.iterations
-    return initial_guess("bumps", grid), 0
+    return PairState(*(prolong(c, coarse, grid) for c in res.pair)), res.iterations
