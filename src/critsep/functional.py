@@ -485,17 +485,13 @@ def _limit_residual(w, force, grid):
     return grid.apply_h1(w) - grid.weights * force
 
 
-def _rescale_parts(w, cp, grid, floor_p, floor_m):
-    """w+ and w- each scaled onto its Nehari set; CollapseError when a part is lost."""
+def _rescale_parts(w, cp, grid):
+    """w+ and w- each scaled onto its Nehari set, and the squared H^1 norms of the two
+    scaled parts; CollapseError when a part vanishes."""
     wp, wm = _parts(w)
     s, ap, _bp = _ray(wp, cp.mu1, grid, CollapseError("positive part collapsed"))
     t, am, _bm = _ray(wm, cp.mu2, grid, CollapseError("negative part collapsed"))
-    # the norm floors apply to the rescaled (on-set) parts, not the raw split
-    if s * s * ap < floor_p:
-        raise CollapseError("positive part collapsed")
-    if t * t * am < floor_m:
-        raise CollapseError("negative part collapsed")
-    return s * wp + t * wm
+    return s * wp + t * wm, (s * s * ap, t * t * am)
 
 
 def _limit_constraint_gradients(w, cp, grid):
@@ -520,7 +516,3 @@ def _limit_tangent_full(w, cp, grid, force):
     (tg,), mult = tangent_part((g,), tuple((grid.solve_h1(e),) for e in grads), grid)
     return tg, mult, grads
 
-
-def _limit_tangent(w, cp, grid, force):
-    """Tangential part of the preconditioned limit gradient; ``force`` is ``_limit_force`` at w."""
-    return _limit_tangent_full(w, cp, grid, force)[0]

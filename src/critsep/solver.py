@@ -17,9 +17,9 @@ A state is a ``PairState`` or a one-tuple of one component array, and
 ``functional.pair_inner`` is the H^1 inner product of two states.  A problem
 object lands a state on its constraint set and checks the norm floors
 (``land(x, at, value)`` returns the landed state, what was computed there
-and the energy; the start comes with ``at`` and ``value`` None, and the pair
-and the single component take an accepted trial, handed over with its
-integrals and energy, as it is), evaluates the tangent gradient, i.e. the
+and the energy; the start comes with ``at`` and ``value`` None, and an
+accepted trial, handed over with its integrals or norms and its energy, is
+taken as it is), evaluates the tangent gradient, i.e. the
 H^1-preconditioned energy gradient minus its part along the constraint
 gradients (``evaluate(x, at)``), lands a trial state (``trial(x)``), and
 offers Newton directions in the order they are to be tried, with the
@@ -31,13 +31,13 @@ The limit offers its free Newton direction and then, computed only when
 that is rejected, the Lagrange-Newton (SQP) direction on its two
 constraints; its residual is the H^1 norm of the tangent gradient.  The
 pair's residual test evaluates the pointwise kernel and the nodal residual
-at the trial and adds both to the trial's ``at``, so an accepted Newton
-trial hands them to the next ``evaluate`` and ``newton`` and each landed
-pair is evaluated once (the limit's landing rescales a trial again, so its
-test hands nothing over).  ``_descend`` lands the iterate, stops when the
-tangent gradient is small, tries the Newton candidates and otherwise takes
-a Barzilai-Borwein step, backtracked until the Armijo condition holds for
-the energy of the landed trial, so accepted energies never increase.
+at the trial, the limit's its whole evaluation; each adds it to the trial's
+``at``, so an accepted Newton trial hands it to the next ``evaluate`` and
+``newton`` and each landed state is evaluated once.  ``_descend`` lands the
+iterate, stops when the tangent gradient is small, tries the Newton
+candidates and otherwise takes a Barzilai-Borwein step, backtracked until
+the Armijo condition holds for the energy of the landed trial, so accepted
+energies never increase.
 The pair and single solves also require a small full gradient at
 convergence, which certifies a free critical point (the multiplier solve
 returns ~0); small means below 10 grad_tol or below the rounding floor of
@@ -65,7 +65,6 @@ from .functional import (
     _crit_force,
     _limit_force,
     _limit_residual,
-    _limit_tangent,
     _limit_tangent_full,
     _ray,
     _rescale_parts,
@@ -315,7 +314,7 @@ def _limit_force_slope(w, mu, p):
 
 
 def _limit_newton_direction(w, grid, mu, force, res=None):
-    """Newton direction (a one-component state) for the free limit equation, and the residual norm.
+    """Newton direction (a one-component state) for the free limit equation, or None.
 
     ``mu`` and ``force`` are ``_limit_force`` at w, ``res`` is
     ``_limit_residual`` at w when the caller has it.  The Jacobian is
@@ -329,8 +328,8 @@ def _limit_newton_direction(w, grid, mu, force, res=None):
     *_, sol, info = lapack.dgtsv(grid.k_off, grid.k_diag - grid.weights * dww, grid.k_off, -res,
                                  overwrite_d=1, overwrite_b=1)
     if info != 0 or not np.isfinite(sol).all():
-        return None, math.inf
-    return (sol,), float(np.linalg.norm(res))
+        return None
+    return (sol,)
 
 
 def _limit_kkt_direction(w, cp, grid, mu, res, mult, grads):
@@ -486,25 +485,35 @@ class _Limit:
         self.floor_m = _collapse_floor(cp.mu2, grid.params.N)
 
     def land(self, x, at, value):
-        w = _rescale_parts(x[0], self.cp, self.grid, self.floor_p, self.floor_m)
-        return (w,), None, limit_energy(w, self.cp, self.grid)
+        # an accepted trial arrives rescaled, with at = (the squared H^1 norms
+        # of its parts, the evaluation of its Newton residual test or None)
+        if at is None:
+            x, at, value = self.trial(x)
+        norm_p, norm_m = at[0]
+        if norm_p < self.floor_p:
+            raise CollapseError("positive part collapsed")
+        if norm_m < self.floor_m:
+            raise CollapseError("negative part collapsed")
+        return x, at, value
 
     def evaluate(self, x, at):
-        (w,) = x
-        mu, force = _limit_force(w, self.cp, self.p)
-        tg, mult, grads = _limit_tangent_full(w, self.cp, self.grid, force)
-        return (tg,), (mu, force, tg, mult, grads)
+        ev = at[1]  # handed over by an accepted Newton trial, or None
+        if ev is None:
+            (w,) = x
+            mu, force = _limit_force(w, self.cp, self.p)
+            ev = (mu, force, *_limit_tangent_full(w, self.cp, self.grid, force))
+        return (ev[2],), ev
 
     def trial(self, x):
-        w = _rescale_parts(x[0], self.cp, self.grid, 0.0, 0.0)
-        return (w,), None, limit_energy(w, self.cp, self.grid)
+        w, norms = _rescale_parts(x[0], self.cp, self.grid)
+        return (w,), (norms, None), limit_energy(w, self.cp, self.grid)
 
     def newton(self, x, ev):
         return _norm((ev[2],), self.grid), self._directions(x[0], *ev)
 
     def _directions(self, w, mu, force, _tg, mult, grads):
         res = _limit_residual(w, force, self.grid)
-        free, _res_norm = _limit_newton_direction(w, self.grid, mu, force, res)
+        free = _limit_newton_direction(w, self.grid, mu, force, res)
         if free is not None:
             yield free
         kkt = _limit_kkt_direction(w, self.cp, self.grid, mu, res, mult, grads)
@@ -512,9 +521,8 @@ class _Limit:
             yield kkt
 
     def residual_norm(self, x, at):
-        (w,) = x
-        _mu, force = _limit_force(w, self.cp, self.p)
-        return _norm((_limit_tangent(w, self.cp, self.grid, force),), self.grid), at
+        tg, ev = self.evaluate(x, (at[0], None))
+        return _norm(tg, self.grid), (at[0], ev)
 
 
 # --------------------------------------------------------------- driver
@@ -697,19 +705,18 @@ def minimize_limit(
 ) -> LimitResult:
     """Minimize the sign-changing limit energy over profiles whose positive
     and negative parts each sit on their own Nehari set.  The returned w is
-    the final iterate rescaled once more; its tangent norm is taken there.
+    the final iterate; its tangent norm is taken there.
     Dependent constraint gradients raise DegenerateConstraintError."""
     w = np.asarray(w_init, dtype=float)
     if np.max(w) <= 0.0 or np.min(w) >= 0.0:
         raise DegenerateInputError("limit solve needs a sign-changing start")
-    problem = _Limit(cp, grid)
-    run = _descend(problem, (w,), opts)
-    (w,), _at, value = problem.trial(run.x)
-    tg, (_mu, _force, _tg, mult, _grads) = problem.evaluate((w,), None)
+    run = _descend(_Limit(cp, grid), (w,), opts)
+    (w,) = run.x
+    _mu, _force, _tg, mult, _grads = run.ev
     return LimitResult(
         w=w,
-        energy=value,
-        grad_norm=_norm(tg, grid),
+        energy=run.energy,
+        grad_norm=run.grad_norm,
         iterations=run.iterations,
         converged=run.converged,
         residuals=limit_residuals(w, cp, grid),

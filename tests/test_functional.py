@@ -565,9 +565,9 @@ def _check_limit_and_single_tangents(pair, cp, grid):
         ref_tg, grads = reference_limit_tangent(w, cp, grid)
     except DegenerateConstraintError:
         with pytest.raises(DegenerateConstraintError):
-            _Limit(cp, grid).evaluate((w,), None)
+            _Limit(cp, grid).evaluate((w,), (None, None))
     else:
-        (tg,), _ev = _Limit(cp, grid).evaluate((w,), None)
+        (tg,), _ev = _Limit(cp, grid).evaluate((w,), (None, None))
         assert np.array_equal(tg, ref_tg)
         _assert_h1_orthogonal(tg, grads, grid)
     for u in (pair.u, pair.v):

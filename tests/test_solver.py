@@ -29,9 +29,10 @@ from critsep.errors import CollapseError, DegenerateConstraintError
 from critsep.functional import (
     PairForces,
     _limit_force,
-    _limit_tangent,
+    _limit_tangent_full,
     _rescale_parts,
     energy_from_integrals,
+    limit_energy,
     pair_forces,
     pair_inner,
     pair_integrals,
@@ -252,16 +253,21 @@ def test_rescale_parts_collapse_detection():
     init = initial_guess("bumps", GRID)
     w = init.u - init.v
     positive = np.where(w > 0, w, 0.0)
-    # an absurdly high floor trips the guard of its part; both zero checks
-    # come before either floor, so a zero negative part is named first
+    # a zero part raises from the rescaling itself
+    with pytest.raises(CollapseError, match="^negative part collapsed$"):
+        _rescale_parts(positive, CP, GRID)
+    # an absurdly high floor trips the guard of its part when the start
+    # lands; both zero checks come before either floor, so a zero negative
+    # part is named first
     for x, floor_p, floor_m, part in [
         (w, 1e12, 0.0, "positive"),
         (w, 0.0, 1e12, "negative"),
-        (positive, 0.0, 0.0, "negative"),
         (positive, 1e12, 0.0, "negative"),
     ]:
+        problem = solver._Limit(CP, GRID)
+        problem.floor_p, problem.floor_m = floor_p, floor_m
         with pytest.raises(CollapseError, match=f"^{part} part collapsed$"):
-            _rescale_parts(x, CP, GRID, floor_p, floor_m)
+            problem.land((x,), None, None)
 
 
 @pytest.mark.parametrize(
@@ -426,9 +432,8 @@ def test_forced_non_critical_point_is_still_demoted(monkeypatch, offset):
 def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
     monkeypatch, N, m, n, mu2, max_iters, grad_tol, message
 ):
-    # the returned w is the final iterate rescaled once more; its reported
-    # tangent norm must be the one at that w, also after a max_iters cut and
-    # a stalled line search
+    # the returned w is the final iterate; its reported tangent norm must be
+    # the one at that w, also after a max_iters cut and a stalled line search
     from critsep import solver
 
     grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
@@ -448,8 +453,69 @@ def test_minimize_limit_reports_the_gradient_of_the_returned_profile(
         monkeypatch.setattr(solver, "_attempt", failing_attempt)
     res = minimize_limit(init.u - init.v, cp, grid, opts)
     assert res.message == message
-    tg = _limit_tangent(res.w, cp, grid, _limit_force(res.w, cp, grid.params.two_star)[1])
+    tg = _limit_tangent_full(res.w, cp, grid, _limit_force(res.w, cp, grid.params.two_star)[1])[0]
     assert res.grad_norm == math.sqrt(max(h1_form(tg, tg, grid), 0.0))
+
+
+@pytest.mark.parametrize(
+    "N, m, n, max_iters, grad_tol",
+    [(4, 2, 3, 20000, 1e-6), (4, 2, 3, 3, 1e-6), (6, 2, 5, 20000, 1e-8)],
+)
+def test_minimize_limit_evaluates_each_landed_iterate_once(monkeypatch, N, m, n, max_iters, grad_tol):
+    # the tangent gradient is computed once per evaluation and once per
+    # residual test, except at an iterate an accepted Newton trial brought
+    # along; at N = 6, (2, 5) an accepted trial is a Lagrange-Newton step
+    calls = {"tangent": 0, "residual": 0, "accepted": 0, "kkt": 0}
+    kkt_directions = []
+    tangent, residual_norm = solver._limit_tangent_full, solver._Limit.residual_norm
+    kkt, newton_trial = solver._limit_kkt_direction, solver._newton_trial
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recording_kkt(*args):
+        direction = kkt(*args)
+        kkt_directions.append(direction)
+        return direction
+
+    def counting_trial(problem, x, direction, value, res_ref):
+        trial = newton_trial(problem, x, direction, value, res_ref)
+        if trial is not None:
+            calls["accepted"] += 1
+            calls["kkt"] += any(direction is d for d in kkt_directions)
+        return trial
+
+    monkeypatch.setattr(solver, "_limit_tangent_full", counted("tangent", tangent))
+    monkeypatch.setattr(solver._Limit, "residual_norm", counted("residual", residual_norm))
+    monkeypatch.setattr(solver, "_limit_kkt_direction", recording_kkt)
+    monkeypatch.setattr(solver, "_newton_trial", counting_trial)
+    grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
+    alpha = 0.5 * grid.params.two_star
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=alpha, beta=alpha, lam=-1.0)
+    init = initial_guess("bumps", grid)
+    res = minimize_limit(init.u - init.v, cp, grid, SolveOptions(grad_tol=grad_tol, max_iters=max_iters))
+    assert res.converged == (max_iters > res.iterations)
+    assert calls["accepted"] > 0 and (N != 6 or calls["kkt"] > 0)
+    evaluations = res.iterations + (res.message == "max_iters exceeded")
+    assert calls["tangent"] == evaluations + calls["residual"] - calls["accepted"]
+
+
+@pytest.mark.parametrize("max_iters", [20000, 3])
+def test_minimize_limit_returns_its_last_iterate(max_iters):
+    # the energy and the multipliers are those of the returned w, bit for
+    # bit, also after a max_iters cut; a converged solve ends at its last
+    # landed iterate
+    init = initial_guess("bumps", GRID)
+    res = minimize_limit(init.u - init.v, CP, GRID, SolveOptions(grad_tol=1e-6, max_iters=max_iters))
+    assert res.converged == (max_iters == 20000)
+    assert res.energy == limit_energy(res.w, CP, GRID)
+    if res.converged:
+        assert res.energy == res.energy_trace[-1]
+    _tg, (_mu, _force, _tg_ev, mult, _grads) = solver._Limit(CP, GRID).evaluate((res.w,), (None, None))
+    assert res.multipliers == mult
 
 
 @pytest.mark.parametrize("N, m, n", [(6, 2, 5), (8, 4, 5)])
@@ -639,13 +705,12 @@ def test_limit_newton_direction_matches_scipy(N, m, n, mu2):
     init = initial_guess("bumps", grid)
     w = init.u - 0.7 * init.v
     mu, force = _limit_force(w, cp, p)
-    (direction,), res_norm = _limit_newton_direction(w, grid, mu, force)
+    (direction,) = _limit_newton_direction(w, grid, mu, force)
     res = _limit_residual(w, force, grid)
     ab = np.zeros((3, grid.size))
     ab[0, 1:] = ab[2, :-1] = grid.k_off
     ab[1] = grid.k_diag - grid.weights * (mu * (p - 1.0) * np.abs(w) ** (p - 2.0))
     assert np.array_equal(direction, scipy_solve_banded((1, 1), ab, -res))
-    assert res_norm == float(np.linalg.norm(res))
 
 
 @pytest.mark.parametrize("N, m, n, mu2", [(4, 2, 3, 1.0), (5, 3, 3, 2.5)])
@@ -662,7 +727,7 @@ def test_limit_kkt_direction_solves_the_bordered_system(N, m, n, mu2):
     cp = CouplingParams(mu1=1.0, mu2=mu2, alpha=p / 2.0, beta=p / 2.0, lam=-1.0)
     init = initial_guess("bumps", grid)
     w = init.u - 0.7 * init.v
-    _state, (mu, force, _tg, sigma, grads) = _Limit(cp, grid).evaluate((w,), None)
+    _state, (mu, force, _tg, sigma, grads) = _Limit(cp, grid).evaluate((w,), (None, None))
     (d,) = _limit_kkt_direction(w, cp, grid, mu, grid.apply_h1(w) - q * force, sigma, grads)
 
     K = np.diag(grid.k_diag) + np.diag(grid.k_off, 1) + np.diag(grid.k_off, -1)
