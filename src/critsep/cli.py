@@ -14,12 +14,15 @@ Config files are JSON trees whose numeric leaves are decimal strings (so
 emitted configs re-parse to identical values); an unknown key is an error, and
 the retired `solver.positivity_enforced` also reads a JSON true.  Data files
 are deterministic for a fixed config; only the manifest carries timestamps.
+Warnings of the library (a sweep row that failed, say) go to stderr as
+`critsep: WARNING: <logger>: <message>`.
 """
 
 import argparse
 import functools
 import hashlib
 import json
+import logging
 import os
 import sys
 import time
@@ -404,7 +407,28 @@ def cmd_verify(include_soft=True) -> int:
 # ------------------------------------------------------------------ main
 
 
-def main(argv=None) -> int:
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler on whatever ``sys.stderr`` is when a record arrives."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _configure_logging():
+    """One formatted stderr handler on the ``critsep`` logger; records still propagate."""
+    logger = logging.getLogger("critsep")
+    if not logger.handlers:
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("critsep: %(levelname)s: %(name)s: %(message)s"))
+        logger.addHandler(handler)
+
+
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="critsep",
         description="Symmetry-reduced solver for a competitive critical system",
@@ -434,8 +458,12 @@ def main(argv=None) -> int:
 
     p_sob = sub.add_parser("sobolev", help="print the embedding constant")
     p_sob.add_argument("--dim", type=int, default=4)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    _configure_logging()
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return cmd_verify(include_soft=not args.skip_soft)
     try:

@@ -25,11 +25,14 @@ form blind to nothing: nodal centered differences would assign zero energy
 to the +-1 checkerboard mode and corrupt constrained minimization.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import DimensionError, DomainError
 
@@ -48,6 +51,31 @@ __all__ = [
 ]
 
 HALF_PI = 0.5 * np.pi
+
+
+def _load_flapack():
+    """SciPy's f2py LAPACK extension, loaded from its file.
+
+    ``scipy.linalg.lapack`` re-exports the routines of
+    ``scipy.linalg._flapack`` unchanged, but importing it runs
+    ``scipy/linalg/__init__.py``, which costs more than the rest of
+    critsep's imports together.  The extension itself loads in milliseconds
+    and hands out the very routine objects ``scipy.linalg.lapack`` holds.
+    """
+    name = "scipy.linalg._flapack"
+    finder = importlib.machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"SciPy's LAPACK extension {name} not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()  # pttrf / pttrs here, gbsv / gtsv in solver
 
 
 def sphere_area(k: int) -> float:

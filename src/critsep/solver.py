@@ -9,9 +9,10 @@ and negative parts sit on their own Nehari sets (``_Limit``,
 this module keeps the driver, the problems, the Newton directions (the
 pair's, and the free and the constrained one of the limit) and the branch
 tangent of the pair (``pair_tangent``), which shares the pair's
-Newton matrix, and that matrix's storage: one work array a pair solve,
-refilled at each Newton step.  It also keeps the starts of a pair solve:
-``initial_guess`` and the nested ``cold_start``, a coarse solve prolonged.
+Newton matrix, and that matrix's storage: one work array a grid size,
+refilled at each Newton step and each tangent.  It also keeps the starts of
+a pair solve: ``initial_guess`` and the nested ``cold_start``, a coarse
+solve prolonged.
 
 A state is a ``PairState`` or a one-tuple of one component array, and
 ``functional.pair_inner`` is the H^1 inner product of two states.  A problem
@@ -49,12 +50,12 @@ E = (a1+a2)/N, the per-component norm floors, and the positivity margin of
 the 2x2 scaling Hessian determinant.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import (CollapseError, ConvergenceError, DegenerateConstraintError,
                      DegenerateInputError, DomainError)
@@ -83,7 +84,7 @@ from .functional import (
     tangent_gradient_full,
     tangent_part,
 )
-from .geometry import HALF_PI, ReducedGrid, build_grid, prolong
+from .geometry import HALF_PI, ReducedGrid, build_grid, lapack, prolong
 
 __all__ = [
     "LimitResult",
@@ -234,7 +235,19 @@ def _pair_residual(u, v, f, grid):
     return grid.apply_h1(u) - q * f.force_u, grid.apply_h1(v) - q * f.force_v
 
 
-def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v, ab):
+@functools.lru_cache(maxsize=2)  # the coarse and the fine grid of a nested start
+def _pair_band(size):
+    """The (7, 2 * size) Fortran-order work array of the pair Newton matrix.
+
+    One array a grid size, shared by every pair solve and tangent on grids
+    of that size: each use overwrites it whole, and no two run at once.
+    Allocating it afresh each time would map and fault in new pages
+    (229 KB at M = 2048) on every pair solve.
+    """
+    return np.empty((7, 2 * size), order="F")
+
+
+def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
     """Solve J (du, dv) = (rhs_u, rhs_v) for the Jacobian J of the free critical equations.
 
     J is the derivative of (K u - q f_u, K v - q f_v) in (u, v), a
@@ -243,8 +256,8 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v, ab):
     the solution is not finite.  ``f`` is the pointwise kernel
     ``pair_forces`` at (u, v): the forces and the first-derivative powers are
     read from it, and only the second derivatives of the powers are computed
-    here.  J is written into ``ab``, the (7, 2 * size) Fortran-order work
-    array of ``solve_banded``, which the solve overwrites with its LU factor.
+    here.  J is written into the work array of the grid's size
+    (``_pair_band``), which ``solve_banded`` overwrites with its LU factor.
     """
     p = grid.params.two_star
     q = grid.weights
@@ -254,6 +267,7 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v, ab):
     duv = lam * al * be * f.sign_u * f.sign_v * f.u_am1 * f.v_bm1
     # rows 2..6 of the gbsv layout hold the five bands, 0 and 1 the LU fill;
     # u_i couples to u_(i+1), and v_i to v_(i+1), two places off the diagonal
+    ab = _pair_band(grid.size)
     ab.fill(0.0)
     ab[2, 2::2] = ab[2, 3::2] = grid.k_off
     ab[6, 0:-2:2] = ab[6, 1:-2:2] = grid.k_off
@@ -272,7 +286,7 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v, ab):
     return sol[0::2], sol[1::2]
 
 
-def _pair_newton_direction(u, v, cp, grid, f, ab, res=None):
+def _pair_newton_direction(u, v, cp, grid, f, res=None):
     """Newton direction for the free critical equations of the pair.
 
     Used as an accelerator once the descent is in the right basin: the
@@ -282,12 +296,11 @@ def _pair_newton_direction(u, v, cp, grid, f, ab, res=None):
     the thin interface layer of strong coupling the full step overshoots.
     Returns the direction and the residual norm at (u, v).
 
-    ``f`` is ``pair_forces`` at (u, v), ``ab`` the work array of
-    ``_pair_jacobian_solve``, ``res`` ``_pair_residual`` at (u, v) when the
-    caller has it.
+    ``f`` is ``pair_forces`` at (u, v), ``res`` ``_pair_residual`` at
+    (u, v) when the caller has it.
     """
     res_u, res_v = res if res is not None else _pair_residual(u, v, f, grid)
-    direction = _pair_jacobian_solve(cp, grid, f, -res_u, -res_v, ab)
+    direction = _pair_jacobian_solve(cp, grid, f, -res_u, -res_v)
     if direction is None:
         return None, math.inf
     return direction, math.hypot(np.linalg.norm(res_u), np.linalg.norm(res_v))
@@ -304,8 +317,7 @@ def pair_tangent(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
     """
     f = pair_forces(pair, cp, grid)
     q = grid.weights
-    ab = np.empty((7, 2 * grid.size), order="F")
-    return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v, ab)
+    return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v)
 
 
 def _limit_force_slope(w, mu, p):
@@ -389,7 +401,6 @@ class _Pair:
         self.floor_u = _collapse_floor(cp.mu1, grid.params.N)
         self.floor_v = _collapse_floor(cp.mu2, grid.params.N)
         self.stats = NehariInvariantStats()
-        self.band = np.empty((7, 2 * grid.size), order="F")  # the Newton matrix of each step
 
     def land(self, x, at, value):
         # an accepted trial arrives projected, with at = (integrals, kernel,
@@ -419,7 +430,7 @@ class _Pair:
         return pair, (ints, None, None), value
 
     def newton(self, x, ev):
-        direction, res_norm = _pair_newton_direction(*x, self.cp, self.grid, ev[0], self.band, ev[1])
+        direction, res_norm = _pair_newton_direction(*x, self.cp, self.grid, ev[0], ev[1])
         return (None, ()) if direction is None else (res_norm, (direction,))
 
     def residual_norm(self, x, at):

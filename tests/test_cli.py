@@ -408,6 +408,20 @@ def test_main_sobolev_smoke(capsys):
     assert "S(4)" in capsys.readouterr().out
 
 
+def test_main_writes_library_warnings_formatted_to_stderr(tmp_path, capsys, caplog):
+    # one row, cut at max_iters 1: the sweep warns that it did not converge
+    cfg = tiny_config(tmp_path / "sweep", lambdas=(-1.0,))
+    save_config(replace(cfg, solver=SolveOptions(grad_tol=1e-6, max_iters=1)), tmp_path / "cfg.json")
+    argv = ["sweep", "--config", str(tmp_path / "cfg.json")]
+    line = ("critsep: WARNING: critsep.separation: 1 of 1 rows did not converge; "
+            "energy monotonicity not established\n")
+    for _ in range(2):  # a second in-process run must not stack a second handler
+        assert main(argv) == 5
+        assert capsys.readouterr().err.count(line) == 1
+    # the records still propagate to the root logger
+    assert caplog.text.count("1 of 1 rows did not converge") == 2
+
+
 def test_main_sobolev_reports_a_dimension_below_three(capsys):
     assert main(["sobolev", "--dim", "2"]) == 2
     err = capsys.readouterr().err
