@@ -408,10 +408,15 @@ def cmd_verify(include_soft=True) -> int:
 
 
 class _StderrHandler(logging.StreamHandler):
-    """A stream handler on whatever ``sys.stderr`` is when a record arrives."""
+    """A stream handler on whatever ``sys.stderr`` is when a record arrives.
+
+    The handler outlives the ``main`` call that attached it, so it must not
+    keep the stream of that call: a later call may run with stderr
+    redirected or captured.
+    """
 
     def __init__(self):
-        logging.Handler.__init__(self)
+        logging.Handler.__init__(self)  # StreamHandler's would assign the stream
 
     @property
     def stream(self):

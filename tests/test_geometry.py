@@ -238,26 +238,24 @@ def test_sobolev_dual_formulas_agree(N):
     assert s ** (N / 2.0) / kappa ** (N / 2.0) == pytest.approx(sphere_area(N), rel=1e-12)
 
 
-_LAPACK_ROUTINES = ("dgbsv", "dgtsv", "dpttrf", "dpttrs")
-
-
 @pytest.mark.parametrize("first", ["critsep.cli", "scipy.linalg"])
 def test_lapack_routines_load_without_scipy_linalg(first):
     # geometry loads SciPy's f2py LAPACK extension from its file, so the CLI
     # never runs scipy/linalg/__init__.py; the routines must still be the
     # objects scipy.linalg.lapack hands out, in either import order
+    skipped = ("scipy.linalg", "numpy.f2py") if first == "critsep.cli" else ()
     code = f"""
 import sys
 import {first}
-if {first!r} == "critsep.cli":
-    assert "scipy.linalg" not in sys.modules, "scipy.linalg imported"
-    assert "numpy.f2py" not in sys.modules, "numpy.f2py imported"
+loaded = [m for m in {skipped!r} if m in sys.modules]
+assert not loaded, loaded
 from critsep import geometry
 from scipy.linalg import lapack
-for name in {_LAPACK_ROUTINES!r}:
+for name in ("dgbsv", "dgtsv", "dpttrf", "dpttrs"):
     assert getattr(geometry.lapack, name) is getattr(lapack, name), name
 """
     src = os.path.dirname(os.path.dirname(critsep.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
