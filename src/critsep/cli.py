@@ -256,14 +256,13 @@ def _load_profile_pair(path, grid):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    """Solve the pair at the config's coupling; raises DomainError before any
+    output when the config is outside the solver's domain."""
     grid = build_grid(cfg.model)
     failure = None
     try:
         start, start_iters = cold_start(cfg.coupling, grid, cfg.solver)
         res = minimize_nehari(start, cfg.coupling, grid, cfg.solver)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SOLVE_ERRORS as exc:
         failure = exc
         files = {"summary.json": _json_text(
@@ -319,17 +318,14 @@ def _sweep_rows(records, limit_record) -> list:
 
 
 def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
+    """Sweep the config's schedule; raises DomainError before any output when the
+    exponents are outside the domain or the warm start of a resume does not fit."""
     grid = build_grid(cfg.model)
     warm_name = "warmstart_profile.csv"
     warm_path = os.path.join(cfg.out_dir, warm_name)
-    try:
-        check_exponents(cfg.coupling, cfg.model.N)
-        resumed = resume and os.path.exists(warm_path)
-        init = _load_profile_pair(warm_path, grid) if resumed else None
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    check_exponents(cfg.coupling, cfg.model.N)
+    resumed = resume and os.path.exists(warm_path)
+    init = _load_profile_pair(warm_path, grid) if resumed else None
     os.makedirs(cfg.out_dir, exist_ok=True)  # an unwritable --out fails before the sweep
     result = sweep_lambda(cfg.sweep, cfg.coupling, grid, cfg.solver, init=init)
     rows = _sweep_rows(result.records, result.limit_record)
@@ -361,14 +357,13 @@ def cmd_sweep(cfg: RunConfig, resume: bool = False) -> int:
 
 
 def cmd_sync_threshold(cfg: RunConfig, width: float = 1e-6) -> int:
+    """Bracket the synchronized threshold; raises DomainError before any output when
+    the coefficients are outside its domain."""
     c = cfg.coupling
     try:
         bracket = scalar.sync_threshold(
             c.mu1, c.mu2, c.alpha, c.beta, cfg.model.N, width=width
         )
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BracketError as exc:
         print(f"threshold search failed: {exc}", file=sys.stderr)
         return 6

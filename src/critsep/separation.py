@@ -241,13 +241,13 @@ def _hermite_weights(nodes, h):
     return a, b
 
 
-def _hermite_step(weights, rows, i, y, dy):
-    """The Hermite extrapolation of component i minus y, from the earlier rows and the
-    slope dy at this row (its value term, a_j (y - y), is 0)."""
+def _hermite_step(weights, rows, y, dy):
+    """The Hermite extrapolation minus y, from the earlier rows and the slope dy at this
+    row (its value term, a_j (y - y), is 0)."""
     a, b = weights
     step = b[-1] * dy
     for aj, bj, (_, yj, dyj) in zip(a, b, rows):
-        step = step + aj * (yj[i] - y) + bj * dyj[i]
+        step = step + aj * (yj - y) + bj * dyj
     return step
 
 
@@ -259,63 +259,48 @@ def predict_start(pair: PairState, cp: CouplingParams, grid: ReducedGrid, lam_ne
     x > 0; nodes where x = 0 stay 0.  In the segregated regime each
     component decays exponentially, so ln x is close to polynomial in
     ln|lambda| where x itself is not.  The slope y' = lambda x'/x comes from
-    the branch tangent x' = dx/dlambda of ``pair_tangent``, and the Euler
-    step with h = ln(lam_next/lambda) takes x to x exp(E), E = h y'.
+    the branch tangent x' = dx/dlambda of ``pair_tangent``, and the start is
+    x exp(z), h = ln(lam_next/lambda).
 
     ``prev`` holds up to two earlier converged rows, oldest first, each
-    (lambda, ln x, y') as this function returns it.  With one, the exponent
-    is E + C3: C3 is the cubic Hermite extrapolation H3 through (y, y') at
-    both rows, minus y + E, clipped at each node to +-|E|.  With two, it is
-    E + C3 + clip(H5 - y - E - C3, +-|C3|), where H5 is the quintic Hermite
-    extrapolation through (y, y') at all three rows, so the quintic can at
-    most double or cancel C3.  Nodes where x = 0 in the oldest row take
-    E + C3, and nodes where x = 0 in the row before take E.  The Hermite
-    weights are scalars, computed once per call.  Without the clip at
-    +-|C3| (with the step beyond E at most +-2|E|) a 25-row N = 5 sweep
-    lost more than it gained.  Iterations over the rows of ``sweep_lambda``
-    at alpha = beta = 5/3, 25 rows from -1 to -1e6, M = 512:
-
-        (m, n)   Euler   capped cubic   three-row   +-2|E| only
-        (3, 3)    333        202           191          194
-        (2, 4)    356        223           208          310
+    (lambda, ln x, y') as this function returns it.  The exponent z is
+    built level by level: level j is the Hermite extrapolation through
+    (y, y') at this row and the last j rows of ``prev``, minus y and the
+    levels before it, clipped at each node to the size of the previous
+    level's correction, and taken only at nodes where x > 0 in every row it
+    uses.  Level 0 has one node, so it is the Euler term h y'; the cubic can
+    at most double or cancel it, and the quintic the cubic's correction.
+    The Hermite weights are scalars, computed once per level.
 
     Returns (start, row), where row = (lambda, ln x, y') is this row's entry
-    for the next call's ``prev`` (ln x is -inf and y' is 0 where x = 0);
-    (None, None) when the tangent solve fails or the prediction is not
-    finite.
+    for the next call's ``prev``, with (2, size) arrays (ln x is -inf and y'
+    is 0 where x = 0); (None, None) when the tangent solve fails or the
+    prediction is not finite.
     """
     tangent = pair_tangent(pair, cp, grid)
     if tangent is None:
         return None, None
     h = math.log(lam_next / cp.lam)
     nodes = [math.log(lam / cp.lam) for lam, _, _ in prev] + [0.0]
-    w3 = _hermite_weights(nodes[-2:], h) if prev else None
-    w5 = _hermite_weights(nodes, h) if len(prev) == 2 else None
-    out, logs, slopes = [], [], []
+    rows = [(lam, np.asarray(y), np.asarray(dy)) for lam, y, dy in prev]
+    x, dx = np.array(pair, dtype=float), np.array(tangent)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, (x, dx) in enumerate(zip(pair, tangent)):
-            x = np.asarray(x, dtype=float)
-            y = np.log(x)
-            live = x > 0.0
-            dy = np.zeros_like(x)
-            dy[live] = cp.lam * dx[live] / x[live]
-            z = e = h * dy
-            if w3 is not None:
-                live &= prev[-1][1][i] > -np.inf
-                c3 = np.where(live, np.clip(_hermite_step(w3, prev[-1:], i, y, dy) - e,
-                                            -np.abs(e), np.abs(e)), 0.0)
-                z = e + c3
-            if w5 is not None:
-                live &= prev[0][1][i] > -np.inf
-                z = z + np.where(live, np.clip(_hermite_step(w5, prev, i, y, dy) - z,
-                                               -np.abs(c3), np.abs(c3)), 0.0)
-            x_next = x * np.exp(z)
-            if not np.isfinite(x_next).all():
-                return None, None
-            out.append(x_next)
-            logs.append(y)
-            slopes.append(dy)
-    return PairState(*out), (cp.lam, tuple(logs), tuple(slopes))
+        y = np.log(x)
+        live = x > 0.0
+        dy = np.zeros_like(x)
+        dy[live] = cp.lam * dx[live] / x[live]
+        z = np.zeros_like(x)
+        bound = np.inf  # the size of the previous level's correction
+        for j in range(len(rows) + 1):
+            if j:
+                live &= rows[-j][1] > -np.inf
+            step = _hermite_step(_hermite_weights(nodes[-j - 1:], h), rows[len(rows) - j:], y, dy)
+            corr = np.where(live, np.clip(step - z, -bound, bound), 0.0)
+            z, bound = z + corr, np.abs(corr)
+        x_next = x * np.exp(z)
+    if not np.isfinite(x_next).all():
+        return None, None
+    return PairState(*x_next), (cp.lam, y, dy)
 
 
 def sweep_lambda(
@@ -331,17 +316,9 @@ def sweep_lambda(
     ``predict_start`` makes from its pair, and from that pair when the
     prediction fails or its solve does not converge or raises.  Its history
     is up to two rows before this one, back to the last row that did not
-    converge, raised or failed to give a prediction: the three-row step
-    with two, the capped cubic with one and the Euler step with none (so
-    also for the first prediction).  The history rows are the
-    (lambda, ln x, y') their own predictions returned, so each row makes
-    one tangent solve.
-    Iterations over the 15 half-decade rows from -1 to -1e7 (N = 4,
-    alpha = beta = 2, M = 2048, ``grad_tol`` 1e-6):
-
-        Euler step      69   4-6 a row from the third
-        capped cubic    49   3 a row from the third
-        three-row step  39   2 a row from the sixth
+    converge, raised or failed to give a prediction (so none for the first
+    prediction).  The history rows are the (lambda, ln x, y') their own
+    predictions returned, so each row makes one tangent solve.
 
     Without ``init`` the first row starts from ``cold_start``.  The row's
     ``solver_iters`` adds the iterations of a discarded solve that returned,

@@ -581,8 +581,10 @@ def _descend(problem, x, opts):
     Each iterate is evaluated once: the evaluation feeds the convergence
     test, the Newton direction and the gradient step, what an accepted trial
     computed (its integrals and, from a Newton residual test, its kernel and
-    residual) is handed to the next landing, and a solve that stops inside
-    the loop returns the evaluation it stopped at.
+    residual) is handed to the next landing, and a solve returns the
+    evaluation it stopped at.  A solve cut at ``max_iters`` lands, records
+    and tests its last iterate like every other, so it converges when that
+    iterate meets ``grad_tol``.
     """
     if not all(np.isfinite(c).all() for c in x):
         raise DegenerateInputError("initial profiles must be finite")
@@ -592,7 +594,7 @@ def _descend(problem, x, opts):
     recent_res = deque(maxlen=problem.residual_window)
     converged, message = False, "max_iters exceeded"
 
-    for k in range(opts.max_iters):
+    for k in range(opts.max_iters + 1):
         x, at, value = problem.land(x, at, value)
         if not math.isfinite(value):  # an integral of the landed iterate overflowed
             raise ConvergenceError("the landed iterate overflows: its energy is not finite")
@@ -602,6 +604,8 @@ def _descend(problem, x, opts):
         tg_norm = math.sqrt(max(tg_sq, 0.0))
         if tg_norm <= opts.grad_tol:
             converged, message = True, "tangent gradient below tolerance"
+            break
+        if k == opts.max_iters:
             break
 
         # Newton candidates, in the problem's order: for each direction, the
@@ -640,11 +644,7 @@ def _descend(problem, x, opts):
         else:
             message = "line search stalled"
             break
-    else:
-        # the last step moved the iterate off the evaluated one
-        tg, ev = problem.evaluate(x, at)
-        tg_norm = _norm(tg, grid)
-    return _Run(x, value, ev, tg_norm, k + 1, converged, message, trace)
+    return _Run(x, value, ev, tg_norm, min(k + 1, opts.max_iters), converged, message, trace)
 
 
 # ------------------------------------------------------------ public API

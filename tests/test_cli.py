@@ -142,10 +142,10 @@ def test_cmd_solve_reports_the_iterations_of_a_nested_start(tmp_path, capsys):
             "converged True") in capsys.readouterr().out
 
 
-def test_cmd_solve_rejects_nonnegative_lambda(tmp_path, capsys):
+def test_cmd_solve_rejects_nonnegative_lambda(tmp_path):
     cfg = tiny_config(tmp_path / "bad", lam=0.5)
-    assert cmd_solve(cfg) == 2
-    assert "lambda" in capsys.readouterr().err
+    with pytest.raises(DomainError, match="lambda"):
+        cmd_solve(cfg)
     assert not (tmp_path / "bad").exists()  # validated before any compute
 
 
@@ -307,28 +307,30 @@ def _with_first_u_cell(table, value):
 )
 def test_cmd_sweep_resume_refuses_a_foreign_warm_start(tmp_path, capsys, M, cell, message):
     # a warm start that does not fit the grid is an error message and
-    # status 2 before anything is written, not a traceback
+    # status 2 from main before anything is written, not a traceback
     out = tmp_path / "sweep"
-    assert cmd_sweep(tiny_config(out, lambdas=(-1.0, -2.0))) == 0
+    cfg = tiny_config(out, lambdas=(-1.0, -2.0))
+    assert cmd_sweep(cfg) == 0
     warm = out / "warmstart_profile.csv"
     if cell is not None:
         warm.write_text(_with_first_u_cell(warm.read_text(), cell))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
+    save_config(cfg, str(tmp_path / "cfg.json"))
     capsys.readouterr()
-    assert cmd_sweep(tiny_config(out, M=M, lambdas=(-1.0, -2.0)), resume=True) == 2
+    assert main(["sweep", "--config", str(tmp_path / "cfg.json"), "--grid", str(M),
+                 "--resume"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_cmd_sweep_resume_reports_an_unreadable_warm_start(tmp_path, capsys):
-    # a warm start that cannot be read (here a directory) is reported as a
-    # bad profile with status 2, and nothing is written
+def test_cmd_sweep_resume_reports_an_unreadable_warm_start(tmp_path):
+    # a warm start that cannot be read (here a directory) raises as a bad
+    # profile, and nothing is written
     out = tmp_path / "sweep"
     (out / "warmstart_profile.csv").mkdir(parents=True)
-    assert cmd_sweep(tiny_config(out, lambdas=(-1.0, -2.0)), resume=True) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad profile ") and "IsADirectoryError" in err
+    with pytest.raises(DomainError, match="^bad profile .*IsADirectoryError"):
+        cmd_sweep(tiny_config(out, lambdas=(-1.0, -2.0)), resume=True)
     assert os.listdir(out) == ["warmstart_profile.csv"]
 
 

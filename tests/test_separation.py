@@ -26,7 +26,8 @@ from critsep import (
 )
 from critsep.checks import invariant_flags
 from critsep.functional import pair_inner
-from critsep.separation import predict_start
+from critsep.separation import _hermite_weights, predict_start
+from critsep.solver import pair_tangent
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=128)
 GRID = build_grid(PARAMS)
@@ -446,6 +447,14 @@ def _wild(row, rng):
     return lam, tuple(y + rng.uniform(-5.0, 5.0, y.size) for y in logs), slopes
 
 
+def _dead(row, nodes):
+    """A history entry with u zero at the given nodes."""
+    lam, logs, slopes = row
+    logs = np.array(logs)
+    logs[0, nodes] = -np.inf
+    return lam, logs, slopes
+
+
 def test_hermite_start_is_closer_to_the_converged_pair_than_the_euler_start(branch):
     grid, _lams, pairs, rows = branch
 
@@ -515,11 +524,8 @@ def test_three_row_step_reproduces_a_quintic_in_ln_lambda(monkeypatch):
 
 def test_nodes_that_are_zero_in_the_row_before_take_the_euler_step(branch):
     _grid, _lams, _pairs, rows = branch
-    lam0, (y0u, y0v), slopes0 = rows[0]
-    y0u = y0u.copy()
-    y0u[100:110] = -np.inf
     euler = _predict(branch, 1)
-    guess = _predict(branch, 1, (lam0, (y0u, y0v), slopes0))
+    guess = _predict(branch, 1, _dead(rows[0], slice(100, 110)))
     assert np.array_equal(guess.u[100:110], euler.u[100:110])
     assert not np.array_equal(guess.u[:100], euler.u[:100])
     assert np.array_equal(guess.v, _predict(branch, 1, rows[0]).v)
@@ -527,19 +533,88 @@ def test_nodes_that_are_zero_in_the_row_before_take_the_euler_step(branch):
 
 def test_nodes_that_are_zero_only_in_the_oldest_row_take_the_capped_cubic(branch):
     _grid, _lams, _pairs, rows = branch
-    lam0, (y0u, y0v), slopes0 = rows[0]
-    y0u = y0u.copy()
-    y0u[100:110] = -np.inf
     cubic = _predict(branch, 2, rows[1])
-    guess = _predict(branch, 2, (lam0, (y0u, y0v), slopes0), rows[1])
+    guess = _predict(branch, 2, _dead(rows[0], slice(100, 110)), rows[1])
     assert np.array_equal(guess.u[100:110], cubic.u[100:110])
     assert not np.array_equal(guess.u[:100], cubic.u[:100])
     assert np.array_equal(guess.v, _predict(branch, 2, *rows[:2]).v)
 
 
+def reference_hermite_step(weights, rows, i, y, dy):
+    a, b = weights
+    step = b[-1] * dy
+    for aj, bj, (_, yj, dyj) in zip(a, b, rows):
+        step = step + aj * (yj[i] - y) + bj * dyj[i]
+    return step
+
+
+def reference_predict_start(pair, cp, grid, lam_next, prev=()):
+    """The prediction written out for each component: the Euler step, the capped cubic
+    with one history row, and the quintic clipped to the cubic's correction with two."""
+    tangent = pair_tangent(pair, cp, grid)
+    if tangent is None:
+        return None, None
+    h = math.log(lam_next / cp.lam)
+    nodes = [math.log(lam / cp.lam) for lam, _, _ in prev] + [0.0]
+    w3 = _hermite_weights(nodes[-2:], h) if prev else None
+    w5 = _hermite_weights(nodes, h) if len(prev) == 2 else None
+    out, logs, slopes = [], [], []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i, (x, dx) in enumerate(zip(pair, tangent)):
+            x = np.asarray(x, dtype=float)
+            y = np.log(x)
+            live = x > 0.0
+            dy = np.zeros_like(x)
+            dy[live] = cp.lam * dx[live] / x[live]
+            z = e = h * dy
+            if w3 is not None:
+                live &= prev[-1][1][i] > -np.inf
+                c3 = np.where(live, np.clip(reference_hermite_step(w3, prev[-1:], i, y, dy) - e,
+                                            -np.abs(e), np.abs(e)), 0.0)
+                z = e + c3
+            if w5 is not None:
+                live &= prev[0][1][i] > -np.inf
+                z = z + np.where(live, np.clip(reference_hermite_step(w5, prev, i, y, dy) - z,
+                                               -np.abs(c3), np.abs(c3)), 0.0)
+            x_next = x * np.exp(z)
+            if not np.isfinite(x_next).all():
+                return None, None
+            out.append(x_next)
+            logs.append(y)
+            slopes.append(dy)
+    return PairState(*out), (cp.lam, tuple(logs), tuple(slopes))
+
+
+# (row k predicting row k + 1, its history) from the branch's history entries
+_HISTORIES = {
+    "euler-0": lambda rows: (0,),
+    "euler-2": lambda rows: (2,),
+    "cubic-1": lambda rows: (1, rows[0]),
+    "cubic-2": lambda rows: (2, rows[1]),
+    "three-row": lambda rows: (2, rows[0], rows[1]),
+    "wild-cubic": lambda rows: (1, _wild(rows[0], np.random.default_rng(0))),
+    "wild-quintic": lambda rows: (2, _wild(rows[0], np.random.default_rng(1)), rows[1]),
+    "dead-one-row": lambda rows: (1, _dead(rows[0], slice(100, 110))),
+    "dead-oldest": lambda rows: (2, _dead(rows[0], slice(100, 110)), rows[1]),
+    "dead-newest": lambda rows: (2, rows[0], _dead(rows[1], slice(100, 110))),
+}
+
+
+@pytest.mark.parametrize("history", _HISTORIES)
+def test_predict_start_matches_the_reference_bit_for_bit(branch, history):
+    grid, lams, pairs, rows = branch
+    k, *prev = _HISTORIES[history](rows)
+    args = (pairs[k], replace(CP, lam=lams[k]), grid, lams[k + 1], tuple(prev))
+    (guess, (lam, logs, slopes)), (ref, (ref_lam, ref_logs, ref_slopes)) = (
+        predict_start(*args), reference_predict_start(*args))
+    assert lam == ref_lam
+    for got, want in zip((*guess, *logs, *slopes), (*ref, *ref_logs, *ref_slopes)):
+        assert np.array_equal(got, want)
+
+
 def test_predictions_after_an_unconverged_or_raised_row_use_no_history(monkeypatch):
-    # the solves at lambdas[3] stop after 1 iteration and those at lambdas[5]
-    # raise; each prediction takes the rows before it only while they
+    # the solves at lambdas[3] stop after 1 iteration, at a tolerance no
+    # iterate meets, and those at lambdas[5] raise; each prediction takes the rows before it only while they
     # converged, at most two, so the history rebuilds as Euler, then the
     # cubic, then the three-row step
     from critsep import separation
@@ -548,7 +623,7 @@ def test_predictions_after_an_unconverged_or_raised_row_use_no_history(monkeypat
 
     def wrap(solve, init, cp, grid, opts):
         if cp.lam == lambdas[3]:
-            return solve(init, cp, grid, replace(opts, max_iters=1))
+            return solve(init, cp, grid, replace(opts, max_iters=1, grad_tol=1e-300))
         if cp.lam == lambdas[5]:
             raise ConvergenceError("scripted failure")
         return solve(init, cp, grid, opts)

@@ -193,6 +193,30 @@ def test_invariant_stats_along_solve():
     assert st.min_det_ratio >= 0.99
 
 
+@pytest.mark.parametrize("max_iters", [1, 2, 3])
+def test_a_cut_solve_lands_records_and_tests_its_last_iterate(max_iters):
+    # the pair a max_iters cut returns is landed like every iterate before
+    # it: its energy ends the trace and its invariants are in the stats
+    opts = dataclasses.replace(OPTS, max_iters=max_iters)
+    res = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, opts)
+    assert not res.converged and res.message == "max_iters exceeded"
+    assert res.iterations == max_iters
+    assert res.energy == res.energy_trace[-1]
+    assert res.stats.count == len(res.energy_trace) == max_iters + 1
+
+
+def test_a_cut_at_a_converged_iterate_reports_convergence():
+    # cut one iteration short of a converged solve, the descent still tests
+    # the iterate it stops at against grad_tol, and returns the same pair
+    full = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, OPTS)
+    assert full.converged and full.iterations > 1
+    opts = dataclasses.replace(OPTS, max_iters=full.iterations - 1)
+    cut = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, opts)
+    assert cut.converged and cut.iterations == full.iterations - 1
+    assert cut.energy == full.energy and cut.grad_norm == full.grad_norm
+    assert all(map(np.array_equal, cut.pair, full.pair))
+
+
 def test_minimize_limit_bounds_and_interface():
     init = initial_guess("bumps", GRID)
     res = minimize_limit(init.u - init.v, CP, GRID, OPTS)
@@ -347,7 +371,7 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
     opts = SolveOptions(grad_tol=1e-6, max_iters=30)
     res = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, opts)
     assert res.converged == newton
-    assert len(landed) == res.iterations
+    assert len(landed) == res.iterations + (not res.converged)
     assert all(landed)
     assert len(projections) == len(attempts) + 1
     assert all(handed)
@@ -506,14 +530,13 @@ def test_minimize_limit_evaluates_each_landed_iterate_once(monkeypatch, N, m, n,
 @pytest.mark.parametrize("max_iters", [20000, 3])
 def test_minimize_limit_returns_its_last_iterate(max_iters):
     # the energy and the multipliers are those of the returned w, bit for
-    # bit, also after a max_iters cut; a converged solve ends at its last
+    # bit, also after a max_iters cut; a solve, cut or not, ends at its last
     # landed iterate
     init = initial_guess("bumps", GRID)
     res = minimize_limit(init.u - init.v, CP, GRID, SolveOptions(grad_tol=1e-6, max_iters=max_iters))
     assert res.converged == (max_iters == 20000)
     assert res.energy == limit_energy(res.w, CP, GRID)
-    if res.converged:
-        assert res.energy == res.energy_trace[-1]
+    assert res.energy == res.energy_trace[-1]
     _tg, (_mu, _force, _tg_ev, mult, _grads) = solver._Limit(CP, GRID).evaluate((res.w,), (None, None))
     assert res.multipliers == mult
 
