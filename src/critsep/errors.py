@@ -9,6 +9,10 @@ class DimensionError(ValueError):
     """A profile's length does not match the grid it is used with."""
 
 
+class NonFiniteError(ValueError):
+    """An array that must be finite holds an inf or a NaN."""
+
+
 class DegenerateInputError(ValueError):
     """An input that must be nonzero is numerically zero."""
 

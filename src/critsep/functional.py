@@ -35,8 +35,13 @@ iterate.
 
 The pair, the single component and the sign-changing limit problem share
 one one-component algebra, written once here: the norms (a, b) of a
-component, its ray scale (a/b)^(1/(2*-2)) onto its Nehari set (``_ray``)
-and the projection off one or two constraint gradients (``tangent_part``).
+component, its ray scale (a/b)^(1/(2*-2)) onto its Nehari set (``_ray``),
+the H^1 gradient x - K^{-1}(q f) of a component with nodal force f
+(``_h1_gradient``), its nodal residual K x - q f (``_nodal_residual``), the
+force slope mu (2*-1)|x|^(2*-2) (``_force_slope``) and the projection off
+one or two constraint gradients (``tangent_part``).  Every nodal load
+reaches the H^1 solve through ``_riesz``, which raises ConvergenceError
+when a force overflowed, as the solver does for an energy that overflowed.
 The limit problem puts w+ and w- (``_parts``) each on its own Nehari set,
 the lambda -> -inf image of the pair; it lives at the end of this module.
 """
@@ -53,6 +58,7 @@ from .errors import (
     DegenerateConstraintError,
     DegenerateInputError,
     DomainError,
+    NonFiniteError,
 )
 from .geometry import (
     ModelParams,
@@ -201,6 +207,33 @@ def _crit_force(x, p):
     return np.sign(x) * np.abs(x) ** (p - 1.0)
 
 
+def _force_slope(x, mu, p):
+    """The derivative mu (2*-1)|x|^(2*-2) of the force mu sign(x)|x|^(2*-1) in x."""
+    return mu * (p - 1.0) * np.abs(x) ** (p - 2.0)
+
+
+def _riesz(load, grid):
+    """K^{-1} load, the H^1 Riesz representative of a nodal load.
+
+    ConvergenceError when the load is not finite: a force of the evaluated
+    state overflowed, as an energy that is not finite does.
+    """
+    try:
+        return grid.solve_h1(load)
+    except NonFiniteError:
+        raise ConvergenceError("the evaluation overflows: a nodal force is not finite") from None
+
+
+def _h1_gradient(x, force, grid):
+    """x - K^{-1}(q force): the H^1 gradient of one component whose nodal force is ``force``."""
+    return x - _riesz(grid.weights * force, grid)
+
+
+def _nodal_residual(x, force, grid):
+    """K x - q force: the nodal residual of one component whose nodal force is ``force``."""
+    return grid.apply_h1(x) - grid.weights * force
+
+
 @dataclass(frozen=True)
 class PairForces:
     """Pointwise powers and forces of a pair (u, v), evaluated once.
@@ -267,25 +300,17 @@ def gradient(
     ``forces`` is ``pair_forces`` at the pair, when the caller has it.
     """
     f = forces if forces is not None else pair_forces(pair, cp, grid)
-    q = grid.weights
-    return PairState(
-        u=pair.u - grid.solve_h1(q * f.force_u), v=pair.v - grid.solve_h1(q * f.force_v)
-    )
+    return PairState(_h1_gradient(pair.u, f.force_u, grid), _h1_gradient(pair.v, f.force_v, grid))
 
 
-def _constraint_gradients(pair, cp, grid, forces=None):
-    """Riesz gradients of the two Nehari residual functionals."""
-    f = forces if forces is not None else pair_forces(pair, cp, grid)
+def _constraint_gradients(pair, cp, grid, f):
+    """Riesz gradients of the two Nehari residual functionals; ``f`` is ``pair_forces`` at the pair."""
     p = grid.params.two_star
     q = grid.weights
-    gf_u = 2.0 * pair.u - grid.solve_h1(
-        q * (p * cp.mu1 * f.crit_u + cp.lam * cp.alpha * f.mixed_u)
-    )
-    gf_v = -grid.solve_h1(q * cp.lam * cp.alpha * f.mixed_v)
-    gh_u = -grid.solve_h1(q * cp.lam * cp.beta * f.mixed_u)
-    gh_v = 2.0 * pair.v - grid.solve_h1(
-        q * (p * cp.mu2 * f.crit_v + cp.lam * cp.beta * f.mixed_v)
-    )
+    gf_u = 2.0 * pair.u - _riesz(q * (p * cp.mu1 * f.crit_u + cp.lam * cp.alpha * f.mixed_u), grid)
+    gf_v = -_riesz(q * cp.lam * cp.alpha * f.mixed_v, grid)
+    gh_u = -_riesz(q * cp.lam * cp.beta * f.mixed_u, grid)
+    gh_v = 2.0 * pair.v - _riesz(q * (p * cp.mu2 * f.crit_v + cp.lam * cp.beta * f.mixed_v), grid)
     return PairState(gf_u, gf_v), PairState(gh_u, gh_v)
 
 
@@ -324,18 +349,15 @@ def tangent_part(g, grads, grid: ReducedGrid):
     return tuple(tangent), mult
 
 
-def tangent_gradient_full(
-    pair: PairState, cp: CouplingParams, grid: ReducedGrid, forces: PairForces = None
-):
+def tangent_gradient_full(pair: PairState, cp: CouplingParams, grid: ReducedGrid, forces: PairForces):
     """Tangential gradient, the multiplier pair (s, t) and the full gradient.
 
     The multipliers split dE into its tangential part and s*df + t*dh
     (``tangent_part``); at a genuine constrained critical point both are
-    ~0.  The pointwise kernel is evaluated once (or taken from ``forces``).
+    ~0.  ``forces`` is ``pair_forces`` at the pair.
     """
-    f = forces if forces is not None else pair_forces(pair, cp, grid)
-    g = gradient(pair, cp, grid, f)
-    tg, mult = tangent_part(g, _constraint_gradients(pair, cp, grid, f), grid)
+    g = gradient(pair, cp, grid, forces)
+    tg, mult = tangent_part(g, _constraint_gradients(pair, cp, grid, forces), grid)
     return PairState(*tg), mult, g
 
 
@@ -380,8 +402,11 @@ def ratio_window(cp: CouplingParams, b1: float, b2: float, w1: float, w2: float)
     """
     if cp.lam >= 0.0:
         raise DomainError("the ratio reduction needs lam < 0")
+    lam_w1 = cp.lam * w1
+    if lam_w1 == 0.0:  # the overlap term underflowed, and k_max has no finite value
+        raise ConvergenceError("the ratio window is unbounded: lam w1 underflows to 0")
     k_lo = _pow(-cp.lam * w2 / b2, 1.0 / cp.alpha)
-    k_max = _pow(-b1 / (cp.lam * w1), 1.0 / cp.beta)
+    k_max = _pow(-b1 / lam_w1, 1.0 / cp.beta)
     return (k_lo, k_max) if k_lo < k_max else None
 
 
@@ -480,11 +505,6 @@ def _limit_force(w, cp, p):
     return mu, mu * _crit_force(w, p)
 
 
-def _limit_residual(w, force, grid):
-    """The nodal residual K w - q force of the limit equation; ``force`` from ``_limit_force``."""
-    return grid.apply_h1(w) - grid.weights * force
-
-
 def _rescale_parts(w, cp, grid):
     """w+ and w- each scaled onto its Nehari set, and the squared H^1 norms of the two
     scaled parts; CollapseError when a part vanishes."""
@@ -511,8 +531,8 @@ def _limit_tangent_full(w, cp, grid, force):
     and the Euclidean constraint gradients; ``force`` is ``_limit_force`` at w.
 
     DegenerateConstraintError, as for the pair, when the constraint gradients are dependent."""
-    g = w - grid.solve_h1(grid.weights * force)
+    g = _h1_gradient(w, force, grid)
     grads = _limit_constraint_gradients(w, cp, grid)
-    (tg,), mult = tangent_part((g,), tuple((grid.solve_h1(e),) for e in grads), grid)
+    (tg,), mult = tangent_part((g,), tuple((_riesz(e, grid),) for e in grads), grid)
     return tg, mult, grads
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, NonFiniteError
 
 __all__ = [
     "ModelParams",
@@ -198,11 +198,12 @@ class ReducedGrid:
     def solve_h1(self, rhs: np.ndarray) -> np.ndarray:
         """Solve K x = rhs for the discrete H^1 operator K.
 
-        Raises ValueError when rhs is not finite or has the wrong length.
+        Raises NonFiniteError, a ValueError, when rhs is not finite, and
+        DimensionError when it has the wrong length.
         """
         rhs = _check_length(rhs, self, "right-hand side")
         if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side must not contain infs or NaNs")
+            raise NonFiniteError("right-hand side must not contain infs or NaNs")
         x, info = lapack.dpttrs(*self.ldl, rhs)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of pttrs")

@@ -203,10 +203,10 @@ def _interface_or_nan(profile, grid):
         return math.nan
 
 
-def _failed_record(lam, exc):
-    """The all-NaN row of a solve that raised."""
+def _failed_record(lam, exc, solver_iters):
+    """The all-NaN row of a solve that raised, after ``solver_iters`` iterations of discarded solves."""
     return SweepRecord(lam=lam, energy=math.nan, overlap=math.nan, lambda_overlap=math.nan,
-                       interface_theta=math.nan, solver_iters=0,
+                       interface_theta=math.nan, solver_iters=solver_iters,
                        status=f"failed: {type(exc).__name__}: {exc}")
 
 
@@ -321,8 +321,9 @@ def sweep_lambda(
     predictions returned, so each row makes one tangent solve.
 
     Without ``init`` the first row starts from ``cold_start``.  The row's
-    ``solver_iters`` adds the iterations of a discarded solve that returned,
-    and the first row's those of its cold start.  After any other row the
+    ``solver_iters``, also of a failed row, adds the iterations of a
+    discarded solve that returned, and the first row's those of its cold
+    start.  After any other row the
     next starts from the last pair a solve returned (the initial pair
     before any did); a row whose solve raised is marked failed.
     ``predicted_starts`` counts the rows solved from a prediction,
@@ -360,7 +361,7 @@ def sweep_lambda(
         guess = None
         if res is None:  # keep partial results on solver failure
             history = ()
-            records.append(_failed_record(lam, why))
+            records.append(_failed_record(lam, why, discarded))
             log.warning("solve at lambda=%g failed: %s", lam, why)
             continue
         pair = res.pair
@@ -397,7 +398,7 @@ def sweep_lambda(
             solver_iters=limit_res.iterations, status=_status(limit_res))
     except SOLVE_ERRORS as exc:
         limit_res = None
-        limit_record = _failed_record(-math.inf, exc)
+        limit_record = _failed_record(-math.inf, exc, 0)
         log.warning("limit solve failed: %s", exc)
     return SweepResult(
         records=records,

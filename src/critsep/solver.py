@@ -16,29 +16,32 @@ solve prolonged.
 
 A state is a ``PairState`` or a one-tuple of one component array, and
 ``functional.pair_inner`` is the H^1 inner product of two states.  A problem
-object lands a state on its constraint set and checks the norm floors
-(``land(x, at, value)`` returns the landed state, what was computed there
-and the energy; the start comes with ``at`` and ``value`` None, and an
-accepted trial, handed over with its integrals or norms and its energy, is
-taken as it is), evaluates the tangent gradient, i.e. the
-H^1-preconditioned energy gradient minus its part along the constraint
-gradients (``evaluate(x, at)``), lands a trial state (``trial(x)``), and
-offers Newton directions in the order they are to be tried, with the
-residual norm at x that their trials must contract (``newton(x, ev)``
-returns the norm, None when nothing is offered, and the directions) and the
-residual of a trial (``residual_norm(x, at)``).  The pair offers its Newton
-direction for the free critical equations and the single component none.
-The limit offers its free Newton direction and then, computed only when
-that is rejected, the Lagrange-Newton (SQP) direction on its two
-constraints; its residual is the H^1 norm of the tangent gradient.  The
-pair's residual test evaluates the pointwise kernel and the nodal residual
-at the trial, the limit's its whole evaluation; each adds it to the trial's
-``at``, so an accepted Newton trial hands it to the next ``evaluate`` and
-``newton`` and each landed state is evaluated once.  ``_descend`` lands the
-iterate, stops when the tangent gradient is small, tries the Newton
-candidates and otherwise takes a Barzilai-Borwein step, backtracked until
-the Armijo condition holds for the energy of the landed trial, so accepted
-energies never increase.
+object lands a state on its constraint set (``trial(x)`` returns the landed
+state, what was computed there, i.e. the pair's integrals or the norms of
+the single component or of the limit's parts, and the energy), tests a
+landed state for a collapsed component (``check(at, value)``: the norm
+floors, and for the pair the invariant stats), evaluates the tangent
+gradient, i.e. the H^1-preconditioned energy gradient minus its part along
+the constraint gradients (``evaluate(x, at)``), and offers Newton
+directions in the order they are to be tried, with the residual norm at x
+that their trials must contract (``newton(x, ev)`` returns the norm, None
+when nothing is offered, and the directions) and the residual of a trial
+(``residual_norm(x, at)``).  The pair offers its Newton direction for the
+free critical equations and the single component none.  The limit offers
+its free Newton direction and then, computed only when that is rejected,
+the Lagrange-Newton (SQP) direction on its two constraints; its residual is
+the H^1 norm of the tangent gradient.  Each Newton and tangent solve
+returns None when its system or its solution is not finite or its matrix
+is singular (``solve_banded``, the pair's ``gbsv``, and the limit's two
+``gtsv`` solves).  The pair's residual test evaluates the pointwise kernel
+and the nodal residual at the trial, the limit's its whole evaluation; each
+adds it to the trial's ``at``, so an accepted Newton trial hands it to the
+next ``evaluate`` and ``newton`` and each landed state is evaluated once.
+``_descend`` lands the start with ``trial``, checks every landed iterate,
+stops when the tangent gradient is small, tries the Newton candidates and
+otherwise takes a Barzilai-Borwein step, backtracked until the Armijo
+condition holds for the energy of the landed trial, so accepted energies
+never increase; an accepted trial is the next iterate as it was landed.
 The pair and single solves also require a small full gradient at
 convergence, which certifies a free critical point (the multiplier solve
 returns ~0); small means below 10 grad_tol or below the rounding floor of
@@ -64,11 +67,14 @@ from .functional import (
     NehariResiduals,
     PairState,
     _crit_force,
+    _force_slope,
+    _h1_gradient,
     _limit_force,
-    _limit_residual,
     _limit_tangent_full,
+    _nodal_residual,
     _ray,
     _rescale_parts,
+    _riesz,
     check_exponents,
     energy_from_integrals,
     limit_energy,
@@ -211,28 +217,22 @@ def _safe_pow(x, e):
 
 
 def solve_banded(l_and_u, ab, rhs):
-    """Solve the banded system A x = rhs by LAPACK's ``gbsv``; ab and rhs are overwritten.
+    """The solution of the banded system A x = rhs by LAPACK's ``gbsv``, or None; ab and rhs
+    are overwritten.
 
     ``ab`` is the (2l + u + 1, n) band storage in Fortran order
     (``ab[l + u + i - j, j] == A[i, j]``, the first l rows zero for the fill
-    of the LU), factored in place with partial pivoting.  A non-finite
-    matrix or right-hand side raises ValueError, a singular matrix
-    LinAlgError.
+    of the LU), factored in place with partial pivoting.  None, as from the
+    ``gtsv`` solves of the limit, when the system is not finite, the matrix
+    is singular or the solution is not finite; an illegal argument raises
+    ValueError.
     """
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
+        return None
     _lu, _piv, x, info = lapack.dgbsv(*l_and_u, ab, rhs, overwrite_ab=1, overwrite_b=1)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
-    return x
-
-
-def _pair_residual(u, v, f, grid):
-    """Nodal residuals K u - q f_u and K v - q f_v of the free critical equations."""
-    q = grid.weights
-    return grid.apply_h1(u) - q * f.force_u, grid.apply_h1(v) - q * f.force_v
+    return x if info == 0 and np.isfinite(x).all() else None
 
 
 @functools.lru_cache(maxsize=2)  # the coarse and the fine grid of a nested start
@@ -262,8 +262,8 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
     p = grid.params.two_star
     q = grid.weights
     lam, al, be = cp.lam, cp.alpha, cp.beta
-    duu = cp.mu1 * (p - 1.0) * f.abs_u ** (p - 2.0) + lam * al * (al - 1.0) * _safe_pow(f.abs_u, al - 2.0) * f.v_b
-    dvv = cp.mu2 * (p - 1.0) * f.abs_v ** (p - 2.0) + lam * be * (be - 1.0) * f.u_a * _safe_pow(f.abs_v, be - 2.0)
+    duu = _force_slope(f.abs_u, cp.mu1, p) + lam * al * (al - 1.0) * _safe_pow(f.abs_u, al - 2.0) * f.v_b
+    dvv = _force_slope(f.abs_v, cp.mu2, p) + lam * be * (be - 1.0) * f.u_a * _safe_pow(f.abs_v, be - 2.0)
     duv = lam * al * be * f.sign_u * f.sign_v * f.u_am1 * f.v_bm1
     # rows 2..6 of the gbsv layout hold the five bands, 0 and 1 the LU fill;
     # u_i couples to u_(i+1), and v_i to v_(i+1), two places off the diagonal
@@ -277,13 +277,8 @@ def _pair_jacobian_solve(cp, grid, f, rhs_u, rhs_v):
     rhs = np.empty(2 * grid.size)
     rhs[0::2] = rhs_u
     rhs[1::2] = rhs_v
-    try:
-        sol = solve_banded((2, 2), ab, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(sol).all():
-        return None
-    return sol[0::2], sol[1::2]
+    sol = solve_banded((2, 2), ab, rhs)
+    return None if sol is None else (sol[0::2], sol[1::2])
 
 
 def _pair_newton_direction(u, v, cp, grid, f, res=None):
@@ -296,10 +291,10 @@ def _pair_newton_direction(u, v, cp, grid, f, res=None):
     the thin interface layer of strong coupling the full step overshoots.
     Returns the direction and the residual norm at (u, v).
 
-    ``f`` is ``pair_forces`` at (u, v), ``res`` ``_pair_residual`` at
-    (u, v) when the caller has it.
+    ``f`` is ``pair_forces`` at (u, v), ``res`` the nodal residuals at
+    (u, v) when the caller has them.
     """
-    res_u, res_v = res if res is not None else _pair_residual(u, v, f, grid)
+    res_u, res_v = res or (_nodal_residual(u, f.force_u, grid), _nodal_residual(v, f.force_v, grid))
     direction = _pair_jacobian_solve(cp, grid, f, -res_u, -res_v)
     if direction is None:
         return None, math.inf
@@ -320,37 +315,29 @@ def pair_tangent(pair: PairState, cp: CouplingParams, grid: ReducedGrid):
     return _pair_jacobian_solve(cp, grid, f, q * f.mixed_u, q * f.mixed_v)
 
 
-def _limit_force_slope(w, mu, p):
-    """The derivative mu (2*-1)|w|^(2*-2) of the limit force in w."""
-    return mu * (p - 1.0) * np.abs(w) ** (p - 2.0)
-
-
-def _limit_newton_direction(w, grid, mu, force, res=None):
+def _limit_newton_direction(grid, slope, res):
     """Newton direction (a one-component state) for the free limit equation, or None.
 
-    ``mu`` and ``force`` are ``_limit_force`` at w, ``res`` is
-    ``_limit_residual`` at w when the caller has it.  The Jacobian is
-    tridiagonal: one ``gtsv`` solve with partial pivoting, None when it is
-    singular or the solution is not finite.
+    ``slope`` is the force slope and ``res`` the nodal residual of the limit
+    equation at the iterate.  The Jacobian K - q slope is tridiagonal: one
+    ``gtsv`` solve with partial pivoting, None when it is singular or the
+    solution is not finite.
     """
-    p = grid.params.two_star
-    if res is None:
-        res = _limit_residual(w, force, grid)
-    dww = _limit_force_slope(w, mu, p)
-    *_, sol, info = lapack.dgtsv(grid.k_off, grid.k_diag - grid.weights * dww, grid.k_off, -res,
+    *_, sol, info = lapack.dgtsv(grid.k_off, grid.k_diag - grid.weights * slope, grid.k_off, -res,
                                  overwrite_d=1, overwrite_b=1)
     if info != 0 or not np.isfinite(sol).all():
         return None
     return (sol,)
 
 
-def _limit_kkt_direction(w, cp, grid, mu, res, mult, grads):
+def _limit_kkt_direction(w, cp, grid, slope, res, mult, grads):
     """Lagrange-Newton (SQP) direction on the two Nehari constraints of the limit, or None.
 
-    With the Euclidean gradient ``res`` of the energy, the multipliers
-    ``mult`` = (sigma+, sigma-) of the tangent projection and the Euclidean
-    constraint gradients ``grads`` (the rows of C), the Lagrangian Hessian is
-    H_L = K - q mu (2*-1)|w|^(2*-2) - sum_i sigma_i (2 P_i K P_i - q 2*(2*-1) mu_i |w_i|^(2*-2)),
+    With the force slope ``slope`` = mu (2*-1)|w|^(2*-2), the Euclidean
+    gradient ``res`` of the energy, the multipliers ``mult`` = (sigma+,
+    sigma-) of the tangent projection and the Euclidean constraint
+    gradients ``grads`` (the rows of C), the Lagrangian Hessian is
+    H_L = K - q slope - sum_i sigma_i (2 P_i K P_i - q 2*(2*-1) mu_i |w_i|^(2*-2)),
     tridiagonal, P+ and P- masking the nodes where w > 0 and w < 0.  One
     ``gtsv`` solve gives y0 = -H_L^{-1} (res - sigma . grads) and
     Y = H_L^{-1} C^T; with nu from (C Y) nu = C y0 + G, G the Nehari residuals
@@ -362,8 +349,7 @@ def _limit_kkt_direction(w, cp, grid, mu, res, mult, grads):
     q = grid.weights
     sign = np.sign(w)
     sigma = np.where(w > 0.0, mult[0], np.where(w < 0.0, mult[1], 0.0))
-    dww = _limit_force_slope(w, mu, p)
-    diag = grid.k_diag * (1.0 - 2.0 * sigma) - q * dww * (1.0 - p * sigma)
+    diag = grid.k_diag * (1.0 - 2.0 * sigma) - q * slope * (1.0 - p * sigma)
     # P_i K P_i couples two nodes only where both lie on the same side
     off = grid.k_off * (1.0 - 2.0 * np.where(sign[:-1] == sign[1:], sigma[:-1], 0.0))
     rhs = np.empty((grid.size, 3), order="F")
@@ -402,17 +388,13 @@ class _Pair:
         self.floor_v = _collapse_floor(cp.mu2, grid.params.N)
         self.stats = NehariInvariantStats()
 
-    def land(self, x, at, value):
-        # an accepted trial arrives projected, with at = (integrals, kernel,
-        # residual); the last two are None unless a Newton residual test
-        # evaluated them
-        if at is None:
-            x, at, value = self.trial(x)
+    def check(self, at, value):
+        # at = (integrals, kernel, residual); the last two are None unless a
+        # Newton residual test evaluated them
         ints = at[0]
         if ints.a1 < self.floor_u or ints.a2 < self.floor_v:
             raise CollapseError(f"component {'u' if ints.a1 < self.floor_u else 'v'} collapsed")
         self.stats.update(ints, value, self.cp, self.grid.params)
-        return x, at, value
 
     def evaluate(self, x, at):
         ints, forces, res = at
@@ -434,9 +416,9 @@ class _Pair:
         return (None, ()) if direction is None else (res_norm, (direction,))
 
     def residual_norm(self, x, at):
-        forces = pair_forces(x, self.cp, self.grid)
-        res = _pair_residual(*x, forces, self.grid)
-        return math.hypot(*map(np.linalg.norm, res)), (at[0], forces, res)
+        f = pair_forces(x, self.cp, self.grid)
+        res = _nodal_residual(x.u, f.force_u, self.grid), _nodal_residual(x.v, f.force_v, self.grid)
+        return math.hypot(*map(np.linalg.norm, res)), (at[0], f, res)
 
 
 class _Single:
@@ -449,20 +431,17 @@ class _Single:
         self.p = grid.params.two_star
         self.floor = _collapse_floor(mu, grid.params.N)
 
-    def land(self, x, at, value):
-        # an accepted trial arrives scaled, with at = (a, b) of the scaled profile
-        if at is None:
-            x, at, value = self.trial(x)
+    def check(self, at, value):
+        # at = (a, b) of the landed profile
         if at[0] < self.floor:
             raise CollapseError("component u collapsed")
-        return x, at, value
 
     def evaluate(self, x, at):
         """Tangent gradient; the gradient, multiplier and norms for the result."""
-        (u,), (a, b), grid, q = x, at, self.grid, self.grid.weights
+        (u,), (a, b), grid = x, at, self.grid
         force = self.mu * _crit_force(u, self.p)
-        g = (u - grid.solve_h1(q * force),)
-        gf = (2.0 * u - grid.solve_h1(q * self.p * force),)
+        g = (_h1_gradient(u, force, grid),)
+        gf = (2.0 * u - _riesz(grid.weights * self.p * force, grid),)
         tg, (coef,) = tangent_part(g, (gf,), grid)
         return tg, (g, coef, a, b)
 
@@ -495,17 +474,14 @@ class _Limit:
         self.floor_p = _collapse_floor(cp.mu1, grid.params.N)
         self.floor_m = _collapse_floor(cp.mu2, grid.params.N)
 
-    def land(self, x, at, value):
-        # an accepted trial arrives rescaled, with at = (the squared H^1 norms
-        # of its parts, the evaluation of its Newton residual test or None)
-        if at is None:
-            x, at, value = self.trial(x)
+    def check(self, at, value):
+        # at = (the squared H^1 norms of the parts, the evaluation of the
+        # Newton residual test or None)
         norm_p, norm_m = at[0]
         if norm_p < self.floor_p:
             raise CollapseError("positive part collapsed")
         if norm_m < self.floor_m:
             raise CollapseError("negative part collapsed")
-        return x, at, value
 
     def evaluate(self, x, at):
         ev = at[1]  # handed over by an accepted Newton trial, or None
@@ -523,11 +499,11 @@ class _Limit:
         return _norm((ev[2],), self.grid), self._directions(x[0], *ev)
 
     def _directions(self, w, mu, force, _tg, mult, grads):
-        res = _limit_residual(w, force, self.grid)
-        free = _limit_newton_direction(w, self.grid, mu, force, res)
+        res, slope = _nodal_residual(w, force, self.grid), _force_slope(w, mu, self.p)
+        free = _limit_newton_direction(self.grid, slope, res)
         if free is not None:
             yield free
-        kkt = _limit_kkt_direction(w, self.cp, self.grid, mu, res, mult, grads)
+        kkt = _limit_kkt_direction(w, self.cp, self.grid, slope, res, mult, grads)
         if kkt is not None:
             yield kkt
 
@@ -578,24 +554,27 @@ def _newton_trial(problem, x, direction, value, res_ref):
 def _descend(problem, x, opts):
     """Constrained descent from the state x; see the module docstring.
 
-    Each iterate is evaluated once: the evaluation feeds the convergence
-    test, the Newton direction and the gradient step, what an accepted trial
-    computed (its integrals and, from a Newton residual test, its kernel and
-    residual) is handed to the next landing, and a solve returns the
-    evaluation it stopped at.  A solve cut at ``max_iters`` lands, records
-    and tests its last iterate like every other, so it converges when that
-    iterate meets ``grad_tol``.
+    The start is landed here, once, with the problem's ``trial``; every
+    landed iterate, the start included, passes the problem's ``check`` and
+    the overflow test of its energy.  Each iterate is evaluated once: the
+    evaluation feeds the convergence test, the Newton direction and the
+    gradient step, what an accepted trial computed (its integrals and, from
+    a Newton residual test, its kernel and residual) is handed to the next
+    evaluation, and a solve returns the evaluation it stopped at.  A solve
+    cut at ``max_iters`` lands, records and tests its last iterate like
+    every other, so it converges when that iterate meets ``grad_tol``.
     """
     if not all(np.isfinite(c).all() for c in x):
         raise DegenerateInputError("initial profiles must be finite")
     grid = problem.grid
     trace = []
-    tau = prev = at = value = None  # BB length, previous (iterate, tangent), handed-over trial
+    tau = prev = None  # BB length, previous (iterate, tangent)
     recent_res = deque(maxlen=problem.residual_window)
     converged, message = False, "max_iters exceeded"
 
+    x, at, value = problem.trial(x)
     for k in range(opts.max_iters + 1):
-        x, at, value = problem.land(x, at, value)
+        problem.check(at, value)
         if not math.isfinite(value):  # an integral of the landed iterate overflowed
             raise ConvergenceError("the landed iterate overflows: its energy is not finite")
         trace.append(value)

@@ -184,6 +184,36 @@ def test_a_pair_that_overflows_on_landing_fails_typed(tmp_path, capsys):
         assert len(rows) == 3 and all(r.startswith(failures) for r in rows)
 
 
+def _saved(tmp_path, name, lam=-1.0, lambdas=(-1.0,)):
+    """A tiny config capped at 50 iterations, saved next to its output directory."""
+    cfg = replace(tiny_config(tmp_path / name, lam=lam, lambdas=lambdas),
+                  solver=SolveOptions(grad_tol=1e-6, max_iters=50))
+    save_config(cfg, str(tmp_path / f"{name}.json"))
+    return str(tmp_path / f"{name}.json")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_an_underflowing_overlap_coefficient_fails_the_row_not_the_sweep(tmp_path):
+    # at lambda = -1e250 the overlap coefficient of the Nehari projection
+    # underflows to 0: the row fails typed and the sweep goes on
+    assert main(["sweep", "--config", _saved(tmp_path, "sweep", lambdas=(-1.0, -1e250))]) == 0
+    rows = [l.split(",")[6] for l in (tmp_path / "sweep" / "sweep.csv")
+            .read_text().splitlines() if l and not l.startswith("#")][1:]
+    assert rows[0] == "ok" and rows[1].startswith("failed: ConvergenceError")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_an_overflowing_evaluation_fails_the_solve_typed(tmp_path, capsys):
+    # at lambda = -1.7e308 a force of the pair's constraint gradients
+    # overflows while its landed energy is finite: the solve writes the
+    # failed summary and exits 4
+    assert main(["solve", "--config", _saved(tmp_path, "solve", lam=-1.7e308)]) == 4
+    assert "solve failed:" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "solve" / "summary.json").read_text())
+    assert summary == {"status": "failed: ConvergenceError",
+                       "detail": "the evaluation overflows: a nodal force is not finite"}
+
+
 def test_a_collapsed_component_fails_typed(tmp_path, capsys, monkeypatch):
     # a floor above every point of the Nehari set trips the pair's guard
     from critsep import solver

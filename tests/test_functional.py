@@ -265,6 +265,17 @@ def test_nehari_scaling_exists_exactly_when_the_ratio_window_is_open(N, m, alpha
     assert 50 <= found <= 250
 
 
+def test_an_underflowing_overlap_coefficient_fails_typed():
+    # w1 = alpha c / a1 underflows to 0.0 while c > 0: k_max has no finite
+    # value, and the projection raises a solve error, not ZeroDivisionError
+    ints = PairIntegrals(a1=1.2198208583461244e+112, b1=1.489012776266159e+220,
+                         a2=1.7402467573978774e+36, b2=1.0504019107108268e+68,
+                         coupling=5.047901394733775e-245)
+    cp = CouplingParams(mu1=1.0, mu2=1.0, alpha=2.0, beta=2.0, lam=-1e250)
+    with pytest.raises(ConvergenceError, match="ratio window is unbounded"):
+        scaling_from_integrals(ints, cp, ModelParams(N=4, m=2, n=3, M=64))
+
+
 def test_single_project_examples():
     u = np.ones(GRID.size)
     # constant profile: s^2 = N(N-2)/4
@@ -288,8 +299,9 @@ def test_tangent_gradient_orthogonality_and_contraction():
     pair = smooth_pair(9)
     s, t = nehari_project(pair, CP_WEAK, GRID)
     scaled = PairState(s * pair.u, t * pair.v)
-    tg = tangent_gradient_full(scaled, CP_WEAK, GRID)[0]
-    gf, gh = _constraint_gradients(scaled, CP_WEAK, GRID)
+    forces = pair_forces(scaled, CP_WEAK, GRID)
+    tg = tangent_gradient_full(scaled, CP_WEAK, GRID, forces)[0]
+    gf, gh = _constraint_gradients(scaled, CP_WEAK, GRID, forces)
     norm = math.sqrt(pair_inner(tg, tg, GRID))
     for c in (gf, gh):
         c_norm = math.sqrt(pair_inner(c, c, GRID))

@@ -225,6 +225,16 @@ def test_sweep_partial_failure_marks_rows():
     assert result.records[0].stats is None
 
 
+def test_a_failed_row_reports_the_iterations_of_its_discarded_solve():
+    # the -1e6 row's predicted solve stops at max_iters, and the solve from
+    # the previous pair raises; the failed row carries the 300 iterations
+    opts = SolveOptions(max_iters=300)
+    result = sweep_lambda(SweepSchedule(lambdas=(-1.0, -1e2, -1e4, -1e6)), CP, GRID, opts)
+    row = result.records[-1]
+    assert row.status == "failed: ConvergenceError: no positive Nehari scaling exists for this pair"
+    assert row.solver_iters == 300
+
+
 def test_interface_drift_with_mu2_is_logged_not_asserted():
     # exploratory check: the interface should move monotonically as mu2
     # grows; a violation is reported as a finding, not a failure

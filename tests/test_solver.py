@@ -28,9 +28,12 @@ from critsep.checks import cosine_series
 from critsep.errors import CollapseError, DegenerateConstraintError
 from critsep.functional import (
     PairForces,
+    _force_slope,
     _limit_force,
     _limit_tangent_full,
+    _nodal_residual,
     _rescale_parts,
+    component_norms,
     energy_from_integrals,
     limit_energy,
     pair_forces,
@@ -41,7 +44,7 @@ from critsep.functional import (
     tangent_gradient_full,
 )
 from critsep import solver
-from critsep.solver import _pair_residual, pair_tangent, solve_banded
+from critsep.solver import pair_tangent, solve_banded
 
 PARAMS = ModelParams(N=4, m=2, n=3, M=256)
 GRID = build_grid(PARAMS)
@@ -280,9 +283,9 @@ def test_rescale_parts_collapse_detection():
     # a zero part raises from the rescaling itself
     with pytest.raises(CollapseError, match="^negative part collapsed$"):
         _rescale_parts(positive, CP, GRID)
-    # an absurdly high floor trips the guard of its part when the start
-    # lands; both zero checks come before either floor, so a zero negative
-    # part is named first
+    # an absurdly high floor trips the guard of its part when the driver
+    # lands the start; both zero checks come before either floor, so a zero
+    # negative part is named first
     for x, floor_p, floor_m, part in [
         (w, 1e12, 0.0, "positive"),
         (w, 0.0, 1e12, "negative"),
@@ -291,7 +294,7 @@ def test_rescale_parts_collapse_detection():
         problem = solver._Limit(CP, GRID)
         problem.floor_p, problem.floor_m = floor_p, floor_m
         with pytest.raises(CollapseError, match=f"^{part} part collapsed$"):
-            problem.land((x,), None, None)
+            solver._descend(problem, (x,), OPTS)
 
 
 @pytest.mark.parametrize(
@@ -313,7 +316,7 @@ def test_minimize_nehari_returns_the_evaluation_at_its_pair(N, m, n, lam, max_it
     res = minimize_nehari(initial_guess("bumps", grid), cp, grid, opts)
     assert res.message == message
     ints = pair_integrals(res.pair, cp, grid)
-    tg, mult, g = tangent_gradient_full(res.pair, cp, grid)
+    tg, mult, g = tangent_gradient_full(res.pair, cp, grid, pair_forces(res.pair, cp, grid))
     assert res.energy == energy_from_integrals(ints, cp, grid.params)
     assert res.residuals == residuals_from_integrals(ints, cp)
     assert res.grad_norm == math.sqrt(max(pair_inner(tg, tg, grid), 0.0))
@@ -326,26 +329,28 @@ def _bitwise_equal(x, y):
 
 
 def _same_kernel(forces, res, x, cp, grid):
-    """Whether (forces, res) equal a fresh pair_forces and _pair_residual at x, bit for bit."""
+    """Whether (forces, res) equal a fresh pair_forces and nodal residuals at x, bit for bit."""
     fresh = pair_forces(PairState(*x), cp, grid)
+    fresh_res = (_nodal_residual(x[0], fresh.force_u, grid), _nodal_residual(x[1], fresh.force_v, grid))
     return all(
         _bitwise_equal(getattr(forces, f.name), getattr(fresh, f.name))
         for f in dataclasses.fields(PairForces)
-    ) and all(map(_bitwise_equal, res, _pair_residual(*x, fresh, grid)))
+    ) and all(map(_bitwise_equal, res, fresh_res))
 
 
 @pytest.mark.parametrize("newton", [True, False])
 def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypatch, newton):
-    # only the start is projected at the top of an iteration; an accepted
-    # trial lands as it is, with the integrals it computed, and these must
-    # be those of the pair it is, after Newton steps and (with the Newton
-    # candidate switched off) Armijo steps; an accepted Newton trial also
-    # brings the kernel and residual of its residual test, which must be
-    # those of the pair it is
+    # only the start is projected outside a trial; an accepted trial lands
+    # as it is, with the integrals it computed, and these must be those of
+    # the pair it is, after Newton steps and (with the Newton candidate
+    # switched off) Armijo steps; an accepted Newton trial also brings the
+    # kernel and residual of its residual test, which must be those of the
+    # pair it is.  Each landed pair, the start included, is tested once.
     from critsep import solver
 
-    projections, attempts, landed, handed = [], [], [], []
-    project, attempt, land = solver.nehari_project, solver._attempt, solver._Pair.land
+    projections, attempts, tested, landed, handed = [], [], [], [], []
+    project, attempt = solver.nehari_project, solver._attempt
+    check, evaluate = solver._Pair.check, solver._Pair.evaluate
 
     def counting_project(*args, **kwargs):
         projections.append(1)
@@ -355,27 +360,75 @@ def test_minimize_nehari_hands_over_the_integrals_of_the_projected_pair(monkeypa
         attempts.append(1)
         return attempt(problem, x)
 
-    def checked_land(problem, x, at, value):
-        x, at, value = land(problem, x, at, value)
+    def counting_check(problem, at, value):
+        tested.append(1)
+        return check(problem, at, value)
+
+    def checked_evaluate(problem, x, at):
         ints, forces, res = at
         landed.append(ints == pair_integrals(PairState(*x), problem.cp, problem.grid))
         if forces is not None:
             handed.append(_same_kernel(forces, res, x, problem.cp, problem.grid))
-        return x, at, value
+        return evaluate(problem, x, at)
 
     monkeypatch.setattr(solver, "nehari_project", counting_project)
     monkeypatch.setattr(solver, "_attempt", counting_attempt)
-    monkeypatch.setattr(solver._Pair, "land", checked_land)
+    monkeypatch.setattr(solver._Pair, "check", counting_check)
+    monkeypatch.setattr(solver._Pair, "evaluate", checked_evaluate)
     if not newton:
         monkeypatch.setattr(solver, "_pair_newton_direction", lambda *args: (None, math.inf))
     opts = SolveOptions(grad_tol=1e-6, max_iters=30)
     res = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, opts)
     assert res.converged == newton
-    assert len(landed) == res.iterations + (not res.converged)
+    assert len(tested) == len(landed) == res.iterations + (not res.converged)
     assert all(landed)
     assert len(projections) == len(attempts) + 1
     assert all(handed)
     assert bool(handed) == newton
+
+
+def _norms_of(kind, problem, x):
+    """The norms a landed iterate x of the single or limit problem carries in its ``at``."""
+    (c,) = x
+    if kind == "single":
+        return component_norms(c, problem.mu, problem.grid)
+    return tuple(h1_form(part, part, problem.grid) for part in (np.maximum(c, 0.0), np.minimum(c, 0.0)))
+
+
+@pytest.mark.parametrize("max_iters", [20000, 3])
+@pytest.mark.parametrize("kind", ["single", "limit"])
+def test_the_driver_lands_the_start_and_tests_every_landed_iterate(monkeypatch, kind, max_iters):
+    # _descend lands the start with the problem's trial; every landed
+    # iterate, the start included, is collapse-tested once, with the norms
+    # and the energy of the trial that landed it, in a converged solve and
+    # in one cut at max_iters, whose last iterate is landed and tested too
+    problem_class = solver._Single if kind == "single" else solver._Limit
+    trial, check = problem_class.trial, problem_class.check
+    carried = (lambda at: at) if kind == "single" else (lambda at: at[0])
+    landings, tested = {}, []
+
+    def recording_trial(problem, x):
+        landed = trial(problem, x)
+        landings[id(carried(landed[1]))] = landed
+        return landed
+
+    def checked_check(problem, at, value):
+        x, _at, trial_value = landings[id(carried(at))]
+        fresh = _norms_of(kind, problem, x)
+        tested.append(value == trial_value and np.allclose(carried(at), fresh, rtol=1e-12, atol=0.0))
+        return check(problem, at, value)
+
+    monkeypatch.setattr(problem_class, "trial", recording_trial)
+    monkeypatch.setattr(problem_class, "check", checked_check)
+    init = initial_guess("bumps", GRID)
+    opts = SolveOptions(grad_tol=1e-6, max_iters=max_iters)
+    if kind == "single":
+        res = minimize_single(init.u, 1.0, GRID, opts)
+    else:
+        res = minimize_limit(init.u - init.v, CP, GRID, opts)
+    assert res.converged == (max_iters == 20000)
+    assert len(tested) == len(res.energy_trace) == res.iterations + (not res.converged)
+    assert all(tested)
 
 
 @pytest.mark.parametrize("lam, max_iters", [(-1e3, 20000), (-1e3, 4), (-1e5, 40)])
@@ -698,8 +751,7 @@ def test_solve_banded_matches_scipy(l_and_u):
     x = solve_banded(l_and_u, _lapack_layout(l_and_u, ab), rhs.copy())
     assert np.array_equal(x, scipy_solve_banded(l_and_u, ab, rhs))
     ab[:, 20] = 0.0  # a zero column: singular
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_banded(l_and_u, _lapack_layout(l_and_u, ab), rhs.copy())
+    assert solve_banded(l_and_u, _lapack_layout(l_and_u, ab), rhs.copy()) is None
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -709,8 +761,7 @@ def test_solve_banded_rejects_nonfinite_input(l_and_u, where, bad):
     ab, rhs = _banded_system(l_and_u, 41, 4)
     ab = _lapack_layout(l_and_u, ab)
     (ab if where == "matrix" else rhs)[..., 17] = bad
-    with pytest.raises(ValueError):
-        solve_banded(l_and_u, ab, rhs)
+    assert solve_banded(l_and_u, ab, rhs) is None
 
 
 @pytest.mark.parametrize("N, m, n, mu2", [(4, 2, 3, 1.0), (5, 3, 3, 2.5)])
@@ -719,7 +770,6 @@ def test_limit_newton_direction_matches_scipy(N, m, n, mu2):
     # equation, solved by scipy's banded solver on the same bands
     from scipy.linalg import solve_banded as scipy_solve_banded
 
-    from critsep.functional import _limit_residual
     from critsep.solver import _limit_newton_direction
 
     grid = build_grid(ModelParams(N=N, m=m, n=n, M=128))
@@ -728,8 +778,8 @@ def test_limit_newton_direction_matches_scipy(N, m, n, mu2):
     init = initial_guess("bumps", grid)
     w = init.u - 0.7 * init.v
     mu, force = _limit_force(w, cp, p)
-    (direction,) = _limit_newton_direction(w, grid, mu, force)
-    res = _limit_residual(w, force, grid)
+    res = _nodal_residual(w, force, grid)
+    (direction,) = _limit_newton_direction(grid, _force_slope(w, mu, p), res)
     ab = np.zeros((3, grid.size))
     ab[0, 1:] = ab[2, :-1] = grid.k_off
     ab[1] = grid.k_diag - grid.weights * (mu * (p - 1.0) * np.abs(w) ** (p - 2.0))
@@ -751,7 +801,8 @@ def test_limit_kkt_direction_solves_the_bordered_system(N, m, n, mu2):
     init = initial_guess("bumps", grid)
     w = init.u - 0.7 * init.v
     _state, (mu, force, _tg, sigma, grads) = _Limit(cp, grid).evaluate((w,), (None, None))
-    (d,) = _limit_kkt_direction(w, cp, grid, mu, grid.apply_h1(w) - q * force, sigma, grads)
+    (d,) = _limit_kkt_direction(w, cp, grid, _force_slope(w, mu, p), grid.apply_h1(w) - q * force,
+                                sigma, grads)
 
     K = np.diag(grid.k_diag) + np.diag(grid.k_off, 1) + np.diag(grid.k_off, -1)
     hess = K - np.diag(q * mu * (p - 1.0) * np.abs(w) ** (p - 2.0))
@@ -815,7 +866,7 @@ def test_pair_tangent_reports_a_singular_newton_matrix(monkeypatch):
     from critsep import solver
 
     def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+        return None
 
     pair = minimize_nehari(initial_guess("bumps", GRID), CP, GRID, OPTS).pair
     monkeypatch.setattr(solver, "solve_banded", singular)
